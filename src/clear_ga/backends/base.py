@@ -23,7 +23,6 @@ class EvaluationRequest:
     building: BuildingRecord
     data_item: DataItem
     eval_counter: int = 0
-    attempt: int = 0
 
 
 class EvaluationFailure(RuntimeError):

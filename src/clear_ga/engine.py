@@ -17,13 +17,13 @@ import json
 import logging
 import math
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from enum import Enum
+from itertools import islice
 from pathlib import Path
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .backends.base import BackendHardFailure, EvaluationFailure, EvaluationRequest, Evaluator
 from .dataset import BuildingRecord, require_truth
@@ -154,26 +154,29 @@ class FitnessLedger:
 
     ``record`` merges with max, so applying the same multiset of records in
     any order yields the same ledger; that property is what makes concurrent
-    evaluation order-irrelevant.
+    evaluation order-irrelevant. ``record`` itself is not thread-safe: the
+    engine merges a generation's results serially once they are all in.
     """
 
     def __init__(self) -> None:
         self.entries: dict[str, LedgerEntry] = {}
-        self._lock = threading.Lock()
+        # JSON text of each entry as of its last serialization; ``record``,
+        # the only writer of ``entries``, drops the text of the entry it changes.
+        self._texts: dict[str, str] = {}
 
     def record(self, key: str, error: float, generation: int) -> LedgerEntry:
         if error < 0:
             raise ValueError("error must be >= 0")
-        with self._lock:
-            entry = self.entries.get(key)
-            if entry is None:
-                entry = LedgerEntry(worst_error=error, evaluations=1, first_seen_generation=generation)
-                self.entries[key] = entry
-            else:
-                entry.worst_error = max(entry.worst_error, error)
-                entry.evaluations += 1
-                entry.first_seen_generation = min(entry.first_seen_generation, generation)
-            return entry
+        entry = self.entries.get(key)
+        if entry is None:
+            entry = LedgerEntry(worst_error=error, evaluations=1, first_seen_generation=generation)
+            self.entries[key] = entry
+        else:
+            entry.worst_error = max(entry.worst_error, error)
+            entry.evaluations += 1
+            entry.first_seen_generation = min(entry.first_seen_generation, generation)
+            self._texts.pop(key, None)
+        return entry
 
     def worst(self, key: str) -> float:
         return self.entries[key].worst_error
@@ -194,12 +197,25 @@ class FitnessLedger:
                 best_error = entry.worst_error
         return best
 
+    @staticmethod
+    def _entry_obj(key: str, e: LedgerEntry) -> dict:
+        return {"key": key, "worst_error": e.worst_error, "evaluations": e.evaluations,
+                "first_seen_generation": e.first_seen_generation}
+
     def to_json_obj(self) -> list[dict]:
-        return [
-            {"key": key, "worst_error": e.worst_error, "evaluations": e.evaluations,
-             "first_seen_generation": e.first_seen_generation}
-            for key, e in self.entries.items()
-        ]
+        return [self._entry_obj(key, e) for key, e in self.entries.items()]
+
+    def entry_texts(self) -> Iterator[str]:
+        """``json.dumps`` of each :meth:`to_json_obj` row, in order.
+
+        Only entries added or changed since the previous call are serialized.
+        """
+        texts = self._texts
+        for key, entry in self.entries.items():
+            text = texts.get(key)
+            if text is None:
+                text = texts[key] = json.dumps(self._entry_obj(key, entry))
+            yield text
 
     @classmethod
     def from_json_obj(cls, rows: list[dict]) -> "FitnessLedger":
@@ -331,10 +347,23 @@ def _rng_state_from_json(obj: list) -> tuple:
     return (version, tuple(internal), gauss_next)
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+def _genotype_obj(key: str, genotype: Genotype) -> dict:
+    return {"key": key, "chromosomes": [list(ch) for ch in genotype.chromosomes]}
+
+
+def _comma_separated(texts: Iterable[str]) -> Iterator[str]:
+    """The pieces of ``", ".join(texts)``, each joining up to 512 texts.
+
+    A file write per small text costs more than the join; one join of all
+    texts would hold the whole section in memory. No text is empty, so an
+    empty piece means the texts are used up.
+    """
+    texts = iter(texts)
+    separator = ""
+    while piece := ", ".join(islice(texts, 512)):
+        yield separator
+        yield piece
+        separator = ", "
 
 
 OnGeneration = Callable[[GenerationStats, list[Member]], None]
@@ -372,11 +401,13 @@ class EvolutionRun:
         self._evaluated = False
         self._last_pool_size: int | None = None
         self._log_started = False
+        self._genotype_json: list[str] = []
+        self._log_json: list[str] = []
 
     # -- persistence -----------------------------------------------------
 
-    def checkpoint_obj(self) -> dict:
-        """Snapshot between generations; resuming from it reproduces the run exactly."""
+    def _checkpoint_head(self) -> dict:
+        """The checkpoint fields up to the population, all rewritten every generation."""
         return {
             "format": CHECKPOINT_FORMAT,
             "digest": self.config.digest(),
@@ -390,21 +421,66 @@ class EvolutionRun:
                 }
                 for m in self.population
             ],
+        }
+
+    def checkpoint_obj(self) -> dict:
+        """Snapshot between generations; resuming from it reproduces the run exactly."""
+        return {
+            **self._checkpoint_head(),
             "ledger": self.ledger.to_json_obj(),
-            "genotypes": [
-                {"key": key, "chromosomes": [list(ch) for ch in g.chromosomes]}
-                for key, g in self.genotypes_by_key.items()
-            ],
+            "genotypes": [_genotype_obj(key, g) for key, g in self.genotypes_by_key.items()],
             "rng_state": _rng_state_to_json(self.rng.getstate()),
             "log": [row.to_json_obj() for row in self.log_rows],
         }
 
+    def _genotype_texts(self) -> list[str]:
+        """JSON text of each ``genotypes_by_key`` item; the dict only grows."""
+        texts = self._genotype_json
+        texts.extend(
+            json.dumps(_genotype_obj(key, g))
+            for key, g in islice(self.genotypes_by_key.items(), len(texts), None)
+        )
+        return texts
+
+    def _log_texts(self) -> list[str]:
+        """JSON text of each ``log_rows`` row; the list only grows."""
+        texts = self._log_json
+        texts.extend(json.dumps(row.to_json_obj()) for row in self.log_rows[len(texts):])
+        return texts
+
+    def _checkpoint_text(self) -> Iterator[str]:
+        """``json.dumps(self.checkpoint_obj()) + "\\n"``, in pieces.
+
+        Ledger entries, genotypes and log rows come from text caches, so a
+        write serializes only what is new or changed since the previous one.
+        """
+        yield json.dumps(self._checkpoint_head())[:-1]  # its closing brace comes last
+        yield ', "ledger": ['
+        yield from _comma_separated(self.ledger.entry_texts())
+        yield '], "genotypes": ['
+        yield from _comma_separated(self._genotype_texts())
+        yield '], "rng_state": ' + json.dumps(_rng_state_to_json(self.rng.getstate()))
+        yield ', "log": ['
+        yield from _comma_separated(self._log_texts())
+        yield "]}\n"
+
     def write_checkpoint(self) -> None:
+        """Replace the checkpoint file atomically with :meth:`checkpoint_obj` as JSON.
+
+        The text is streamed into a temp file, which is fsynced before the
+        rename, so after a crash the file holds either the old checkpoint or
+        the new one.
+        """
         if not self.config.checkpoint_path:
             return
         path = Path(self.config.checkpoint_path)
         path.parent.mkdir(parents=True, exist_ok=True)
-        _atomic_write(path, json.dumps(self.checkpoint_obj()) + "\n")
+        tmp = path.with_name(path.name + ".tmp")
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines(self._checkpoint_text())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
 
     @classmethod
     def resume(
@@ -470,6 +546,8 @@ class EvolutionRun:
             run.log_rows = [GenerationStats.from_json_obj(row) for row in checkpoint["log"]]
             run._last_pool_size = None
             run._log_started = False
+            run._genotype_json = []
+            run._log_json = []
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
         return run
@@ -498,18 +576,19 @@ class EvolutionRun:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as fh:
             fh.write(self._config_log_line())
-            for row in self.log_rows:
-                fh.write(json.dumps(row.to_json_obj()) + "\n")
+            for text in self._log_texts():
+                fh.write(text + "\n")
         self._log_started = True
 
-    def _append_log_row(self, stats: GenerationStats) -> None:
+    def _append_log_row(self) -> None:
+        """Append the newest of ``log_rows`` to the run log."""
         if not self.config.log_path:
             return
         if not self._log_started:
             self._start_log()
             return
         with Path(self.config.log_path).open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(stats.to_json_obj()) + "\n")
+            fh.write(self._log_texts()[-1] + "\n")
 
     # -- the loop ----------------------------------------------------------
 
@@ -579,7 +658,7 @@ class EvolutionRun:
         self._evaluate_population()
         stats = self._collect_stats()
         self.log_rows.append(stats)
-        self._append_log_row(stats)
+        self._append_log_row()
         self.write_checkpoint()
         if on_generation is not None:
             on_generation(stats, self.population)

@@ -152,13 +152,19 @@ def canonical_key(genotype: Genotype) -> str:
     Equal for two genotypes iff every chromosome holds the same set of cue
     labels; within-chromosome order is ignored, chromosome position is not.
     The key is a JSON rendering, so it is stable across processes and safe
-    to use in checkpoint files.
+    to use in checkpoint files. It is computed once per genotype instance and
+    kept on it; the memo is not a dataclass field, so equality, hashing and
+    ``repr`` ignore it.
     """
-    return json.dumps(
-        [sorted(chromosome) for chromosome in genotype.chromosomes],
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
+    key = genotype.__dict__.get("_canonical_key")
+    if key is None:
+        key = json.dumps(
+            [sorted(chromosome) for chromosome in genotype.chromosomes],
+            ensure_ascii=False,
+            separators=(",", ":"),
+        )
+        object.__setattr__(genotype, "_canonical_key", key)
+    return key
 
 
 def render_cue_list(genotype: Genotype) -> str:

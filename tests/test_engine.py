@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+from pathlib import Path
 from random import Random
 
 import pytest
@@ -426,6 +427,100 @@ class TestCheckpointResume:
         assert [s.to_json_obj() for s in resumed.per_generation_log] == [
             s.to_json_obj() for s in reference.per_generation_log
         ]
+
+
+class WorseningEvaluator:
+    """Estimates drift further from the truth with every re-evaluation of a genotype."""
+
+    def evaluate(self, request: EvaluationRequest):
+        return float(request.building.truth.energy_kwh_m2) + 10.0 * (request.eval_counter + 1)
+
+
+class TestCheckpointWrites:
+    """The incrementally written checkpoint file equals the reference serialization."""
+
+    def make_run(self, tmp_path, name, evaluator=None, **overrides):
+        values = dict(
+            generations=9, seed=17, checkpoint_path=str(tmp_path / f"{name}.checkpoint.json"),
+            log_path=str(tmp_path / f"{name}.log.jsonl"),
+        )
+        values.update(overrides)
+        schema = build_schema(category_sizes=(4, 4, 4))
+        if evaluator is None:
+            evaluator = OracleEvaluator(make_landscape(noise=0.7, seed=3, base=8.0))
+        records = [build_record(), build_record("b2")]
+        return EvolutionRun(make_config(**values), schema, evaluator, records), schema, records
+
+    def checked_run(self, run, written: list[int], **kwargs):
+        """Run, asserting after every generation that the file holds ``checkpoint_obj``."""
+
+        def check(stats, population):
+            expected = json.dumps(run.checkpoint_obj()) + "\n"
+            assert Path(run.config.checkpoint_path).read_bytes() == expected.encode("utf-8")
+            written.append(stats.generation)
+
+        return run.run(on_generation=check, **kwargs)
+
+    @pytest.mark.parametrize("mode", [Mode.FIXED, Mode.VARIABLE])
+    @pytest.mark.parametrize("concurrency", [1, 3])
+    def test_bytes_equal_reference_after_every_generation(self, tmp_path, mode, concurrency):
+        run, _, _ = self.make_run(tmp_path, "run", mode=mode, evaluation_concurrency=concurrency)
+        written: list[int] = []
+        result = self.checked_run(run, written)
+        assert result.completed
+        assert written == list(range(10))
+
+    def test_bytes_equal_reference_across_two_resumes(self, tmp_path):
+        full, _, _ = self.make_run(tmp_path, "full")
+        full.run()
+        run, schema, records = self.make_run(tmp_path, "paused")
+        evaluator = run.evaluator
+        written: list[int] = []
+        for stop in (3, 6, None):
+            if stop != 3:
+                doc = json.loads(Path(run.config.checkpoint_path).read_text(encoding="utf-8"))
+                run = EvolutionRun.resume(doc, schema, evaluator, records)
+            result = self.checked_run(run, written, stop_after_generation=stop)
+        assert result.completed
+        assert written == list(range(10))
+        paused = Path(run.config.checkpoint_path).read_text(encoding="utf-8")
+        uninterrupted = Path(full.config.checkpoint_path).read_text(encoding="utf-8")
+        assert paused.replace("paused", "full") == uninterrupted
+
+    def test_reevaluated_elite_shows_new_worst_error(self, tmp_path):
+        run, _, _ = self.make_run(tmp_path, "worse", evaluator=WorseningEvaluator(), generations=4)
+        snapshots: list[tuple[list[str], dict[str, dict]]] = []
+
+        def capture(stats, population):
+            doc = json.loads(Path(run.config.checkpoint_path).read_text(encoding="utf-8"))
+            ranked = sorted(population, key=lambda m: m.recorded_error)
+            elites = [canonical_key(m.genotype) for m in ranked[: run.config.elites]]
+            snapshots.append((elites, {row["key"]: row for row in doc["ledger"]}))
+
+        run.run(on_generation=capture)
+        assert len(snapshots) == 5
+        for (elites, before), (_, after) in zip(snapshots, snapshots[1:]):
+            for key in elites:
+                assert after[key]["worst_error"] > before[key]["worst_error"]
+                assert after[key]["evaluations"] > before[key]["evaluations"]
+        final = snapshots[-1][1]
+        for key, entry in run.ledger.entries.items():
+            assert final[key]["worst_error"] == entry.worst_error
+            assert final[key]["evaluations"] == entry.evaluations
+
+    def test_key_of_genotype_rebuilt_from_checkpoint_equals_original(self, tmp_path):
+        run, schema, records = self.make_run(tmp_path, "keys")
+        run.run(stop_after_generation=2)
+        doc = json.loads(Path(run.config.checkpoint_path).read_text(encoding="utf-8"))
+        resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
+        assert [canonical_key(m.genotype) for m in resumed.population] == [
+            canonical_key(m.genotype) for m in run.population
+        ]
+        for key, genotype in resumed.genotypes_by_key.items():
+            assert canonical_key(genotype) == key == canonical_key(run.genotypes_by_key[key])
+        shuffled = Genotype((("c0_2", "c0_0"), (), ("c2_1",)))
+        rebuilt = Genotype(tuple(tuple(ch) for ch in json.loads(json.dumps(shuffled.chromosomes))))
+        assert canonical_key(rebuilt) == canonical_key(shuffled) == '[["c0_0","c0_2"],[],["c2_1"]]'
 
 
 class TestRunLog:
