@@ -34,8 +34,8 @@ from .fitness import (
     WindowClass,
     YearRange,
     aggregate_fitness,
-    building_error,
 )
+from .items import building_error
 from .schema import (
     CueCategory,
     CueSchema,

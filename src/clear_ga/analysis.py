@@ -18,14 +18,8 @@ from typing import Sequence
 from .backends.base import EvaluationFailure, EvaluationRequest, Evaluator
 from .dataset import BuildingRecord
 from .engine import GenerationStats, evaluate_genotype
-from .fitness import (
-    HeatingClass,
-    ValueRange,
-    WindowClass,
-    YearRange,
-    heating_error,
-    windows_error,
-)
+from .fitness import HeatingClass, ValueRange, WindowClass, YearRange
+from .items import ITEMS
 from .schema import CueSchema, DataItem, Genotype, validate_genotype
 
 log = logging.getLogger(__name__)
@@ -167,24 +161,6 @@ def _single_cue_genotype(schema: CueSchema, category_index: int, cue: str) -> Ge
     return genotype
 
 
-def _coded_value(item: DataItem, estimate, truth) -> float:
-    """Numeric coding for consistency statistics.
-
-    Categorical answers are coded by their error-matrix distance from the
-    building's ground truth, numeric answers are used directly (range
-    estimates by their midpoint).
-    """
-    if item is DataItem.HEATING:
-        return float(heating_error(estimate, truth.heating))
-    if item is DataItem.WINDOWS:
-        return float(windows_error(estimate, truth.windows))
-    if isinstance(estimate, YearRange):
-        return (estimate.start + estimate.end) / 2.0
-    if isinstance(estimate, ValueRange):
-        return estimate.midpoint
-    return float(estimate)
-
-
 def _render_response(estimate) -> str:
     if isinstance(estimate, (HeatingClass, WindowClass)):
         return estimate.value
@@ -214,6 +190,7 @@ def consistency_probe(
     if n < 2:
         raise ValueError("n must be >= 2")
     item = DataItem(item)
+    spec = ITEMS[item]
     genotype = _single_cue_genotype(schema, category_index, cue)
     values: list[float] = []
     responses: list[str] = []
@@ -228,7 +205,7 @@ def consistency_probe(
             failures += 1
             log.warning("probe sample %d failed: %s", counter, exc)
             continue
-        values.append(_coded_value(item, estimate, building.truth))
+        values.append(spec.coded_value(estimate, spec.truth_of(building.truth)))
         responses.append(_render_response(estimate))
     if not values:
         raise EvaluationFailure(f"all {n} probe evaluations failed")

@@ -25,8 +25,8 @@ from typing import Callable, Protocol, Sequence
 import requests
 
 from ..fitness import DataEstimate
-from ..parsing import ParseError, extract_delimited, parse_estimate
-from ..prompts import IMAGE_SUBSET_FOR_ITEM, build_evaluation_prompt
+from ..items import ITEMS, build_evaluation_prompt, parse_estimate
+from ..parsing import ParseError, extract_delimited
 from ..schema import DataItem, render_cue_list
 from .base import BackendHardFailure, EvaluationFailure, EvaluationRequest
 
@@ -169,7 +169,7 @@ class LlmEvaluator:
     def evaluate(self, request: EvaluationRequest) -> DataEstimate:
         item = DataItem(request.data_item)
         prompt = self.build_prompt(request)
-        images = request.building.image_sets.get(IMAGE_SUBSET_FOR_ITEM[item], ())
+        images = request.building.image_sets.get(ITEMS[item].image_subset, ())
         last_error: Exception | None = None
         for attempt in range(self.retry_limit + 1):
             try:

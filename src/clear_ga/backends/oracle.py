@@ -15,23 +15,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from random import Random
 
 from ..dataset import BuildingRecord
-from ..fitness import (
-    DataEstimate,
-    GroundTruth,
-    HeatingClass,
-    UVALUE_TARGETS,
-    WindowClass,
-    YearRange,
-    heating_error,
-    windows_error,
-)
+from ..fitness import DataEstimate
+from ..items import ITEMS
 from ..schema import DataItem, Genotype, canonical_key
 from .base import EvaluationRequest
 
@@ -124,24 +115,6 @@ class PlantedLandscape:
         }
 
 
-def _require(value, item: DataItem, building_id: str):
-    if value is None:
-        raise ValueError(f"building {building_id!r} has no ground truth for {item.value}")
-    return value
-
-
-def _quantized_class(score: float, truth, error_fn, classes) -> DataEstimate:
-    # Step thresholds at 1 and 2 mirror the categorical error scales; when no
-    # class sits at the desired distance (some matrix rows skip a level) we
-    # fall back toward the truth.
-    desired = 0 if score < 1 else (1 if score < 2 else 2)
-    for target in range(desired, -1, -1):
-        for candidate in classes:
-            if error_fn(candidate, truth) == target:
-                return candidate
-    return truth
-
-
 def oracle_evaluate(
     genotype: Genotype,
     building: BuildingRecord,
@@ -149,33 +122,13 @@ def oracle_evaluate(
     eval_counter: int,
     item: DataItem,
 ) -> DataEstimate:
-    """Turn the latent score into an estimate whose error reproduces the score.
-
-    Continuous items (energy, lighting, U-value) reproduce it exactly; the
-    age item rounds to whole years; categorical items quantize it onto the
-    class-error ladder.
-    """
+    """Read the latent score out as an estimate of the item (``ItemSpec.oracle_readout``)."""
     item = DataItem(item)
-    truth: GroundTruth = building.truth
-    score = landscape.latent_score(genotype, building.id, eval_counter)
-    if item is DataItem.ENERGY:
-        return _require(truth.energy_kwh_m2, item, building.id) + score
-    if item is DataItem.LIGHTING:
-        actual = _require(truth.lighting_pct, item, building.id)
-        estimate = actual + score if actual + score <= 100 else actual - score
-        return min(max(estimate, 0.0), 100.0)
-    if item is DataItem.BUILDING_AGE:
-        age = _require(truth.age, item, building.id)
-        offset = math.floor(score + 0.5)
-        return YearRange(age.end + offset, age.end + offset)
-    if item is DataItem.WINDOWS_UVALUE:
-        target = UVALUE_TARGETS[_require(truth.windows, item, building.id)]
-        return target + score
-    if item is DataItem.WINDOWS:
-        actual = _require(truth.windows, item, building.id)
-        return _quantized_class(score, actual, windows_error, list(WindowClass))
-    actual = _require(truth.heating, item, building.id)
-    return _quantized_class(score, actual, heating_error, list(HeatingClass))
+    spec = ITEMS[item]
+    actual = spec.truth_of(building.truth)
+    if actual is None:
+        raise ValueError(f"building {building.id!r} has no ground truth for {item.value}")
+    return spec.oracle_readout(actual, landscape.latent_score(genotype, building.id, eval_counter))
 
 
 class OracleEvaluator:

@@ -16,13 +16,12 @@ from random import Random
 from typing import Sequence
 
 from ..dataset import BuildingRecord
-from ..fitness import HeatingClass
+from ..items import ITEMS
 from ..prompts import (
     AGE_CLUSTERING_TEMPLATE,
     DEDUP_CLUSTER_TEMPLATE,
+    FEATURE_EXTRACTION_TEMPLATE,
     FORMATTING_TEMPLATE,
-    IMAGE_SUBSET_FOR_ITEM,
-    build_feature_extraction_prompt,
 )
 from ..schema import CueCategory, CueSchema, DataItem, SchemaError
 from .llm import Transport, TransportError
@@ -79,34 +78,6 @@ def _parse_feature_list(text: str) -> list[str]:
             continue
         features.append(cleaned)
     return features
-
-
-# Heating classes with no group of their own join the group they are most
-# easily confused with (vents with vents, panels with storage heaters).
-_HEATING_GROUP_OF = {
-    HeatingClass.WATER_RADIATORS: "water radiators",
-    HeatingClass.ELECTRIC_PANEL: "electric panels",
-    HeatingClass.ELECTRIC_STORAGE: "electric panels",
-    HeatingClass.WARM_AIR: "warm air",
-    HeatingClass.UNDERFLOOR: "warm air",
-}
-
-
-def _value_groups(training: list[BuildingRecord], item: DataItem) -> list[list[BuildingRecord]]:
-    groups: dict[str, list[BuildingRecord]] = {}
-    for record in training:
-        truth = record.truth
-        if item is DataItem.LIGHTING:
-            key = "0%" if truth.lighting_pct == 0 else ("100%" if truth.lighting_pct == 100 else "partial")
-        elif item is DataItem.HEATING:
-            key = _HEATING_GROUP_OF[truth.heating]
-        elif item in (DataItem.WINDOWS, DataItem.WINDOWS_UVALUE):
-            key = truth.windows.value
-        else:
-            e = truth.energy_kwh_m2
-            key = "<100" if e < 100 else ("100-200" if e <= 200 else ">200")
-        groups.setdefault(key, []).append(record)
-    return [groups[k] for k in sorted(groups)]
 
 
 def _age_rows(training: list[BuildingRecord]) -> str:
@@ -190,20 +161,26 @@ def generate_schema(
     if not training:
         raise ValueError("training set is empty")
     item = DataItem(item)
+    spec = ITEMS[item]
     region = region or training[0].region
 
-    if item is DataItem.BUILDING_AGE:
+    if spec.schema_group is None:
         groups = _age_groups(training, transport, retry_limit)
     else:
-        groups = _value_groups(training, item)
+        by_group: dict[str, list[BuildingRecord]] = {}
+        for record in training:
+            by_group.setdefault(spec.schema_group(spec.truth_of(record.truth)), []).append(record)
+        groups = [by_group[key] for key in sorted(by_group)]
     representatives = _pick_representatives(groups, training, rng)
     log.info("extracting features from %d representative buildings", len(representatives))
 
-    subset = IMAGE_SUBSET_FOR_ITEM[item]
-    extraction_prompt = build_feature_extraction_prompt(item, region)
+    extraction_prompt = FEATURE_EXTRACTION_TEMPLATE.format(
+        extraction_prompt=spec.extraction_prompt, region=region
+    )
     features: list[str] = []
     for rep in representatives:
-        text = _send_with_retries(transport, extraction_prompt, rep.image_sets[subset], retry_limit)
+        images = rep.image_sets[spec.image_subset]
+        text = _send_with_retries(transport, extraction_prompt, images, retry_limit)
         found = _parse_feature_list(text)
         if not found:
             raise SchemaGenerationError(

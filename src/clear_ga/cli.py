@@ -66,18 +66,26 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
+# The backend flags are stored under the names of the RunConfig fields they
+# set, so _make_evaluator reads either one.
 def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--model", default=None, help="chat model name (default gpt-4o)")
+    parser.add_argument(
+        "--model", dest="llm_model", metavar="MODEL", default=None,
+        help="chat model name (default gpt-4o)",
+    )
     parser.add_argument("--endpoint", default=None, help="base URL override for the LLM API")
     parser.add_argument(
-        "--min-interval", type=float, default=None,
-        help="minimum seconds between LLM requests (rate ceiling)",
+        "--min-interval", dest="llm_min_interval", metavar="MIN_INTERVAL", type=float,
+        default=None, help="minimum seconds between LLM requests (rate ceiling)",
     )
 
 
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--backend", choices=["oracle", "llm"], default=None)
-    parser.add_argument("--landscape", default=None, help="landscape JSON file (oracle backend)")
+    parser.add_argument(
+        "--landscape", dest="landscape_path", metavar="LANDSCAPE", default=None,
+        help="landscape JSON file (oracle backend)",
+    )
     _add_llm_flags(parser)
 
 
@@ -166,27 +174,27 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _make_transport(args) -> HttpTransport:
+def _make_transport(endpoint: str | None, settings) -> HttpTransport:
     return HttpTransport(
-        endpoint=args.endpoint,
-        model=args.model or "gpt-4o",
-        min_request_interval=args.min_interval or 0.0,
+        endpoint=endpoint,
+        model=settings.llm_model or "gpt-4o",
+        min_request_interval=settings.llm_min_interval or 0.0,
     )
 
 
-def _make_evaluator(args, config: RunConfig):
-    if config.backend == "oracle":
-        if not config.landscape_path:
+def _make_evaluator(args, config: RunConfig | None = None):
+    """The evaluator a run's config names or, without one, the backend flags name."""
+    settings = config or args
+    if settings.retry_limit < 0:
+        raise ValueError("retry_limit must be >= 0")
+    if (settings.backend or "oracle") == "oracle":
+        if not settings.landscape_path:
             raise UsageError("oracle backend needs --landscape")
-        landscape = load_landscape_file(config.landscape_path)
-        return OracleEvaluator(landscape)
-    transport = HttpTransport(
-        endpoint=getattr(args, "endpoint", None),
-        model=config.llm_model,
-        min_request_interval=config.llm_min_interval,
-    )
+        return OracleEvaluator(load_landscape_file(settings.landscape_path))
     return LlmEvaluator(
-        transport, retry_limit=config.retry_limit, current_year=config.current_year
+        _make_transport(args.endpoint, settings),
+        retry_limit=settings.retry_limit,
+        current_year=settings.current_year,
     )
 
 
@@ -213,11 +221,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_gen_schema(args) -> int:
-    try:
-        transport = _make_transport(args)
-    except AuthenticationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    transport = _make_transport(args.endpoint, args)
     records = load_manifest(args.dataset, current_year=args.current_year)
     try:
         schema = generate_schema(
@@ -264,11 +268,11 @@ def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
         "retry_limit": args.retry_limit,
         "current_year": args.current_year,
         "backend": args.backend,
-        "llm_model": args.model,
-        "llm_min_interval": args.min_interval,
+        "llm_model": args.llm_model,
+        "llm_min_interval": args.llm_min_interval,
         "schema_path": args.schema,
         "dataset_path": args.dataset,
-        "landscape_path": args.landscape,
+        "landscape_path": args.landscape_path,
     }
     values.update({k: v for k, v in flag_map.items() if v is not None})
     if "data_item" not in values:
@@ -373,19 +377,6 @@ def _load_best_genotype(path: str) -> tuple[dict, Genotype]:
         raise DatasetError(f"bad genotype file {path}: {exc}") from None
 
 
-def _analysis_config(args, item: DataItem, seed: int) -> RunConfig:
-    return RunConfig(
-        data_item=item,
-        seed=seed,
-        backend=args.backend or "oracle",
-        landscape_path=args.landscape,
-        llm_model=args.model or "gpt-4o",
-        llm_min_interval=args.min_interval or 0.0,
-        retry_limit=args.retry_limit,
-        current_year=args.current_year,
-    )
-
-
 def cmd_ablate(args) -> int:
     doc, genotype = _load_best_genotype(args.genotype)
     item = DataItem(args.item) if args.item else DataItem(doc["data_item"])
@@ -396,7 +387,7 @@ def cmd_ablate(args) -> int:
         records, item, Random(seed), train_fraction=args.train_fraction
     )
     split = training if args.split == "train" else test
-    evaluator = _make_evaluator(args, _analysis_config(args, item, seed))
+    evaluator = _make_evaluator(args)
     report = analysis.ablate(genotype, schema, evaluator, split, item)
     print(f"base error on {args.split} split: {report.base_error:g}")
     for row in report.rows:
@@ -433,7 +424,7 @@ def cmd_probe(args) -> int:
         raise UsageError(f"cue {args.cue!r} not found in schema")
     if len(matches) > 1:
         raise UsageError(f"cue {args.cue!r} is in several categories; pass --category")
-    evaluator = _make_evaluator(args, _analysis_config(args, item, 0))
+    evaluator = _make_evaluator(args)
     report = analysis.consistency_probe(
         schema, matches[0], args.cue, by_id[args.building], evaluator, item, args.n
     )

@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from random import Random
 
-from .fitness import GroundTruth, HeatingClass, WindowClass, YearRange
+from .fitness import GroundTruth, HeatingClass, WindowClass
+from .items import ITEMS
 from .parsing import ParseError, parse_age
 from .schema import DataItem
 
-IMAGE_SUBSETS = ("building", "heating", "windows", "lighting")
+IMAGE_SUBSETS = tuple(dict.fromkeys(spec.image_subset for spec in ITEMS.values()))
 
 
 class DatasetError(ValueError):
@@ -174,46 +175,10 @@ def manifest_digest(path: str | Path) -> str:
 def require_truth(records: list[BuildingRecord], item: DataItem) -> None:
     """Ensure every record carries the ground-truth field the item needs."""
     item = DataItem(item)
-    field = {
-        DataItem.BUILDING_AGE: "age",
-        DataItem.LIGHTING: "lighting_pct",
-        DataItem.HEATING: "heating",
-        DataItem.WINDOWS: "windows",
-        DataItem.WINDOWS_UVALUE: "windows",
-        DataItem.ENERGY: "energy_kwh_m2",
-    }[item]
+    field = ITEMS[item].truth_field
     for record in records:
         if getattr(record.truth, field) is None:
             raise DatasetError(f"building {record.id!r} has no truth.{field} for item {item.value}")
-
-
-def _age_stratum(age: YearRange) -> str:
-    # Fixed era boundaries keep the split deterministic.
-    if age.end < 1900:
-        return "pre-1900"
-    if age.end < 1970:
-        return "1900-1970"
-    return "post-1970"
-
-
-def _stratum(item: DataItem, truth: GroundTruth) -> str:
-    if item is DataItem.BUILDING_AGE:
-        return _age_stratum(truth.age)
-    if item is DataItem.LIGHTING:
-        if truth.lighting_pct == 0:
-            return "0%"
-        if truth.lighting_pct == 100:
-            return "100%"
-        return "partial"
-    if item is DataItem.HEATING:
-        return truth.heating.value
-    if item in (DataItem.WINDOWS, DataItem.WINDOWS_UVALUE):
-        return truth.windows.value
-    if truth.energy_kwh_m2 < 100:
-        return "<100"
-    if truth.energy_kwh_m2 <= 200:
-        return "100-200"
-    return ">200"
 
 
 def split_records(
@@ -231,11 +196,11 @@ def split_records(
     """
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
-    item = DataItem(item)
+    spec = ITEMS[DataItem(item)]
     require_truth(records, item)
     strata: dict[str, list[BuildingRecord]] = {}
     for record in records:
-        strata.setdefault(_stratum(item, record.truth), []).append(record)
+        strata.setdefault(spec.stratum(spec.truth_of(record.truth)), []).append(record)
     train: list[BuildingRecord] = []
     test: list[BuildingRecord] = []
     for key in sorted(strata):

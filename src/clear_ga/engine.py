@@ -27,8 +27,9 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from .backends.base import BackendHardFailure, EvaluationFailure, EvaluationRequest, Evaluator
 from .dataset import BuildingRecord, require_truth
-from .fitness import aggregate_fitness, building_error, failure_penalty
+from .fitness import aggregate_fitness
 from .genome import crossover_fixed, crossover_variable, mutate_fixed, mutate_variable
+from .items import building_error, failure_penalty
 from .schema import CueSchema, DataItem, Genotype, canonical_key, random_genotype
 
 log = logging.getLogger(__name__)

@@ -1,7 +1,8 @@
-"""Per-building error functions for every data item, and fitness aggregation.
+"""Estimate types, per-building error functions, and fitness aggregation.
 
 Lower is better everywhere; zero is a perfect score. All functions here are
-pure and reentrant.
+pure and reentrant. Which error function scores which data item is set in
+:mod:`clear_ga.items`.
 """
 
 from __future__ import annotations
@@ -9,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
-
-from .schema import DataItem
 
 
 @dataclass(frozen=True)
@@ -95,6 +94,13 @@ def range_range_error(a: YearRange | ValueRange, b: YearRange | ValueRange) -> f
     return 0
 
 
+def age_error(estimate: YearRange, truth: YearRange) -> float:
+    """Range-to-point distance for an exact true year, range-to-range gap otherwise."""
+    if truth.is_exact:
+        return range_point_error(estimate.start, estimate.end, truth.start)
+    return range_range_error(estimate, truth)
+
+
 # Classes that look alike in images carry a reduced penalty when confused:
 # underfloor vents resemble warm-air vents, panel heaters resemble storage
 # heaters. Everything else is a full miss.
@@ -107,12 +113,12 @@ _HEATING_CONFUSION_GROUP = {
 }
 
 
-def heating_error(estimate: HeatingClass, truth: HeatingClass) -> int:
+def heating_error(estimate: HeatingClass, truth: HeatingClass) -> float:
     if estimate == truth:
-        return 0
+        return 0.0
     if _HEATING_CONFUSION_GROUP[estimate] == _HEATING_CONFUSION_GROUP[truth]:
-        return 1
-    return 2
+        return 1.0
+    return 2.0
 
 
 WINDOW_ORDINAL = {
@@ -122,8 +128,8 @@ WINDOW_ORDINAL = {
 }
 
 
-def windows_error(estimate: WindowClass, truth: WindowClass) -> int:
-    return abs(WINDOW_ORDINAL[estimate] - WINDOW_ORDINAL[truth])
+def windows_error(estimate: WindowClass, truth: WindowClass) -> float:
+    return float(abs(WINDOW_ORDINAL[estimate] - WINDOW_ORDINAL[truth]))
 
 
 def lighting_error(estimate_pct: float, truth_pct: float) -> float:
@@ -149,61 +155,6 @@ def uvalue_error(estimate_u: float, truth: WindowClass) -> float:
     if estimate_u <= 0:
         raise ValueError(f"U-value estimate must be positive, got {estimate_u}")
     return abs(estimate_u - UVALUE_TARGETS[truth])
-
-
-# Worst-case error charged when a building's estimate cannot be obtained or
-# parsed after retries; keeps the population totally ordered under failures.
-# Age: span of the cleaned 1000-to-now scale rounded up. U-value: span of the
-# reference targets.
-FAILURE_PENALTY: dict[DataItem, float] = {
-    DataItem.BUILDING_AGE: 1024.0,
-    DataItem.LIGHTING: 100.0,
-    DataItem.HEATING: 2.0,
-    DataItem.WINDOWS: 2.0,
-    DataItem.WINDOWS_UVALUE: 4.3,
-    DataItem.ENERGY: 450.0,
-}
-
-
-def failure_penalty(item: DataItem) -> float:
-    return FAILURE_PENALTY[DataItem(item)]
-
-
-def _require_truth(value, item: DataItem):
-    if value is None:
-        raise ValueError(f"ground truth is missing the field for {item.value}")
-    return value
-
-
-def building_error(item: DataItem, estimate: DataEstimate, truth: GroundTruth) -> float:
-    """Dispatch to the item's error function; raises if the estimate variant mismatches."""
-    item = DataItem(item)
-    if item is DataItem.BUILDING_AGE:
-        truth_age = _require_truth(truth.age, item)
-        if not isinstance(estimate, YearRange):
-            raise ValueError(f"building_age estimate must be a YearRange, got {estimate!r}")
-        if truth_age.is_exact:
-            return range_point_error(estimate.start, estimate.end, truth_age.start)
-        return range_range_error(estimate, truth_age)
-    if item is DataItem.LIGHTING:
-        if not isinstance(estimate, (int, float)) or isinstance(estimate, bool):
-            raise ValueError(f"lighting estimate must be a percentage, got {estimate!r}")
-        return lighting_error(float(estimate), _require_truth(truth.lighting_pct, item))
-    if item is DataItem.HEATING:
-        if not isinstance(estimate, HeatingClass):
-            raise ValueError(f"heating estimate must be a HeatingClass, got {estimate!r}")
-        return float(heating_error(estimate, _require_truth(truth.heating, item)))
-    if item is DataItem.WINDOWS:
-        if not isinstance(estimate, WindowClass):
-            raise ValueError(f"windows estimate must be a WindowClass, got {estimate!r}")
-        return float(windows_error(estimate, _require_truth(truth.windows, item)))
-    if item is DataItem.WINDOWS_UVALUE:
-        if not isinstance(estimate, (int, float)) or isinstance(estimate, bool):
-            raise ValueError(f"U-value estimate must be a number, got {estimate!r}")
-        return uvalue_error(float(estimate), _require_truth(truth.windows, item))
-    if not isinstance(estimate, (ValueRange, int, float)) or isinstance(estimate, bool):
-        raise ValueError(f"energy estimate must be a number or range, got {estimate!r}")
-    return energy_error(estimate, float(_require_truth(truth.energy_kwh_m2, item)))
 
 
 def aggregate_fitness(per_building_errors: list[float]) -> float:

@@ -11,9 +11,8 @@ from __future__ import annotations
 import re
 from typing import Sequence, TypeVar
 
-from .fitness import DataEstimate, ValueRange, YearRange
-from .prompts import HEATING_ANSWER_OPTIONS, WINDOWS_ANSWER_OPTIONS
-from .schema import DataItem
+from .fitness import ValueRange, YearRange
+from .prompts import LIGHTING_ANSWER_OPTIONS
 
 T = TypeVar("T")
 
@@ -100,7 +99,7 @@ def parse_lighting(payload: str) -> float:
         return 0.0
     if m := _LIGHTING_OPTION.match(norm):
         pct = int(m.group(1))
-        if pct in (20, 40, 60, 80, 100):
+        if f"low energy in {pct}%" in LIGHTING_ANSWER_OPTIONS:
             return float(pct)
         raise ParseError(f"{payload!r} is not one of the lighting options")
     if m := _BARE_PERCENT.match(norm):
@@ -173,21 +172,10 @@ def parse_numeric(payload: str) -> ValueRange:
     return ValueRange(start, end)
 
 
-def parse_estimate(item: DataItem, payload: str, current_year: int) -> DataEstimate:
-    """Parse a delimited payload into the estimate variant for the given item."""
-    item = DataItem(item)
-    if item is DataItem.BUILDING_AGE:
-        return parse_age(payload, current_year)
-    if item is DataItem.LIGHTING:
-        return parse_lighting(payload)
-    if item is DataItem.HEATING:
-        return parse_categorical(payload, HEATING_ANSWER_OPTIONS)
-    if item is DataItem.WINDOWS:
-        return parse_categorical(payload, WINDOWS_ANSWER_OPTIONS)
-    if item is DataItem.WINDOWS_UVALUE:
-        value = parse_numeric(payload)
-        estimate = value.start if value.is_point else value.midpoint
-        if estimate <= 0:
-            raise ParseError(f"U-value answer {payload!r} must be positive")
-        return estimate
-    return parse_numeric(payload)
+def parse_uvalue(payload: str) -> float:
+    """Parse a U-value answer; a range answer is read as its midpoint."""
+    value = parse_numeric(payload)
+    estimate = value.start if value.is_point else value.midpoint
+    if estimate <= 0:
+        raise ParseError(f"U-value answer {payload!r} must be positive")
+    return estimate

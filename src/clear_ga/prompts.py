@@ -4,15 +4,16 @@ The evaluation prompt asks one question per data item, directs attention to
 the evolved cue list, encourages per-cue reasoning, and pins the answer
 format to a ``###``-delimited payload so responses stay machine-parseable.
 The remaining templates drive the automated construction of a cue schema
-from a handful of representative buildings.
+from a handful of representative buildings. The per-item questions and
+tasks that fill these templates are in :mod:`clear_ga.items`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .fitness import HeatingClass, WindowClass
-from .schema import DataItem
 
 EVALUATION_TEMPLATE = (
     "The images below belong to the same apartment. The building is located in {region}.\n"
@@ -37,89 +38,19 @@ class EvaluationPrompt:
     final_instructions: str
 
 
-EVALUATION_PROMPTS: dict[DataItem, EvaluationPrompt] = {
-    DataItem.BUILDING_AGE: EvaluationPrompt(
-        question="What is the age of this apartment?",
-        instructions=(
-            "Finally, select one of these options: before 1900, 1900-1930, 1930-1950, "
-            "1950-1970, 1970-1990, 1990-2020, 2020-now"
-        ),
+def select_prompt(question: str, options: Iterable[str]) -> EvaluationPrompt:
+    """A multiple-choice prompt whose instructions list the answer options in order."""
+    return EvaluationPrompt(
+        question=question,
+        instructions="Finally, select one of these options: " + ", ".join(options),
         final_instructions=_SELECT_FINAL,
-    ),
-    DataItem.LIGHTING: EvaluationPrompt(
-        question="What type of lighting does this apartment have?",
-        instructions=(
-            "Finally, select one of these options: no low energy lighting, low energy in 20%, "
-            "low energy in 40%, low energy in 60%, low energy in 80%, low energy in 100%"
-        ),
-        final_instructions=_SELECT_FINAL,
-    ),
-    DataItem.HEATING: EvaluationPrompt(
-        question="What type of heating does this apartment have?",
-        instructions=(
-            "Finally, select one of these options: underfloor heating, water radiators, "
-            "electric heaters, electric storage heaters, warm air from vents"
-        ),
-        final_instructions=_SELECT_FINAL,
-    ),
-    DataItem.WINDOWS: EvaluationPrompt(
-        question="What type of windows does this apartment have?",
-        instructions=(
-            "Finally, select one of these options: (1) single glazed, (2) double glazed, "
-            "(3) high efficiency double or triple glazed"
-        ),
-        final_instructions=_SELECT_FINAL,
-    ),
-    DataItem.WINDOWS_UVALUE: EvaluationPrompt(
-        question="What is the U-value of the windows in this apartment?",
-        instructions=(
-            "Finally, give an estimate of the U-value of the windows as a single number, "
-            "low for efficient, high for inefficient"
-        ),
-        final_instructions=(
-            "Put the estimated U-value in between ### and ###. "
-            "Do not include any other text apart from the U-value"
-        ),
-    ),
-    DataItem.ENERGY: EvaluationPrompt(
-        question="Estimate the energy consumption in kwh per metre squared for the following apartment.",
-        instructions=(
-            "Finally, give an estimate of the kwh. A highly efficient apartment might have a "
-            "kwh/m2 value as low as 35 or better. An inefficient apartment might have a kwh/m2 "
-            "value as high as 450 or worse"
-        ),
-        final_instructions=(
-            "Put the estimated kwh in between ### and ###. "
-            "Do not include any other text apart from the kwh values"
-        ),
-    ),
-}
-
-
-def build_evaluation_prompt(item: DataItem, region: str, cue_list: str) -> str:
-    parts = EVALUATION_PROMPTS[DataItem(item)]
-    return EVALUATION_TEMPLATE.format(
-        region=region,
-        question=parts.question,
-        cue_list=cue_list,
-        instructions=parts.instructions,
-        final_instructions=parts.final_instructions,
     )
 
 
-# Which image subset of a building accompanies each item's prompts.
-IMAGE_SUBSET_FOR_ITEM: dict[DataItem, str] = {
-    DataItem.BUILDING_AGE: "building",
-    DataItem.ENERGY: "building",
-    DataItem.HEATING: "heating",
-    DataItem.WINDOWS: "windows",
-    DataItem.WINDOWS_UVALUE: "windows",
-    DataItem.LIGHTING: "lighting",
-}
-
-# Answer option strings as they appear in the evaluation prompts, mapped to
-# the typed classes they mean. The age and lighting options are free-form
-# enough that they go through dedicated parsers instead.
+# Answer option strings as they appear in the evaluation prompts. The
+# categorical options map to the typed classes they mean; the age and
+# lighting options are free-form enough that they go through dedicated
+# parsers instead.
 HEATING_ANSWER_OPTIONS: tuple[tuple[str, HeatingClass], ...] = (
     ("underfloor heating", HeatingClass.UNDERFLOOR),
     ("water radiators", HeatingClass.WATER_RADIATORS),
@@ -161,53 +92,6 @@ FEATURE_EXTRACTION_TEMPLATE = (
     "{extraction_prompt}\n"
     "The building is located in {region}. Return the features as a list."
 )
-
-FEATURE_EXTRACTION_PROMPTS: dict[DataItem, str] = {
-    DataItem.BUILDING_AGE: (
-        "Your task is to provide a detailed label of every architectural feature for the "
-        "building that will help determine the age of the building whether it is before 1900, "
-        "1900-1930, 1930-1950, 1950-1970, 1970-1990, 1990-2020, 2020-now. List 50 visible "
-        "features that are significant for building age."
-    ),
-    DataItem.LIGHTING: (
-        "Your task is to provide a detailed label of every visible feature in the images "
-        "relating to artificial lights for the building that will help determine the type of "
-        "lighting whether it is no low energy lighting, low energy in 20%, low energy in 40%, "
-        "low energy in 60%, low energy in 80%, low energy in 100%. List 50 visible features "
-        "that are significant for determining the type of bulbs used in the lights. "
-        "Don't explain the label."
-    ),
-    DataItem.HEATING: (
-        "Your task is to provide a detailed label of every visible feature in the images "
-        "relating to heating type that will help determine the type of heating used whether "
-        "it is underfloor heating, water radiators, electric heaters, electric storage heaters "
-        "or warm air from vents. List 50 visible features that are significant for determining "
-        "the type of heating used in the apartment. Don't explain the label."
-    ),
-    DataItem.WINDOWS: (
-        "Your task is to provide a detailed label of every architectural feature for the "
-        "building that will help determine whether the glazing in the windows is single, "
-        "double, or high efficiency. List 50 detailed visible features that are significant "
-        "for window types."
-    ),
-    DataItem.ENERGY: (
-        "Your task is to provide a detailed label of every visible architectural feature, "
-        "appliance and energy consuming device in the images that will help determine the "
-        "energy consumption in kwh per metre squared. Do not list furnishings or belongings, "
-        "focus on visible items relevant to energy consumption or saving. List 50, with no "
-        "explanations."
-    ),
-}
-# The real-valued windows variant searches the same visual space as windows.
-FEATURE_EXTRACTION_PROMPTS[DataItem.WINDOWS_UVALUE] = FEATURE_EXTRACTION_PROMPTS[DataItem.WINDOWS]
-
-
-def build_feature_extraction_prompt(item: DataItem, region: str) -> str:
-    return FEATURE_EXTRACTION_TEMPLATE.format(
-        extraction_prompt=FEATURE_EXTRACTION_PROMPTS[DataItem(item)],
-        region=region,
-    )
-
 
 AGE_CLUSTERING_TEMPLATE = (
     "You are a surveyor. You are given this list of buildings, each row is a building with "

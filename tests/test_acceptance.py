@@ -36,7 +36,7 @@ from clear_ga.fitness import (
     range_range_error,
     windows_error,
 )
-from clear_ga.prompts import EVALUATION_PROMPTS
+from clear_ga.items import ITEMS
 from clear_ga.schema import (
     CueCategory,
     CueSchema,
@@ -471,7 +471,7 @@ def test_11_prompt_assembly():
         except Exception:
             pass  # payload parsing is not under test here
         prompt = captured["prompt"]
-        parts = EVALUATION_PROMPTS[item]
+        parts = ITEMS[item].prompt
         assert parts.question in prompt
         assert parts.instructions in prompt
         assert parts.final_instructions in prompt
@@ -480,5 +480,5 @@ def test_11_prompt_assembly():
         for cue in ("high ceilings", "ceiling rose", "sash windows"):
             assert prompt.count(cue) == 1
     # two spot checks on the per-item answer menus
-    assert "(1) single glazed, (2) double glazed" in EVALUATION_PROMPTS[DataItem.WINDOWS].instructions
-    assert "as low as 35 or better" in EVALUATION_PROMPTS[DataItem.ENERGY].instructions
+    assert "(1) single glazed, (2) double glazed" in ITEMS[DataItem.WINDOWS].prompt.instructions
+    assert "as low as 35 or better" in ITEMS[DataItem.ENERGY].prompt.instructions

@@ -23,8 +23,8 @@ from clear_ga.backends import (
     oracle_evaluate,
 )
 from clear_ga.backends.llm import AuthenticationError, TransportError
-from clear_ga.fitness import HeatingClass, WindowClass, YearRange, building_error
-from clear_ga.prompts import EVALUATION_PROMPTS
+from clear_ga.fitness import HeatingClass, WindowClass, YearRange
+from clear_ga.items import ITEMS, building_error
 from clear_ga.schema import DataItem, Genotype, load_schema, render_cue_list
 
 from conftest import build_record, build_schema
@@ -251,7 +251,7 @@ class TestLlmEvaluator:
         g = Genotype((("high ceilings", "ceiling rose"), ("sash windows",)))
         evaluator.evaluate(request(g, item=DataItem.ENERGY))
         prompt, _ = transport.calls[0]
-        parts = EVALUATION_PROMPTS[DataItem.ENERGY]
+        parts = ITEMS[DataItem.ENERGY].prompt
         assert parts.question in prompt
         assert parts.final_instructions in prompt
         assert render_cue_list(g) in prompt

@@ -30,7 +30,7 @@ from clear_ga.engine import (
     next_generation,
     select_parents,
 )
-from clear_ga.fitness import failure_penalty
+from clear_ga.items import failure_penalty
 from clear_ga.schema import DataItem, Genotype, canonical_key
 
 from conftest import build_record, build_schema

@@ -7,16 +7,13 @@ from random import Random
 import pytest
 
 from clear_ga.fitness import (
-    FAILURE_PENALTY,
     GroundTruth,
     HeatingClass,
     ValueRange,
     WindowClass,
     YearRange,
     aggregate_fitness,
-    building_error,
     energy_error,
-    failure_penalty,
     heating_error,
     lighting_error,
     range_point_error,
@@ -24,6 +21,7 @@ from clear_ga.fitness import (
     uvalue_error,
     windows_error,
 )
+from clear_ga.items import ITEMS, building_error, failure_penalty
 from clear_ga.schema import DataItem
 
 H = HeatingClass
@@ -230,4 +228,4 @@ class TestAggregateAndPenalty:
         assert failure_penalty(DataItem.LIGHTING) == 100
         assert failure_penalty(DataItem.ENERGY) == 450
         assert failure_penalty(DataItem.WINDOWS_UVALUE) == pytest.approx(4.3)
-        assert set(FAILURE_PENALTY) == set(DataItem)
+        assert set(ITEMS) == set(DataItem)

@@ -5,12 +5,12 @@ from __future__ import annotations
 import pytest
 
 from clear_ga.fitness import HeatingClass, ValueRange, WindowClass, YearRange
+from clear_ga.items import parse_estimate
 from clear_ga.parsing import (
     ParseError,
     extract_delimited,
     parse_age,
     parse_categorical,
-    parse_estimate,
     parse_lighting,
     parse_numeric,
 )
