@@ -5,10 +5,11 @@ weights. Every cue present in a genotype either earns its benefit (planted)
 or costs the distractor penalty, on top of a base error; seeded Gaussian
 noise emulates estimator inconsistency. The resulting latent score is read
 out as an estimate of the requested data item such that the building error
-reproduces the score (exactly for continuous items, quantized for
-categorical ones). Because the latent score ignores the data item, the
-categorical windows read-out and the continuous U-value read-out expose the
-same noise stream through two encodings.
+reproduces the score: exactly for energy and U-value, rounded to whole years
+for age, capped at the farther end of the 0..100 scale for lighting, and
+quantized for categorical items. Because the latent score ignores the data
+item, the categorical windows read-out and the continuous U-value read-out
+expose the same noise stream through two encodings.
 """
 
 from __future__ import annotations

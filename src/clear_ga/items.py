@@ -109,7 +109,7 @@ def _numeric_code(estimate, truth) -> float:
     return float(estimate)
 
 
-# --- oracle read-outs: the building error reproduces the latent score ---------
+# --- oracle read-outs: the building error follows the latent score -----------
 
 
 def _age_readout(age: YearRange, score: float) -> YearRange:
@@ -120,7 +120,9 @@ def _age_readout(age: YearRange, score: float) -> YearRange:
 
 def _lighting_readout(pct: float, score: float) -> float:
     estimate = pct + score if pct + score <= 100 else pct - score
-    return min(max(estimate, 0.0), 100.0)
+    # Past both ends of the scale, the end farther from the truth: the error
+    # saturates at max(pct, 100 - pct) and never falls as the score rises.
+    return estimate if estimate >= 0 else (100.0 if pct < 50 else 0.0)
 
 
 def _quantized_class(error_fn, classes, truth, score: float) -> DataEstimate:

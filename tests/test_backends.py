@@ -182,6 +182,23 @@ class TestOracleReadouts:
         estimate = oracle_evaluate(Genotype((("c0_0",), ())), truth, landscape(), 0, DataItem.LIGHTING)
         assert building_error(DataItem.LIGHTING, estimate, truth.truth) == 3.0
 
+    @pytest.mark.parametrize("truth_pct", [0.0, 30.0, 50.0, 86.0, 100.0])
+    def test_lighting_error_saturates_instead_of_falling(self, truth_pct):
+        # Reproduces the score up to max(truth, 100 - truth), then stays there:
+        # with truth 30%, score 71 must not score better (error 30) than score 70.
+        building = build_record(lighting_pct=truth_pct)
+        no_cues = Genotype(((), ()))
+        for score in range(6, 121):
+            land = PlantedLandscape(
+                planted=(PlantedCue(0, "c0_0", 3.0), PlantedCue(1, "c1_1", 3.0)),
+                distractor_penalty=1.0,
+                base_error=float(score),
+                noise_scale=0.0,
+            )
+            estimate = oracle_evaluate(no_cues, building, land, 0, DataItem.LIGHTING)
+            error = building_error(DataItem.LIGHTING, estimate, building.truth)
+            assert error == min(score, max(truth_pct, 100 - truth_pct)), score
+
     def test_age_estimate_rounds_to_whole_years(self):
         building = build_record(age=YearRange(2000, 2000))
         estimate = oracle_evaluate(
