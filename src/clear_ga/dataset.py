@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from random import Random
@@ -61,20 +62,16 @@ _WINDOW_ALIASES = {
 }
 
 
-def _parse_heating(value: object, where: str) -> HeatingClass:
+def _parse_class(value: object, aliases: dict, where: str):
     if isinstance(value, str):
         key = " ".join(value.lower().replace("_", " ").split())
-        if key in _HEATING_ALIASES:
-            return _HEATING_ALIASES[key]
-    raise DatasetError(f"{where}: unrecognized heating value {value!r}")
+        if key in aliases:
+            return aliases[key]
+    raise DatasetError(f"{where}: unrecognized value {value!r}")
 
 
-def _parse_windows(value: object, where: str) -> WindowClass:
-    if isinstance(value, str):
-        key = " ".join(value.lower().replace("_", " ").split())
-        if key in _WINDOW_ALIASES:
-            return _WINDOW_ALIASES[key]
-    raise DatasetError(f"{where}: unrecognized windows value {value!r}")
+def _is_number(value: object) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _parse_truth(raw: object, where: str, current_year: int) -> GroundTruth:
@@ -82,25 +79,27 @@ def _parse_truth(raw: object, where: str, current_year: int) -> GroundTruth:
         raise DatasetError(f"{where}: truth must be an object")
     age = None
     if (raw_age := raw.get("age")) is not None:
+        if isinstance(raw_age, bool) or not isinstance(raw_age, (int, str)):
+            raise DatasetError(f"{where}.age: must be a whole year or a text form")
         try:
             age = parse_age(raw_age, current_year)
         except ParseError as exc:
             raise DatasetError(f"{where}.age: {exc}") from None
     lighting = raw.get("lighting_pct")
     if lighting is not None:
-        if not isinstance(lighting, (int, float)) or not 0 <= lighting <= 100:
+        if not _is_number(lighting) or not 0 <= lighting <= 100:
             raise DatasetError(f"{where}.lighting_pct: must be a number in 0..100")
         lighting = float(lighting)
     heating = raw.get("heating")
     if heating is not None:
-        heating = _parse_heating(heating, f"{where}.heating")
+        heating = _parse_class(heating, _HEATING_ALIASES, f"{where}.heating")
     windows = raw.get("windows")
     if windows is not None:
-        windows = _parse_windows(windows, f"{where}.windows")
+        windows = _parse_class(windows, _WINDOW_ALIASES, f"{where}.windows")
     energy = raw.get("energy_kwh_m2")
     if energy is not None:
-        if not isinstance(energy, (int, float)) or energy <= 0:
-            raise DatasetError(f"{where}.energy_kwh_m2: must be a positive number")
+        if not _is_number(energy) or not 0 < energy < math.inf:
+            raise DatasetError(f"{where}.energy_kwh_m2: must be a positive finite number")
         energy = float(energy)
     return GroundTruth(
         age=age, lighting_pct=lighting, heating=heating, windows=windows, energy_kwh_m2=energy

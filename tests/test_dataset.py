@@ -111,6 +111,25 @@ class TestLoadManifest:
         with pytest.raises(DatasetError, match="lighting_pct"):
             load_manifest(manifest, current_year=2025)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("age", [1900, 1950]),
+            ("age", 1950.0),
+            ("age", True),
+            ("age", {"from": 1900}),
+            ("lighting_pct", True),
+            ("lighting_pct", "40"),
+            ("energy_kwh_m2", True),
+            ("energy_kwh_m2", float("nan")),
+            ("energy_kwh_m2", float("inf")),
+        ],
+    )
+    def test_wrongly_typed_truth_rejected(self, tmp_path, field, value):
+        manifest = write_manifest(tmp_path / "data.json", [entry("b1", truth={field: value})])
+        with pytest.raises(DatasetError, match=field):
+            load_manifest(manifest, current_year=2025)
+
     def test_not_an_array(self, tmp_path):
         path = tmp_path / "data.json"
         path.write_text("{}", encoding="utf-8")
