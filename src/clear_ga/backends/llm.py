@@ -159,16 +159,10 @@ class LlmEvaluator:
         self.retry_limit = retry_limit
         self.current_year = current_year
 
-    def build_prompt(self, request: EvaluationRequest) -> str:
-        return build_evaluation_prompt(
-            request.data_item,
-            request.building.region,
-            render_cue_list(request.genotype),
-        )
-
     def evaluate(self, request: EvaluationRequest) -> DataEstimate:
         item = DataItem(request.data_item)
-        prompt = self.build_prompt(request)
+        cue_list = render_cue_list(request.genotype)
+        prompt = build_evaluation_prompt(item, request.building.region, cue_list)
         images = request.building.image_sets.get(ITEMS[item].image_subset, ())
         last_error: Exception | None = None
         for attempt in range(self.retry_limit + 1):

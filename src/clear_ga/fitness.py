@@ -104,7 +104,7 @@ def age_error(estimate: YearRange, truth: YearRange) -> float:
 # Classes that look alike in images carry a reduced penalty when confused:
 # underfloor vents resemble warm-air vents, panel heaters resemble storage
 # heaters. Everything else is a full miss.
-_HEATING_CONFUSION_GROUP = {
+HEATING_CONFUSION_GROUP = {
     HeatingClass.UNDERFLOOR: 0,
     HeatingClass.WARM_AIR: 0,
     HeatingClass.WATER_RADIATORS: 1,
@@ -116,7 +116,7 @@ _HEATING_CONFUSION_GROUP = {
 def heating_error(estimate: HeatingClass, truth: HeatingClass) -> float:
     if estimate == truth:
         return 0.0
-    if _HEATING_CONFUSION_GROUP[estimate] == _HEATING_CONFUSION_GROUP[truth]:
+    if HEATING_CONFUSION_GROUP[estimate] == HEATING_CONFUSION_GROUP[truth]:
         return 1.0
     return 2.0
 

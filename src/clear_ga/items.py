@@ -18,6 +18,7 @@ from operator import attrgetter
 from typing import Any, Callable
 
 from .fitness import (
+    HEATING_CONFUSION_GROUP,
     UVALUE_TARGETS,
     DataEstimate,
     GroundTruth,
@@ -35,10 +36,10 @@ from .fitness import (
 from .parsing import parse_age, parse_categorical, parse_lighting, parse_numeric, parse_uvalue
 from .prompts import (
     AGE_ANSWER_OPTIONS,
+    EVALUATION_TEMPLATE,
     HEATING_ANSWER_OPTIONS,
     LIGHTING_ANSWER_OPTIONS,
     WINDOWS_ANSWER_OPTIONS,
-    EVALUATION_TEMPLATE,
     EvaluationPrompt,
     select_prompt,
 )
@@ -89,15 +90,9 @@ def _energy_band(kwh_m2: float) -> str:
 
 _class_value = attrgetter("value")
 
-# Heating classes with no group of their own join the group they are most
-# easily confused with (vents with vents, panels with storage heaters).
-_HEATING_GROUP = {
-    HeatingClass.WATER_RADIATORS: "water radiators",
-    HeatingClass.ELECTRIC_PANEL: "electric panels",
-    HeatingClass.ELECTRIC_STORAGE: "electric panels",
-    HeatingClass.WARM_AIR: "warm air",
-    HeatingClass.UNDERFLOOR: "warm air",
-}
+# Schema generation groups heating classes by the classes they are confused
+# with (vents with vents, panels with storage heaters), under these names.
+_HEATING_GROUP_NAMES = ("warm air", "water radiators", "electric panels")
 
 
 def _numeric_code(estimate, truth) -> float:
@@ -200,7 +195,7 @@ ITEMS: dict[DataItem, ItemSpec] = {
         error=heating_error,
         failure_penalty=2.0,
         stratum=_class_value,
-        schema_group=_HEATING_GROUP.__getitem__,
+        schema_group=lambda heating: _HEATING_GROUP_NAMES[HEATING_CONFUSION_GROUP[heating]],
         image_subset="heating",
         prompt=select_prompt("What type of heating does this apartment have?", _HEATING_OPTIONS),
         extraction_prompt=(

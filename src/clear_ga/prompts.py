@@ -47,10 +47,9 @@ def select_prompt(question: str, options: Iterable[str]) -> EvaluationPrompt:
     )
 
 
-# Answer option strings as they appear in the evaluation prompts. The
-# categorical options map to the typed classes they mean; the age and
-# lighting options are free-form enough that they go through dedicated
-# parsers instead.
+# Answer option strings as they appear in the evaluation prompts, mapped to
+# the typed classes they mean. The age and lighting options are free-form
+# enough that they go through dedicated parsers instead.
 HEATING_ANSWER_OPTIONS: tuple[tuple[str, HeatingClass], ...] = (
     ("underfloor heating", HeatingClass.UNDERFLOOR),
     ("water radiators", HeatingClass.WATER_RADIATORS),
