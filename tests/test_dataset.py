@@ -119,7 +119,6 @@ class TestLoadManifest:
             ("age", True),
             ("age", {"from": 1900}),
             ("lighting_pct", True),
-            ("lighting_pct", "40"),
             ("energy_kwh_m2", True),
             ("energy_kwh_m2", float("nan")),
             ("energy_kwh_m2", float("inf")),

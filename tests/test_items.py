@@ -10,7 +10,6 @@ import pytest
 
 import clear_ga
 from clear_ga.backends import PlantedCue, PlantedLandscape, oracle_evaluate
-from clear_ga.dataset import IMAGE_SUBSETS
 from clear_ga.fitness import GroundTruth
 from clear_ga.items import ITEMS, ItemSpec, building_error
 from clear_ga.schema import DataItem, Genotype
@@ -41,7 +40,6 @@ def test_no_module_but_the_registry_names_an_item():
 def test_entry_fits_the_rest_of_the_program(item):
     spec = ITEMS[item]
     assert spec.truth_field in {f.name for f in dataclasses.fields(GroundTruth)}
-    assert spec.image_subset in IMAGE_SUBSETS
     assert spec.failure_penalty > 0
 
 
