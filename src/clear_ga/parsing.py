@@ -150,7 +150,8 @@ def parse_categorical(payload: str, options: Sequence[tuple[str, T]]) -> T:
 
 
 _UNIT_TOKENS = re.compile(r"\bk?wh?(?:\s*/\s*m\s*\^?\s*2)?\b|\bm\s*\^?\s*2\b|\bu-?values?\b|[:=]")
-_NUMBER = r"\d+(?:\.\d+)?"
+_NUMBER = r"-?\d+(?:\.\d+)?"
+_DIGIT_COMMA_DIGIT = re.compile(r"\d,\d")
 _POINT_OR_SPAN = re.compile(rf"({_NUMBER})(?:\s*[-–]\s*({_NUMBER}))?")
 
 
@@ -158,10 +159,13 @@ def parse_numeric(payload: str) -> ValueRange:
     """Parse a numeric answer into a point or range, ignoring unit text.
 
     A point value is returned as a degenerate range (start == end). Reversed
-    spans are normalized rather than rejected.
+    spans are normalized rather than rejected. Negative numbers, and a comma
+    between digits (a thousands separator or a decimal comma), are rejected.
     """
     norm = _UNIT_TOKENS.sub(" ", payload.lower())
     norm = " ".join(norm.split())
+    if _DIGIT_COMMA_DIGIT.search(norm):
+        raise ParseError(f"ambiguous digit grouping in {payload!r}")
     m = _POINT_OR_SPAN.fullmatch(norm) or _POINT_OR_SPAN.search(norm)
     if m is None:
         raise ParseError(f"no number found in {payload!r}")
@@ -169,6 +173,8 @@ def parse_numeric(payload: str) -> ValueRange:
     end = float(m.group(2)) if m.group(2) is not None else start
     if start > end:
         start, end = end, start
+    if start < 0:
+        raise ParseError(f"negative number in {payload!r}")
     return ValueRange(start, end)
 
 

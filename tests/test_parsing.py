@@ -191,6 +191,35 @@ class TestParseNumeric:
             parse_numeric("quite a lot")
 
 
+class TestParseNumericSignsAndSeparators:
+    @pytest.mark.parametrize("payload", ["-40", "-40 kWh/m2", "about -40", "-100-200", "100--200"])
+    def test_negative_number_rejected(self, payload):
+        with pytest.raises(ParseError):
+            parse_numeric(payload)
+
+    def test_negative_answers_rejected_for_energy_and_uvalue(self):
+        with pytest.raises(ParseError):
+            parse_estimate(DataItem.ENERGY, "-40", CURRENT_YEAR)
+        with pytest.raises(ParseError):
+            parse_estimate(DataItem.WINDOWS_UVALUE, "-2.5", CURRENT_YEAR)
+
+    @pytest.mark.parametrize("payload", ["100-200", "100 - 200", "100 – 200", "100–200 kWh/m2"])
+    def test_spans_still_parse_as_ranges(self, payload):
+        assert parse_numeric(payload) == ValueRange(100, 200)
+
+    @pytest.mark.parametrize("payload", ["1,200 kWh/m2", "1,200", "12,000-15,000", "2,5"])
+    def test_comma_between_digits_rejected(self, payload):
+        with pytest.raises(ParseError):
+            parse_numeric(payload)
+
+    def test_thousands_separator_rejected_for_energy(self):
+        with pytest.raises(ParseError):
+            parse_estimate(DataItem.ENERGY, "1,200 kWh/m2", CURRENT_YEAR)
+
+    def test_comma_not_between_digits_tolerated(self):
+        assert parse_numeric("120, roughly") == ValueRange(120, 120)
+
+
 class TestParseEstimate:
     def test_round_trip_every_canonical_option(self):
         # Delimit each canonical option string as the estimator would emit it,
