@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import statistics
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -65,16 +65,7 @@ class AblationReport:
             "mean_new_error": self.mean_new_error,
             "stddev": self.stddev,
             "failed_rows": self.failed_rows,
-            "rows": [
-                {
-                    "cue": r.cue,
-                    "category": r.category,
-                    "new_error": r.new_error,
-                    "delta": r.delta,
-                    "failed": r.failed,
-                }
-                for r in self.rows
-            ],
+            "rows": [asdict(r) for r in self.rows],
         }
 
 
@@ -102,9 +93,7 @@ def ablate(
         raise ValueError("cannot ablate an empty genotype")
     if not records:
         raise ValueError("evaluation split is empty")
-    base_error = evaluate_genotype(
-        genotype, records, item, evaluator, penalize_failures=False
-    )
+    base_error = evaluate_genotype(genotype, records, item, evaluator, penalize_failures=False)
     rows: list[AblationRow] = []
     for index, chromosome in enumerate(genotype.chromosomes):
         for position, cue in enumerate(chromosome):

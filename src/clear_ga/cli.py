@@ -56,6 +56,10 @@ LOG_FILENAME = "run.log.jsonl"
 CHECKPOINT_FILENAME = "checkpoint.json"
 BEST_FILENAME = "best.json"
 
+CONCURRENCY_HELP = (
+    "estimator calls in flight at once (default 1; leave at 1 for the oracle, which is CPU-bound)"
+)
+
 
 class UsageError(Exception):
     pass
@@ -120,7 +124,7 @@ def build_parser() -> _Parser:
     p.add_argument("--parent-fraction", type=float, default=None)
     p.add_argument("--elites", type=int, default=None)
     p.add_argument("--mutation-ops", type=int, default=None)
-    p.add_argument("--concurrency", type=int, default=None)
+    p.add_argument("--concurrency", type=int, default=None, help=CONCURRENCY_HELP)
     p.add_argument("--retry-limit", type=int, default=None)
     p.add_argument("--current-year", type=int, default=None)
     p.add_argument("--train-fraction", type=float, default=0.6)
@@ -133,7 +137,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("resume", help="continue a checkpointed run")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--concurrency", type=int, default=None)
+    p.add_argument("--concurrency", type=int, default=None, help=CONCURRENCY_HELP)
     p.add_argument("--stop-after", type=int, default=None, metavar="GEN")
     p.add_argument("--endpoint", default=None)
     p.set_defaults(func=cmd_resume)
@@ -286,6 +290,16 @@ def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
         raise UsageError(f"bad config: {exc}") from None
 
 
+def _paused(run: EvolutionRun, result) -> bool:
+    """Print how to continue the run if ``result`` is a pause; True if it is."""
+    if not result.completed:
+        print(
+            f"paused after generation {run.generation}; resume with: "
+            f"clear-ga resume --checkpoint {run.config.checkpoint_path}"
+        )
+    return not result.completed
+
+
 def _run_one(args, seed: int | None, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     config = _build_run_config(args, seed if seed is not None else 0, out_dir)
@@ -303,11 +317,7 @@ def _run_one(args, seed: int | None, out_dir: Path) -> int:
     evaluator = _make_evaluator(args, config)
     run = EvolutionRun(config, schema, evaluator, training)
     result = run.run(stop_after_generation=args.stop_after)
-    if not result.completed:
-        print(
-            f"paused after generation {run.generation}; resume with: "
-            f"clear-ga resume --checkpoint {config.checkpoint_path}"
-        )
+    if _paused(run, result):
         return EXIT_OK
     _write_best(out_dir / BEST_FILENAME, config, result)
     print(
@@ -357,11 +367,7 @@ def cmd_resume(args) -> int:
         print(f"run already complete at generation {run.generation}; nothing to do")
         return EXIT_OK
     result = run.run(stop_after_generation=args.stop_after)
-    if not result.completed:
-        print(
-            f"paused after generation {run.generation}; resume with: "
-            f"clear-ga resume --checkpoint {config.checkpoint_path}"
-        )
+    if _paused(run, result):
         return EXIT_OK
     out_dir = Path(args.checkpoint).parent
     _write_best(out_dir / BEST_FILENAME, config, result)
@@ -445,10 +451,10 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
         writer.writeheader()
-        for row in rows:
-            writer.writerow(
-                {k: (json.dumps(v) if isinstance(v, list) else v) for k, v in row.items()}
-            )
+        writer.writerows(
+            {k: (json.dumps(v) if isinstance(v, list) else v) for k, v in row.items()}
+            for row in rows
+        )
 
 
 def cmd_report(args) -> int:
@@ -500,16 +506,8 @@ def main(argv=None) -> int:
     except (BackendHardFailure, SchemaGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
-    except AuthenticationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (SchemaError, DatasetError, CheckpointError, analysis.ReportError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except (AuthenticationError, SchemaError, DatasetError, CheckpointError,
+            analysis.ReportError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

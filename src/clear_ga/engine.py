@@ -4,10 +4,14 @@ elitism, reproduction, termination, and checkpoint/resume.
 Every member is re-evaluated every generation, elites included; the ledger
 keeps the worst error ever recorded per genotype key, which penalizes
 solutions that only look good under a lucky draw of estimator noise. The
-loop is deterministic given the seed and a deterministic evaluator: the
-random stream is consumed only by initialization and reproduction, never by
-evaluation, and ledger merging is commutative, so results are identical at
-any evaluation concurrency.
+unit of evaluation is one (member, building) pair: above concurrency 1, one
+thread pool that lasts the whole :meth:`EvolutionRun.run` call keeps that
+many estimator calls in flight, and the first exception from any pair cancels
+the pairs not yet started. The loop is deterministic given the seed and a
+deterministic evaluator: the random stream is consumed only by
+initialization and reproduction, never by evaluation, eval counters are
+assigned per member before dispatch, and each member's errors are summed in
+building order, so results are identical at any evaluation concurrency.
 """
 
 from __future__ import annotations
@@ -17,9 +21,12 @@ import json
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from collections import Counter
+from concurrent.futures import FIRST_EXCEPTION, Executor, ThreadPoolExecutor, wait
+from contextlib import nullcontext
 from dataclasses import asdict, dataclass
 from enum import Enum
+from functools import partial
 from itertools import islice
 from pathlib import Path
 from random import Random
@@ -268,6 +275,26 @@ class RunResult:
     completed: bool
 
 
+def evaluate_building(
+    request: EvaluationRequest, evaluator: Evaluator, penalize_failures: bool = True
+) -> float:
+    """Error of one estimate for one building.
+
+    A permanent failure either charges the item's worst-case penalty (engine
+    policy) or propagates, per ``penalize_failures``.
+    """
+    try:
+        estimate = evaluator.evaluate(request)
+        return building_error(request.data_item, estimate, request.building.truth)
+    except EvaluationFailure:
+        if not penalize_failures:
+            raise
+        log.warning(
+            "building %s: estimate unavailable, charging failure penalty", request.building.id
+        )
+        return failure_penalty(request.data_item)
+
+
 def evaluate_genotype(
     genotype: Genotype,
     records: Sequence[BuildingRecord],
@@ -276,25 +303,23 @@ def evaluate_genotype(
     eval_counter: int = 0,
     penalize_failures: bool = True,
 ) -> float:
-    """Sum of per-building errors for one genotype over a split.
+    """Sum of per-building errors for one genotype over a split; see :func:`evaluate_building`."""
+    requests = (EvaluationRequest(genotype, building, item, eval_counter) for building in records)
+    return aggregate_fitness([evaluate_building(r, evaluator, penalize_failures) for r in requests])
 
-    A permanent per-building failure either charges the item's worst-case
-    penalty (engine policy) or propagates, per ``penalize_failures``.
-    """
-    errors = []
-    for building in records:
-        request = EvaluationRequest(
-            genotype=genotype, building=building, data_item=item, eval_counter=eval_counter
-        )
-        try:
-            estimate = evaluator.evaluate(request)
-            errors.append(building_error(item, estimate, building.truth))
-        except EvaluationFailure:
-            if not penalize_failures:
-                raise
-            log.warning("building %s: estimate unavailable, charging failure penalty", building.id)
-            errors.append(failure_penalty(item))
-    return aggregate_fitness(errors)
+
+def _map_until_failure(fn: Callable, items: list, executor: Executor | None) -> list:
+    """``list(map(fn, items))``, spread over ``executor`` when there is one; the
+    first exception cancels the calls not yet started and is re-raised."""
+    if executor is None:
+        return list(map(fn, items))
+    futures = [executor.submit(fn, item) for item in items]
+    done, running = wait(futures, return_when=FIRST_EXCEPTION)
+    for future in running:
+        future.cancel()
+    if running:
+        raise next(f.exception() for f in futures if f in done and f.exception())
+    return [future.result() for future in futures]
 
 
 def parent_pool_size(population_size: int, parent_fraction: float) -> int:
@@ -593,47 +618,27 @@ class EvolutionRun:
 
     # -- the loop ----------------------------------------------------------
 
-    def _assign_eval_counters(self) -> list[int]:
+    def _evaluate_population(self, executor: Executor | None) -> None:
+        item, buildings = self.config.data_item, self.training
+        keys = [canonical_key(m.genotype) for m in self.population]
         # Pre-assigning counters keeps noisy-backend draws identical no matter
         # how evaluations interleave across worker threads.
-        counters = []
-        pending: dict[str, int] = {}
-        for member in self.population:
-            key = canonical_key(member.genotype)
-            offset = pending.get(key, 0)
-            counters.append(self.ledger.evaluations(key) + offset)
-            pending[key] = offset + 1
-        return counters
-
-    def _evaluate_population(self) -> None:
-        config = self.config
-        counters = self._assign_eval_counters()
-        results: list[float | None] = [None] * len(self.population)
-
-        def evaluate_member(index: int) -> float:
-            return evaluate_genotype(
-                self.population[index].genotype,
-                self.training,
-                config.data_item,
-                self.evaluator,
-                eval_counter=counters[index],
-            )
-
-        if config.evaluation_concurrency > 1:
-            with ThreadPoolExecutor(max_workers=config.evaluation_concurrency) as executor:
-                futures = {executor.submit(evaluate_member, i): i for i in range(len(self.population))}
-                for future in as_completed(futures):
-                    results[futures[future]] = future.result()
-        else:
-            for i in range(len(self.population)):
-                results[i] = evaluate_member(i)
-
-        for member, error in zip(self.population, results):
-            key = canonical_key(member.genotype)
+        pending: Counter[str] = Counter()
+        requests = []
+        for member, key in zip(self.population, keys):
+            counter = self.ledger.evaluations(key) + pending[key]
+            pending[key] += 1
+            requests += [EvaluationRequest(member.genotype, b, item, counter) for b in buildings]
+        errors = _map_until_failure(
+            partial(evaluate_building, evaluator=self.evaluator), requests, executor
+        )
+        n = len(buildings)
+        for i, (member, key) in enumerate(zip(self.population, keys)):
             self.genotypes_by_key.setdefault(key, member.genotype)
-            self.ledger.record(key, error, self.generation)
-        for member in self.population:
-            member.recorded_error = self.ledger.worst(canonical_key(member.genotype))
+            # Summed in building order, so floats do not depend on completion order.
+            self.ledger.record(key, aggregate_fitness(errors[i * n:(i + 1) * n]), self.generation)
+        for member, key in zip(self.population, keys):
+            member.recorded_error = self.ledger.worst(key)
         self._evaluated = True
 
     def _collect_stats(self) -> GenerationStats:
@@ -655,8 +660,8 @@ class EvolutionRun:
             perfect=best == 0,
         )
 
-    def _step_evaluate(self, on_generation: OnGeneration | None) -> GenerationStats:
-        self._evaluate_population()
+    def _step_evaluate(self, on_generation: OnGeneration | None, executor: Executor | None) -> None:
+        self._evaluate_population(executor)
         stats = self._collect_stats()
         self.log_rows.append(stats)
         self._append_log_row()
@@ -667,7 +672,6 @@ class EvolutionRun:
             "generation %d: best %.4g, best-ever %.4g, mean cues %.2f",
             stats.generation, stats.best_error, stats.best_ever_error, stats.mean_cue_count,
         )
-        return stats
 
     def _terminal(self) -> bool:
         return self.log_rows[-1].perfect or self.generation >= self.config.generations
@@ -699,17 +703,20 @@ class EvolutionRun:
         """
         if not self._log_started:
             self._start_log()
+        concurrency = self.config.evaluation_concurrency
         try:
-            if not self._evaluated:
-                self._step_evaluate(on_generation)
-            while not self._terminal():
-                if stop_after_generation is not None and self.generation >= stop_after_generation:
-                    return self._result(completed=False)
-                self.population, self._last_pool_size = next_generation(
-                    self.population, self.schema, self.config, self.rng
-                )
-                self.generation += 1
-                self._step_evaluate(on_generation)
+            # One pool serves every generation; concurrency 1 (the oracle) stays serial.
+            with ThreadPoolExecutor(concurrency) if concurrency > 1 else nullcontext() as executor:
+                if not self._evaluated:
+                    self._step_evaluate(on_generation, executor)
+                while not self._terminal():
+                    if stop_after_generation is not None and self.generation >= stop_after_generation:
+                        return self._result(completed=False)
+                    self.population, self._last_pool_size = next_generation(
+                        self.population, self.schema, self.config, self.rng
+                    )
+                    self.generation += 1
+                    self._step_evaluate(on_generation, executor)
             return self._result(completed=True)
         except BackendHardFailure as exc:
             path = self.config.checkpoint_path

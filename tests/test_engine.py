@@ -3,7 +3,12 @@
 from __future__ import annotations
 
 import copy
+import hashlib
 import json
+import sys
+import threading
+import time
+from collections import Counter
 from pathlib import Path
 from random import Random
 
@@ -13,6 +18,8 @@ from clear_ga.backends import (
     BackendHardFailure,
     EvaluationFailure,
     EvaluationRequest,
+    FunctionTransport,
+    LlmEvaluator,
     OracleEvaluator,
     PlantedCue,
     PlantedLandscape,
@@ -571,3 +578,175 @@ class TestRunLog:
             evolve(config, schema, evaluator, [build_record()])
             texts.append(log_path.read_text(encoding="utf-8"))
         assert texts[0] == texts[1]
+
+
+class OffByOneEvaluator:
+    """One unit off the truth, so no run ends early on a perfect score."""
+
+    def evaluate(self, request: EvaluationRequest):
+        return float(request.building.truth.energy_kwh_m2) + 1.0
+
+
+class BarrierEvaluator(OffByOneEvaluator):
+    """Answers only once ``parties`` calls are in flight together."""
+
+    def __init__(self, parties: int):
+        self.barrier = threading.Barrier(parties, timeout=2)
+
+    def evaluate(self, request: EvaluationRequest):
+        self.barrier.wait()
+        return super().evaluate(request)
+
+
+class HardFailOnBuilding(OffByOneEvaluator):
+    """Once armed, hard-fails on one building and takes ``delay_s`` on the others.
+
+    Records the building of every call it starts, and the pool thread of each.
+    """
+
+    def __init__(self, building_id: str, armed: bool = True, delay_s: float = 0.0):
+        self.building_id = building_id
+        self.armed = armed
+        self.delay_s = delay_s
+        self.started: list[str] = []
+        self.threads: set[str] = set()
+        self._lock = threading.Lock()
+
+    def arm(self) -> None:
+        with self._lock:
+            self.armed = True
+            self.started.clear()
+
+    def evaluate(self, request: EvaluationRequest):
+        with self._lock:
+            self.started.append(request.building.id)
+            self.threads.add(threading.current_thread().name)
+            armed = self.armed
+        if armed and request.building.id == self.building_id:
+            raise BackendHardFailure("endpoint revoked the credentials")
+        if armed:
+            time.sleep(self.delay_s)
+        return super().evaluate(request)
+
+
+class ScriptedModel:
+    """Fake vision model for ``FunctionTransport``, answering from (prompt, images).
+
+    A fifth of the pairs never parse, another fifth answer with a thousands
+    separator (which the parser refuses) on their first send only, and the
+    rest give an energy figure at once.
+    """
+
+    def __init__(self):
+        self._sends: Counter = Counter()
+        self.answers: Counter = Counter()
+        self._lock = threading.Lock()
+
+    def __call__(self, prompt, images) -> str:
+        pair = prompt + "|" + "|".join(str(image) for image in images)
+        digest = hashlib.sha256(pair.encode("utf-8")).digest()
+        kind = ("dead", "flaky")[digest[0] % 5] if digest[0] % 5 < 2 else "good"
+        with self._lock:
+            self._sends[pair] += 1
+            if kind == "flaky" and self._sends[pair] > 1:
+                kind = "good"
+            self.answers[kind] += 1
+        if kind == "dead":
+            return "I cannot tell from these photos."
+        if kind == "flaky":
+            return "### 1,200 kWh/m2 ###"
+        return f"### {60 + digest[1]} kWh/m2 ###"
+
+
+class TestPairDispatch:
+    """Evaluation runs one (member, building) pair per pool task, in one pool per run."""
+
+    def test_pairs_of_one_member_run_in_parallel(self):
+        # Two members and four buildings make eight pairs per generation; the
+        # barrier opens only when all eight are in flight at once.
+        config = make_config(population_size=2, elites=1, generations=2, evaluation_concurrency=8)
+        records = [build_record(f"b{i}") for i in range(4)]
+        result = evolve(config, build_schema(), BarrierEvaluator(8), records)
+        assert result.completed
+        assert len(result.per_generation_log) == 3
+
+    def test_hard_failure_cancels_pairs_not_started(self, tmp_path):
+        config = make_config(
+            population_size=6, generations=3, evaluation_concurrency=2,
+            checkpoint_path=str(tmp_path / "checkpoint.json"),
+        )
+        records = [build_record(f"b{i}") for i in range(20)]
+        evaluator = HardFailOnBuilding("b0", armed=False, delay_s=0.2)
+        with pytest.raises(RunAborted) as exc_info:
+            evolve(config, build_schema(), evaluator, records,
+                   on_generation=lambda stats, population: evaluator.arm())
+        assert exc_info.value.checkpoint_path == config.checkpoint_path
+        failed_at = evaluator.started.index("b0")
+        assert len(evaluator.started) - failed_at - 1 <= config.evaluation_concurrency
+
+    @staticmethod
+    def scripted_llm_run(work: Path, concurrency: int) -> tuple[list[str], int, Counter]:
+        """Run log and checkpoint texts, with the worker count blanked, sends and answers."""
+        config = make_config(
+            population_size=6, generations=5, seed=4, retry_limit=1,
+            evaluation_concurrency=concurrency,
+            checkpoint_path="checkpoint.json", log_path="run.log.jsonl",
+        )
+        records = [
+            build_record(f"b{i}", region=f"region{i}", energy_kwh_m2=80.0 + 40 * i)
+            for i in range(5)
+        ]
+        model = ScriptedModel()
+        transport = FunctionTransport(model)
+        evolve(config, build_schema(), LlmEvaluator(transport, retry_limit=1), records)
+        texts = []
+        for name in ("run.log.jsonl", "checkpoint.json"):
+            text = (work / name).read_text(encoding="utf-8")
+            setting = f'"evaluation_concurrency": {concurrency}'
+            assert text.count(setting) == 1
+            texts.append(text.replace(setting, '"evaluation_concurrency": 0'))
+        return texts, len(transport.calls), model.answers
+
+    def test_llm_path_identical_at_any_concurrency(self, tmp_path, monkeypatch):
+        outputs = []
+        # A short switch interval makes the pool threads interleave more.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for concurrency in (1, 3, 32):
+                # Relative paths keep the configs equal but for the worker count.
+                work = tmp_path / f"c{concurrency}"
+                work.mkdir()
+                monkeypatch.chdir(work)
+                outputs.append(self.scripted_llm_run(work, concurrency))
+        finally:
+            sys.setswitchinterval(interval)
+        assert outputs[1] == outputs[0]
+        assert outputs[2] == outputs[0]
+        assert outputs[0][2]["dead"] > 0 and outputs[0][2]["flaky"] > 0
+
+    def test_pool_threads_end_with_each_run(self, tmp_path):
+        before = threading.active_count()
+        records = [build_record(f"b{i}") for i in range(3)]
+        during: list[int] = []
+
+        def count_threads(stats, population):
+            during.append(threading.active_count())
+
+        completed = HardFailOnBuilding("b0", armed=False)
+        config = make_config(generations=6, evaluation_concurrency=4)
+        assert evolve(config, build_schema(), completed, records, count_threads).completed
+        assert threading.active_count() == before
+        assert max(during) > before
+        # Every generation used the same pool.
+        assert len(completed.threads) <= config.evaluation_concurrency
+
+        config = make_config(generations=6, evaluation_concurrency=4)
+        paused = evolve(config, build_schema(), OffByOneEvaluator(), records, count_threads,
+                        stop_after_generation=2)
+        assert not paused.completed
+        assert threading.active_count() == before
+
+        with pytest.raises(RunAborted):
+            evolve(config, build_schema(), HardFailOnBuilding("b1"), records, count_threads)
+        assert threading.active_count() == before
