@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import logging
 import statistics
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -58,15 +58,6 @@ class AblationReport:
     mean_new_error: float | None
     stddev: float | None
     failed_rows: int
-
-    def to_json_obj(self) -> dict:
-        return {
-            "base_error": self.base_error,
-            "mean_new_error": self.mean_new_error,
-            "stddev": self.stddev,
-            "failed_rows": self.failed_rows,
-            "rows": [asdict(r) for r in self.rows],
-        }
 
 
 def _without_cue(genotype: Genotype, index: int, position: int) -> Genotype:
@@ -130,16 +121,6 @@ class ConsistencyReport:
     cv: float | None
     values: list[float]
     responses: list[str]
-
-    def to_json_obj(self) -> dict:
-        return {
-            "cue": self.cue,
-            "samples": self.samples,
-            "disagreement_rate": self.disagreement_rate,
-            "cv": self.cv,
-            "values": self.values,
-            "responses": self.responses,
-        }
 
 
 def _single_cue_genotype(schema: CueSchema, category_index: int, cue: str) -> Genotype:

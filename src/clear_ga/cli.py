@@ -12,6 +12,7 @@ import json
 import logging
 import re
 import sys
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 from random import Random
 
@@ -33,6 +34,8 @@ from .engine import (
     Mode,
     RunAborted,
     RunConfig,
+    RunResult,
+    checkpoint_config,
     load_checkpoint_file,
 )
 from .schema import (
@@ -56,9 +59,6 @@ LOG_FILENAME = "run.log.jsonl"
 CHECKPOINT_FILENAME = "checkpoint.json"
 BEST_FILENAME = "best.json"
 
-CONCURRENCY_HELP = (
-    "estimator calls in flight at once (default 1; leave at 1 for the oracle, which is CPU-bound)"
-)
 
 
 class UsageError(Exception):
@@ -81,6 +81,14 @@ def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--min-interval", dest="llm_min_interval", metavar="MIN_INTERVAL", type=float,
         default=None, help="minimum seconds between LLM requests (rate ceiling)",
+    )
+
+
+def _add_concurrency_flag(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument(
+        "--concurrency", dest="evaluation_concurrency", metavar="CONCURRENCY", type=int,
+        default=None, help="estimator calls in flight at once "
+        "(default 1; leave at 1 for the oracle, which is CPU-bound)",
     )
 
 
@@ -110,11 +118,18 @@ def build_parser() -> _Parser:
     _add_llm_flags(p)
     p.set_defaults(func=cmd_gen_schema)
 
+    # Flags that set a RunConfig field are stored under the field's name, so
+    # _flag_settings reads them all; each metavar keeps the flag's own name.
     p = sub.add_parser("run", help="run the evolutionary search")
-    p.add_argument("--item", default=None, choices=[i.value for i in DataItem])
+    p.add_argument("--item", dest="data_item", default=None, choices=[i.value for i in DataItem])
     p.add_argument("--mode", default=None, choices=[m.value for m in Mode])
-    p.add_argument("--schema", default=None, help="schema JSON file")
-    p.add_argument("--dataset", default=None, help="dataset manifest JSON")
+    p.add_argument(
+        "--schema", dest="schema_path", metavar="SCHEMA", default=None, help="schema JSON file"
+    )
+    p.add_argument(
+        "--dataset", dest="dataset_path", metavar="DATASET", default=None,
+        help="dataset manifest JSON",
+    )
     p.add_argument("--out-dir", default=None, help="directory for log/checkpoint/best files")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--seeds", default=None, metavar="A..B", help="inclusive seed range loop")
@@ -123,8 +138,11 @@ def build_parser() -> _Parser:
     p.add_argument("--generations", type=int, default=None)
     p.add_argument("--parent-fraction", type=float, default=None)
     p.add_argument("--elites", type=int, default=None)
-    p.add_argument("--mutation-ops", type=int, default=None)
-    p.add_argument("--concurrency", type=int, default=None, help=CONCURRENCY_HELP)
+    p.add_argument(
+        "--mutation-ops", dest="mutation_ops_per_child", metavar="MUTATION_OPS", type=int,
+        default=None,
+    )
+    _add_concurrency_flag(p)
     p.add_argument("--retry-limit", type=int, default=None)
     p.add_argument("--current-year", type=int, default=None)
     p.add_argument("--train-fraction", type=float, default=0.6)
@@ -137,7 +155,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("resume", help="continue a checkpointed run")
     p.add_argument("--checkpoint", required=True)
-    p.add_argument("--concurrency", type=int, default=None, help=CONCURRENCY_HELP)
+    _add_concurrency_flag(p)
     p.add_argument("--stop-after", type=int, default=None, metavar="GEN")
     p.add_argument("--endpoint", default=None)
     p.set_defaults(func=cmd_resume)
@@ -202,18 +220,6 @@ def _make_evaluator(args, config: RunConfig | None = None):
     )
 
 
-def _write_best(path: Path, config: RunConfig, result) -> None:
-    doc = {
-        "data_item": config.data_item.value,
-        "mode": config.mode.value,
-        "seed": config.seed,
-        "best_error": result.best_recorded_error,
-        "cue_list": render_cue_list(result.best_genotype),
-        "chromosomes": [list(ch) for ch in result.best_genotype.chromosomes],
-    }
-    path.write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
 def _parse_seeds(text: str) -> list[int]:
     m = re.fullmatch(r"(\d+)\.\.(\d+)", text)
     if not m:
@@ -253,6 +259,14 @@ def cmd_gen_schema(args) -> int:
     return EXIT_OK
 
 
+def _flag_settings(args) -> dict:
+    """The RunConfig fields given on the command line."""
+    return {
+        f.name: getattr(args, f.name) for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
+    }
+
+
 def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
     values: dict = {}
     if args.config:
@@ -260,25 +274,7 @@ def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
             values.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
         except json.JSONDecodeError as exc:
             raise DatasetError(f"config file {args.config} is not valid JSON: {exc}") from None
-    flag_map = {
-        "data_item": args.item,
-        "mode": args.mode,
-        "population_size": args.population_size,
-        "generations": args.generations,
-        "parent_fraction": args.parent_fraction,
-        "elites": args.elites,
-        "mutation_ops_per_child": args.mutation_ops,
-        "evaluation_concurrency": args.concurrency,
-        "retry_limit": args.retry_limit,
-        "current_year": args.current_year,
-        "backend": args.backend,
-        "llm_model": args.llm_model,
-        "llm_min_interval": args.llm_min_interval,
-        "schema_path": args.schema,
-        "dataset_path": args.dataset,
-        "landscape_path": args.landscape_path,
-    }
-    values.update({k: v for k, v in flag_map.items() if v is not None})
+    values.update(_flag_settings(args))
     if "data_item" not in values:
         raise UsageError("--item is required (or provide data_item in --config)")
     values["seed"] = seed
@@ -290,14 +286,44 @@ def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
         raise UsageError(f"bad config: {exc}") from None
 
 
-def _paused(run: EvolutionRun, result) -> bool:
-    """Print how to continue the run if ``result`` is a pause; True if it is."""
+def _open_run(args, config: RunConfig, train_fraction: float = 0.6):
+    """What a run's config names: its schema, training split and evaluator, and
+    the schema and dataset digests that guard its checkpoint."""
+    schema = load_schema_file(config.schema_path)
+    records = load_manifest(config.dataset_path, current_year=config.current_year)
+    training, _ = split_records(
+        records, config.data_item, Random(config.seed), train_fraction=train_fraction
+    )
+    digests = {
+        "schema_sha256": schema_digest(schema),
+        "dataset_sha256": manifest_digest(config.dataset_path),
+    }
+    return schema, training, _make_evaluator(args, config), digests
+
+
+def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
+    """Run to the end and write best.json next to the checkpoint; on a pause at
+    ``stop_after``, print how to continue and return None instead."""
+    result = run.run(stop_after_generation=stop_after)
+    config = run.config
     if not result.completed:
         print(
             f"paused after generation {run.generation}; resume with: "
-            f"clear-ga resume --checkpoint {run.config.checkpoint_path}"
+            f"clear-ga resume --checkpoint {config.checkpoint_path}"
         )
-    return not result.completed
+        return None
+    best = {
+        "data_item": config.data_item.value,
+        "mode": config.mode.value,
+        "seed": config.seed,
+        "best_error": result.best_recorded_error,
+        "cue_list": render_cue_list(result.best_genotype),
+        "chromosomes": [list(ch) for ch in result.best_genotype.chromosomes],
+    }
+    Path(config.checkpoint_path).with_name(BEST_FILENAME).write_text(
+        json.dumps(best, indent=2) + "\n", encoding="utf-8"
+    )
+    return result
 
 
 def _run_one(args, seed: int | None, out_dir: Path) -> int:
@@ -307,25 +333,16 @@ def _run_one(args, seed: int | None, out_dir: Path) -> int:
         raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
     if not config.schema_path or not config.dataset_path:
         raise UsageError("--schema and --dataset are required")
-    schema = load_schema_file(config.schema_path)
-    config.schema_sha256 = schema_digest(schema)
-    config.dataset_sha256 = manifest_digest(config.dataset_path)
-    records = load_manifest(config.dataset_path, current_year=config.current_year)
-    training, _ = split_records(
-        records, config.data_item, Random(config.seed), train_fraction=args.train_fraction
-    )
-    evaluator = _make_evaluator(args, config)
-    run = EvolutionRun(config, schema, evaluator, training)
-    result = run.run(stop_after_generation=args.stop_after)
-    if _paused(run, result):
-        return EXIT_OK
-    _write_best(out_dir / BEST_FILENAME, config, result)
-    print(
-        f"seed {seed}: best error {result.best_recorded_error:g} "
-        f"({len(result.per_generation_log)} generations logged)"
-    )
-    print(f"  best cues: {render_cue_list(result.best_genotype) or '(none)'}")
-    print(f"  outputs in {out_dir}")
+    schema, training, evaluator, digests = _open_run(args, config, args.train_fraction)
+    run = EvolutionRun(replace(config, **digests), schema, evaluator, training)
+    result = _finish(run, args.stop_after)
+    if result is not None:
+        print(
+            f"seed {seed}: best error {result.best_recorded_error:g} "
+            f"({len(result.per_generation_log)} generations logged)"
+        )
+        print(f"  best cues: {render_cue_list(result.best_genotype) or '(none)'}")
+        print(f"  outputs in {out_dir}")
     return EXIT_OK
 
 
@@ -342,36 +359,26 @@ def cmd_run(args) -> int:
 
 def cmd_resume(args) -> int:
     doc = load_checkpoint_file(args.checkpoint)
-    try:
-        config = RunConfig.from_json_obj(doc["config"])
-    except KeyError:
-        raise CheckpointError("checkpoint has no config record") from None
-    if args.concurrency is not None:
-        config.evaluation_concurrency = args.concurrency
-        doc["config"]["evaluation_concurrency"] = args.concurrency
+    config = checkpoint_config(doc)
     if not config.schema_path or not config.dataset_path:
         raise CheckpointError("checkpoint config lacks schema/dataset paths")
-    schema = load_schema_file(config.schema_path)
-    records = load_manifest(config.dataset_path, current_year=config.current_year)
-    training, _ = split_records(records, config.data_item, Random(config.seed))
-    evaluator = _make_evaluator(args, config)
-    run = EvolutionRun.resume(
-        doc,
-        schema,
-        evaluator,
-        training,
-        schema_sha256=schema_digest(schema),
-        dataset_sha256=manifest_digest(config.dataset_path),
-    )
+    schema, training, evaluator, digests = _open_run(args, config)
+    run = EvolutionRun.resume(doc, schema, evaluator, training, **digests)
+    settings = _flag_settings(args)
+    # A moved run directory keeps its old paths in the config; write where the
+    # checkpoint now is. Neither path is part of the digest.
+    checkpoint = Path(args.checkpoint)
+    if not config.checkpoint_path or checkpoint.resolve() != Path(config.checkpoint_path).resolve():
+        settings.update(
+            checkpoint_path=str(checkpoint), log_path=str(checkpoint.with_name(LOG_FILENAME))
+        )
+    run.config = replace(run.config, **settings)
     if run.finished:
         print(f"run already complete at generation {run.generation}; nothing to do")
         return EXIT_OK
-    result = run.run(stop_after_generation=args.stop_after)
-    if _paused(run, result):
-        return EXIT_OK
-    out_dir = Path(args.checkpoint).parent
-    _write_best(out_dir / BEST_FILENAME, config, result)
-    print(f"resumed run finished: best error {result.best_recorded_error:g}")
+    result = _finish(run, args.stop_after)
+    if result is not None:
+        print(f"resumed run finished: best error {result.best_recorded_error:g}")
     return EXIT_OK
 
 
@@ -406,11 +413,7 @@ def cmd_ablate(args) -> int:
     if report.failed_rows:
         print(f"warning: {report.failed_rows} row(s) failed and were excluded")
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["cue", "category", "new_error", "delta", "failed"])
-            for row in report.rows:
-                writer.writerow([row.cue, row.category, row.new_error, row.delta, row.failed])
+        _write_csv(Path(args.out), [asdict(row) for row in report.rows])
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -441,7 +444,7 @@ def cmd_probe(args) -> int:
     print(f"  responses: {report.responses}")
     if args.out:
         Path(args.out).write_text(
-            json.dumps(report.to_json_obj(), indent=2) + "\n", encoding="utf-8"
+            json.dumps(asdict(report), indent=2) + "\n", encoding="utf-8"
         )
         print(f"wrote {args.out}")
     return EXIT_OK

@@ -392,6 +392,28 @@ def _comma_separated(texts: Iterable[str]) -> Iterator[str]:
         separator = ", "
 
 
+def checkpoint_config(checkpoint: dict) -> RunConfig:
+    """The config a checkpoint document was written with.
+
+    Raises :class:`CheckpointError` for a document that is not a checkpoint
+    or whose config record is malformed, and :class:`ConfigMismatchError`
+    if that record does not match the stored digest.
+    """
+    if not isinstance(checkpoint, dict) or checkpoint.get("format") != CHECKPOINT_FORMAT:
+        raise CheckpointError(f"not a {CHECKPOINT_FORMAT} document")
+    try:
+        config = RunConfig.from_json_obj(checkpoint["config"])
+    except CheckpointError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
+    if config.digest() != checkpoint.get("digest"):
+        raise ConfigMismatchError(
+            "checkpoint digest does not match its config; refusing to resume"
+        )
+    return config
+
+
 OnGeneration = Callable[[GenerationStats, list[Member]], None]
 
 
@@ -520,22 +542,13 @@ class EvolutionRun:
     ) -> "EvolutionRun":
         """Rebuild run state from a checkpoint document.
 
-        Refuses to continue if the stored digest does not match the stored
-        config (tampering) or if the caller-supplied schema/dataset hashes
-        differ from the ones the run started with.
+        The run is built as a fresh one is, then the checkpointed state
+        replaces the fresh state. Refuses to continue if the stored digest
+        does not match the stored config (tampering) or if the
+        caller-supplied schema/dataset hashes differ from the ones the run
+        started with.
         """
-        if not isinstance(checkpoint, dict) or checkpoint.get("format") != CHECKPOINT_FORMAT:
-            raise CheckpointError(f"not a {CHECKPOINT_FORMAT} document")
-        try:
-            config = RunConfig.from_json_obj(checkpoint["config"])
-        except CheckpointError:
-            raise
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
-        if config.digest() != checkpoint.get("digest"):
-            raise ConfigMismatchError(
-                "checkpoint digest does not match its config; refusing to resume"
-            )
+        config = checkpoint_config(checkpoint)
         if schema_sha256 and config.schema_sha256 and schema_sha256 != config.schema_sha256:
             raise ConfigMismatchError("schema file differs from the checkpointed run")
         if dataset_sha256 and config.dataset_sha256 and dataset_sha256 != config.dataset_sha256:
@@ -545,35 +558,20 @@ class EvolutionRun:
                 f"schema is for {schema.data_item.value!r}, checkpoint wants "
                 f"{config.data_item.value!r}"
             )
-        training = list(training)
-        require_truth(training, config.data_item)
+        run = cls(config, schema, evaluator, training)
         try:
-            run = cls.__new__(cls)
-            run.config = config
-            run.schema = schema
-            run.evaluator = evaluator
-            run.training = training
-            run.rng = Random()
             run.rng.setstate(_rng_state_from_json(checkpoint["rng_state"]))
             run.generation = checkpoint["generation"]
             run._evaluated = checkpoint["evaluated"]
             run.population = [
-                Member(
-                    genotype=Genotype(tuple(tuple(ch) for ch in m["chromosomes"])),
-                    recorded_error=m["recorded_error"],
-                )
+                Member(Genotype(m["chromosomes"]), m["recorded_error"])
                 for m in checkpoint["population"]
             ]
             run.ledger = FitnessLedger.from_json_obj(checkpoint["ledger"])
             run.genotypes_by_key = {
-                g["key"]: Genotype(tuple(tuple(ch) for ch in g["chromosomes"]))
-                for g in checkpoint["genotypes"]
+                g["key"]: Genotype(g["chromosomes"]) for g in checkpoint["genotypes"]
             }
             run.log_rows = [GenerationStats.from_json_obj(row) for row in checkpoint["log"]]
-            run._last_pool_size = None
-            run._log_started = False
-            run._genotype_json = []
-            run._log_json = []
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
         return run

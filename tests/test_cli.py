@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import json
+import shutil
 from pathlib import Path
+
+import pytest
 
 from clear_ga.cli import main
 
@@ -210,6 +213,49 @@ class TestResumeCommand:
         records[0]["truth"]["energy_kwh_m2"] = 999
         dataset.write_text(json.dumps(records), encoding="utf-8")
         assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 2
+
+
+    def test_resume_writes_next_to_a_moved_checkpoint(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        moved = tmp_path / "moved"
+        assert main(run_args(ws, moved)) == 0
+        names = ("run.log.jsonl", "checkpoint.json", "best.json")
+        reference = {name: (moved / name).read_bytes() for name in names}
+        shutil.rmtree(moved)
+
+        first = tmp_path / "first"
+        assert main(run_args(ws, first, "--stop-after", "2")) == 0
+        first.rename(moved)
+        checkpoint = str(moved / "checkpoint.json")
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint", checkpoint, "--stop-after", "3"]) == 0
+        assert f"resume with: clear-ga resume --checkpoint {checkpoint}" in capsys.readouterr().out
+        assert not first.exists()
+        doc = json.loads((moved / "checkpoint.json").read_text(encoding="utf-8"))
+        assert doc["generation"] == 3
+
+        assert main(["resume", "--checkpoint", checkpoint]) == 0
+        assert not first.exists()
+        for name, content in reference.items():
+            assert (moved / name).read_bytes() == content
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            [1],
+            "x",
+            {"config": 5},
+            {"config": {}},
+            {"config": {"data_item": "energy", "population_size": "x"}},
+            {"format": "clear-ga/checkpoint/1", "config": 5},
+            {"format": "clear-ga/checkpoint/1", "config": {"data_item": "energy", "elites": "x"}},
+        ],
+    )
+    def test_malformed_checkpoint_is_config_error(self, tmp_path, capsys, doc):
+        path = tmp_path / "checkpoint.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["resume", "--checkpoint", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestAnalysisCommands:
