@@ -143,11 +143,12 @@ def energy_error(estimate: ValueRange | float, truth: float) -> float:
     return abs(estimate - truth)
 
 
-# Reference U-values per glazing class for the real-valued windows variant.
+# Reference U-values (W/m2K) per glazing class for the real-valued windows
+# variant; less efficient glazing loses more heat, so its U-value is higher.
 UVALUE_TARGETS = {
-    WindowClass.SINGLE: 0.5,
+    WindowClass.SINGLE: 4.8,
     WindowClass.DOUBLE: 2.0,
-    WindowClass.HIGH_EFFICIENCY: 4.8,
+    WindowClass.HIGH_EFFICIENCY: 0.5,
 }
 
 

@@ -7,6 +7,7 @@ from random import Random
 import pytest
 
 from clear_ga.fitness import (
+    UVALUE_TARGETS,
     GroundTruth,
     HeatingClass,
     ValueRange,
@@ -149,8 +150,14 @@ class TestScalarErrors:
 
     def test_uvalue(self):
         assert uvalue_error(2.3, W.DOUBLE) == pytest.approx(0.3)
-        assert uvalue_error(0.5, W.SINGLE) == 0.0
+        assert uvalue_error(4.8, W.SINGLE) == 0.0
         assert uvalue_error(4.8, W.DOUBLE) == pytest.approx(2.8)
+
+    def test_uvalue_targets_fall_as_glazing_improves(self):
+        # Single glazing loses the most heat, so it has the highest U-value.
+        assert (
+            UVALUE_TARGETS[W.SINGLE] > UVALUE_TARGETS[W.DOUBLE] > UVALUE_TARGETS[W.HIGH_EFFICIENCY]
+        )
 
     def test_uvalue_requires_positive_estimate(self):
         with pytest.raises(ValueError):
