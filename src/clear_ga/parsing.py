@@ -152,17 +152,20 @@ def parse_categorical(payload: str, options: Sequence[tuple[str, T]]) -> T:
 _UNIT_TOKENS = re.compile(r"\bk?wh?(?:\s*/\s*m\s*\^?\s*2)?\b|\bm\s*\^?\s*2\b|\bu-?values?\b|[:=]")
 _NUMBER = r"-?\d+(?:\.\d+)?"
 _DIGIT_COMMA_DIGIT = re.compile(r"\d,\d")
-_POINT_OR_SPAN = re.compile(rf"({_NUMBER})(?:\s*[-–]\s*({_NUMBER}))?")
+_POINT_OR_SPAN = re.compile(rf"({_NUMBER})(?:\s*-\s*({_NUMBER}))?")
+# An en dash and a minus sign read as a hyphen: a sign before a number, or a span.
+_DASHES = str.maketrans("–−", "--")
 
 
 def parse_numeric(payload: str) -> ValueRange:
     """Parse a numeric answer into a point or range, ignoring unit text.
 
     A point value is returned as a degenerate range (start == end). Reversed
-    spans are normalized rather than rejected. Negative numbers, and a comma
-    between digits (a thousands separator or a decimal comma), are rejected.
+    spans are normalized rather than rejected. Negative numbers (signed with a
+    hyphen, an en dash or a minus sign), and a comma between digits (a
+    thousands separator or a decimal comma), are rejected.
     """
-    norm = _UNIT_TOKENS.sub(" ", payload.lower())
+    norm = _UNIT_TOKENS.sub(" ", payload.lower().translate(_DASHES))
     norm = " ".join(norm.split())
     if _DIGIT_COMMA_DIGIT.search(norm):
         raise ParseError(f"ambiguous digit grouping in {payload!r}")

@@ -192,7 +192,13 @@ class TestParseNumeric:
 
 
 class TestParseNumericSignsAndSeparators:
-    @pytest.mark.parametrize("payload", ["-40", "-40 kWh/m2", "about -40", "-100-200", "100--200"])
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            "-40", "-40 kWh/m2", "about -40", "-100-200", "100--200",
+            "–40", "−40", "−2.5 W/m2K", "about –40 kWh/m2",  # en dash, minus sign
+        ],
+    )
     def test_negative_number_rejected(self, payload):
         with pytest.raises(ParseError):
             parse_numeric(payload)
@@ -203,7 +209,9 @@ class TestParseNumericSignsAndSeparators:
         with pytest.raises(ParseError):
             parse_estimate(DataItem.WINDOWS_UVALUE, "-2.5", CURRENT_YEAR)
 
-    @pytest.mark.parametrize("payload", ["100-200", "100 - 200", "100 – 200", "100–200 kWh/m2"])
+    @pytest.mark.parametrize(
+        "payload", ["100-200", "100 - 200", "100 – 200", "100–200", "100–200 kWh/m2", "100 − 200"]
+    )
     def test_spans_still_parse_as_ranges(self, payload):
         assert parse_numeric(payload) == ValueRange(100, 200)
 
