@@ -361,7 +361,7 @@ class TestCheckpointResume:
         config_b, _, _, _ = self.run_setup(tmp_path, "paused")
         partial = evolve(config_b, schema, evaluator, records, stop_after_generation=3)
         assert not partial.completed
-        doc = json.loads(open(config_b.checkpoint_path, encoding="utf-8").read())
+        doc = json.loads(Path(config_b.checkpoint_path).read_text(encoding="utf-8"))
         resumed_run = EvolutionRun.resume(doc, schema, evaluator, records)
         resumed = resumed_run.run()
         assert resumed.completed
@@ -370,8 +370,8 @@ class TestCheckpointResume:
         assert [s.to_json_obj() for s in resumed.per_generation_log] == [
             s.to_json_obj() for s in full.per_generation_log
         ]
-        full_log = open(config_a.log_path, encoding="utf-8").read()
-        paused_log = open(config_b.log_path, encoding="utf-8").read()
+        full_log = Path(config_a.log_path).read_text(encoding="utf-8")
+        paused_log = Path(config_b.log_path).read_text(encoding="utf-8")
         assert paused_log.replace("paused", "full") == full_log
 
     def test_fresh_state_checkpoint_reproduces_generation_zero(self, tmp_path):
@@ -387,7 +387,7 @@ class TestCheckpointResume:
     def test_tampered_population_size_refused(self, tmp_path):
         config, schema, evaluator, records = self.run_setup(tmp_path, "tamper")
         evolve(config, schema, evaluator, records, stop_after_generation=2)
-        doc = json.loads(open(config.checkpoint_path, encoding="utf-8").read())
+        doc = json.loads(Path(config.checkpoint_path).read_text(encoding="utf-8"))
         doc["config"]["population_size"] = 12
         with pytest.raises(ConfigMismatchError):
             EvolutionRun.resume(doc, schema, evaluator, records)
@@ -396,14 +396,14 @@ class TestCheckpointResume:
         config, schema, evaluator, records = self.run_setup(tmp_path, "digest")
         config.schema_sha256 = "abc"
         evolve(config, schema, evaluator, records, stop_after_generation=2)
-        doc = json.loads(open(config.checkpoint_path, encoding="utf-8").read())
+        doc = json.loads(Path(config.checkpoint_path).read_text(encoding="utf-8"))
         with pytest.raises(ConfigMismatchError, match="schema"):
             EvolutionRun.resume(doc, schema, evaluator, records, schema_sha256="different")
 
     def test_resume_of_completed_run_is_noop(self, tmp_path):
         config, schema, evaluator, records = self.run_setup(tmp_path, "done")
         finished = evolve(config, schema, evaluator, records)
-        doc = json.loads(open(config.checkpoint_path, encoding="utf-8").read())
+        doc = json.loads(Path(config.checkpoint_path).read_text(encoding="utf-8"))
         resumed_run = EvolutionRun.resume(doc, schema, evaluator, records)
         before = copy.deepcopy(resumed_run.ledger.to_json_obj())
         result = resumed_run.run()
@@ -425,7 +425,7 @@ class TestCheckpointResume:
         with pytest.raises(RunAborted) as exc_info:
             evolve(config, schema, flaky, records)
         assert exc_info.value.checkpoint_path == config.checkpoint_path
-        doc = json.loads(open(config.checkpoint_path, encoding="utf-8").read())
+        doc = json.loads(Path(config.checkpoint_path).read_text(encoding="utf-8"))
         resumed = EvolutionRun.resume(doc, schema, evaluator, records).run()
         assert resumed.completed
 

@@ -42,6 +42,7 @@ def server():
     thread.start()
     yield httpd
     httpd.shutdown()
+    httpd.server_close()
     thread.join(timeout=5)
 
 
