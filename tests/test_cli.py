@@ -214,7 +214,6 @@ class TestResumeCommand:
         dataset.write_text(json.dumps(records), encoding="utf-8")
         assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 2
 
-
     def test_resume_writes_next_to_a_moved_checkpoint(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
         moved = tmp_path / "moved"
