@@ -10,22 +10,33 @@ for age, capped at the farther end of the 0..100 scale for lighting, and
 quantized for categorical items. Because the latent score ignores the data
 item, the categorical windows read-out and the continuous U-value read-out
 expose the same noise stream through two encodings.
+
+The latent score is a function of the genotype's canonical key, building id
+and eval counter alone. Its noise-free part is computed once per key and kept
+on the landscape; each noise draw reseeds a per-thread generator instead of
+building one.
 """
 
 from __future__ import annotations
 
+import _random
 import hashlib
 import json
+import threading
 from dataclasses import dataclass
 from functools import cached_property
+from math import cos, log, sqrt, tau
 from pathlib import Path
-from random import Random
 
 from ..dataset import BuildingRecord
 from ..fitness import DataEstimate
-from ..items import ITEMS
+from ..items import item_spec
 from ..schema import DataItem, Genotype, canonical_key
 from .base import EvaluationRequest
+
+# One generator per thread, reseeded for every draw: its state carries nothing
+# from one draw to the next, and no two threads ever share it.
+_streams = threading.local()
 
 
 @dataclass(frozen=True)
@@ -74,6 +85,9 @@ class PlantedLandscape:
                 f"base_error {self.base_error} must cover the total benefit "
                 f"{self.total_benefit} so the optimum stays unique under clamping"
             )
+        # Noise-free score per canonical key; not a field, so equality,
+        # hashing and repr ignore it.
+        object.__setattr__(self, "_noise_free", {})
 
     @cached_property
     def benefits(self) -> dict[tuple[int, str], float]:
@@ -84,26 +98,46 @@ class PlantedLandscape:
         return sum(p.benefit for p in self.planted)
 
     def noise(self, genotype_key: str, building_id: str, eval_counter: int) -> float:
+        """The first ``random.gauss(0, noise_scale)`` draw of a generator seeded
+        with the first 8 bytes (big-endian) of the sha256 of
+        ``"{seed}|{building_id}|{eval_counter}|{genotype_key}"``."""
         if self.noise_scale == 0:
             return 0.0
         material = f"{self.seed}|{building_id}|{eval_counter}|{genotype_key}"
         digest = hashlib.sha256(material.encode("utf-8")).digest()
-        stream = Random(int.from_bytes(digest[:8], "big"))
-        return stream.gauss(0.0, self.noise_scale)
+        stream = getattr(_streams, "random", None)
+        if stream is None:
+            stream = _streams.random = _random.Random()
+        stream.seed(int.from_bytes(digest[:8], "big"))
+        # random.gauss's first Box-Muller draw, operation for operation.
+        random = stream.random
+        return 0.0 + cos(random() * tau) * sqrt(-2.0 * log(1.0 - random())) * self.noise_scale
+
+    def noise_free_score(self, genotype: Genotype) -> float:
+        """Base error, less the planted benefits, plus the distractor penalties.
+
+        Benefits are summed in canonical-key order (chromosome by chromosome,
+        cues sorted), so genotypes with one key score alike to the last bit.
+        """
+        gain = 0.0
+        distractors = 0
+        benefits = self.benefits
+        for index, chromosome in enumerate(genotype.chromosomes):
+            for cue in sorted(chromosome):
+                benefit = benefits.get((index, cue))
+                if benefit is None:
+                    distractors += 1
+                else:
+                    gain += benefit
+        return self.base_error - gain + self.distractor_penalty * distractors
 
     def latent_score(self, genotype: Genotype, building_id: str, eval_counter: int) -> float:
         """Clamped-at-zero error the genotype earns on one building."""
-        gain = 0.0
-        distractors = 0
-        for index, cue in genotype.iter_cues():
-            benefit = self.benefits.get((index, cue))
-            if benefit is None:
-                distractors += 1
-            else:
-                gain += benefit
-        raw = self.base_error - gain + self.distractor_penalty * distractors
-        raw += self.noise(canonical_key(genotype), building_id, eval_counter)
-        return max(raw, 0.0)
+        key = canonical_key(genotype)
+        noise_free = self._noise_free.get(key)
+        if noise_free is None:
+            noise_free = self._noise_free[key] = self.noise_free_score(genotype)
+        return max(noise_free + self.noise(key, building_id, eval_counter), 0.0)
 
     def describe(self) -> dict:
         return {
@@ -124,11 +158,10 @@ def oracle_evaluate(
     item: DataItem,
 ) -> DataEstimate:
     """Read the latent score out as an estimate of the item (``ItemSpec.oracle_readout``)."""
-    item = DataItem(item)
-    spec = ITEMS[item]
+    spec = item_spec(item)
     actual = spec.truth_of(building.truth)
     if actual is None:
-        raise ValueError(f"building {building.id!r} has no ground truth for {item.value}")
+        raise ValueError(f"building {building.id!r} has no ground truth for {DataItem(item).value}")
     return spec.oracle_readout(actual, landscape.latent_score(genotype, building.id, eval_counter))
 
 

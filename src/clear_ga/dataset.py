@@ -16,7 +16,7 @@ from pathlib import Path
 from random import Random
 
 from .fitness import GroundTruth, HeatingClass, WindowClass
-from .items import ITEMS
+from .items import ITEMS, item_spec
 from .parsing import ParseError, parse_age
 from .schema import DataItem
 
@@ -195,7 +195,7 @@ def split_records(
     """
     if not 0 < train_fraction < 1:
         raise ValueError("train_fraction must be in (0, 1)")
-    spec = ITEMS[DataItem(item)]
+    spec = item_spec(item)
     require_truth(records, item)
     strata: dict[str, list[BuildingRecord]] = {}
     for record in records:

@@ -289,30 +289,42 @@ ITEMS: dict[DataItem, ItemSpec] = {
 }
 
 
+def item_spec(item: DataItem | str) -> ItemSpec:
+    """The registry entry of a member or of a member's value.
+
+    Members are looked up directly; ``ITEMS`` keys hash by member name, so a
+    plain value such as ``"energy"`` is coerced first. An unknown item raises
+    ``ValueError``.
+    """
+    try:
+        return ITEMS[item]
+    except (KeyError, TypeError):
+        return ITEMS[DataItem(item)]
+
+
 def failure_penalty(item: DataItem) -> float:
     """Worst-case error charged when a building's estimate cannot be obtained or
     parsed after retries; keeps the population totally ordered under failures."""
-    return ITEMS[DataItem(item)].failure_penalty
+    return item_spec(item).failure_penalty
 
 
 def building_error(item: DataItem, estimate: DataEstimate, truth: GroundTruth) -> float:
     """The item's error function; raises if the estimate variant or the truth field is wrong."""
-    item = DataItem(item)
-    spec = ITEMS[item]
+    spec = item_spec(item)
     if isinstance(estimate, bool) or not isinstance(estimate, spec.estimate_types):
         expected = " or ".join(t.__name__ for t in spec.estimate_types)
-        raise ValueError(f"{item.value} estimate must be {expected}, got {estimate!r}")
+        raise ValueError(f"{DataItem(item).value} estimate must be {expected}, got {estimate!r}")
     actual = spec.truth_of(truth)
     if actual is None:
-        raise ValueError(f"ground truth is missing the field for {item.value}")
+        raise ValueError(f"ground truth is missing the field for {DataItem(item).value}")
     return spec.error(estimate, actual)
 
 
 def parse_estimate(item: DataItem, payload: str, current_year: int) -> DataEstimate:
     """Parse a delimited payload into the estimate variant for the given item."""
-    return ITEMS[DataItem(item)].parse(payload, current_year)
+    return item_spec(item).parse(payload, current_year)
 
 
 def build_evaluation_prompt(item: DataItem, region: str, cue_list: str) -> str:
-    parts = vars(ITEMS[DataItem(item)].prompt)  # question, instructions, final_instructions
+    parts = vars(item_spec(item).prompt)  # question, instructions, final_instructions
     return EVALUATION_TEMPLATE.format(region=region, cue_list=cue_list, **parts)
