@@ -13,6 +13,7 @@ from .oracle import (
     OracleEvaluator,
     PlantedCue,
     PlantedLandscape,
+    landscape_digest,
     landscape_from_json_obj,
     landscape_to_json_obj,
     load_landscape_file,
@@ -37,6 +38,7 @@ __all__ = [
     "Transport",
     "TransportError",
     "generate_schema",
+    "landscape_digest",
     "landscape_from_json_obj",
     "landscape_to_json_obj",
     "load_landscape_file",

@@ -197,6 +197,12 @@ def landscape_to_json_obj(landscape: PlantedLandscape) -> dict:
     }
 
 
+def landscape_digest(landscape: PlantedLandscape) -> str:
+    """Content hash of a landscape, used to guard checkpoint resumption."""
+    canonical = json.dumps(landscape_to_json_obj(landscape), sort_keys=True)
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
 def landscape_from_json_obj(obj: object) -> PlantedLandscape:
     if not isinstance(obj, dict):
         raise ValueError("landscape document must be a JSON object")

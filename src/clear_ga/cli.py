@@ -25,6 +25,7 @@ from .backends import (
     OracleEvaluator,
     SchemaGenerationError,
     generate_schema,
+    landscape_digest,
     load_landscape_file,
 )
 from .dataset import DatasetError, load_manifest, manifest_digest, split_records
@@ -145,7 +146,7 @@ def build_parser() -> _Parser:
     _add_concurrency_flag(p)
     p.add_argument("--retry-limit", type=int, default=None)
     p.add_argument("--current-year", type=int, default=None)
-    p.add_argument("--train-fraction", type=float, default=0.6)
+    p.add_argument("--train-fraction", type=float, default=None)
     p.add_argument(
         "--stop-after", type=int, default=None, metavar="GEN",
         help="pause after this generation's evaluation; resume later",
@@ -167,7 +168,10 @@ def build_parser() -> _Parser:
     p.add_argument("--split", choices=["train", "test"], default="test")
     p.add_argument("--item", default=None, choices=[i.value for i in DataItem])
     p.add_argument("--seed", type=int, default=None, help="split seed (default: from genotype file)")
-    p.add_argument("--train-fraction", type=float, default=0.6)
+    p.add_argument(
+        "--train-fraction", type=float, default=None,
+        help="split fraction (default: from genotype file, else 0.6)",
+    )
     p.add_argument("--current-year", type=int, default=2025)
     p.add_argument("--retry-limit", type=int, default=3)
     p.add_argument("--out", default=None, help="CSV report path")
@@ -277,6 +281,10 @@ def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
     values.update(_flag_settings(args))
     if "data_item" not in values:
         raise UsageError("--item is required (or provide data_item in --config)")
+    # Absolute, so the run can be resumed from any working directory.
+    for name in ("schema_path", "dataset_path", "landscape_path"):
+        if values.get(name):
+            values[name] = str(Path(values[name]).resolve())
     values["seed"] = seed
     values["checkpoint_path"] = str(out_dir / CHECKPOINT_FILENAME)
     values["log_path"] = str(out_dir / LOG_FILENAME)
@@ -286,19 +294,22 @@ def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
         raise UsageError(f"bad config: {exc}") from None
 
 
-def _open_run(args, config: RunConfig, train_fraction: float = 0.6):
+def _open_run(args, config: RunConfig):
     """What a run's config names: its schema, training split and evaluator, and
-    the schema and dataset digests that guard its checkpoint."""
+    the schema, dataset and landscape digests that guard its checkpoint."""
     schema = load_schema_file(config.schema_path)
     records = load_manifest(config.dataset_path, current_year=config.current_year)
     training, _ = split_records(
-        records, config.data_item, Random(config.seed), train_fraction=train_fraction
+        records, config.data_item, Random(config.seed), train_fraction=config.train_fraction
     )
+    evaluator = _make_evaluator(args, config)
     digests = {
         "schema_sha256": schema_digest(schema),
         "dataset_sha256": manifest_digest(config.dataset_path),
     }
-    return schema, training, _make_evaluator(args, config), digests
+    if isinstance(evaluator, OracleEvaluator):
+        digests["landscape_sha256"] = landscape_digest(evaluator.landscape)
+    return schema, training, evaluator, digests
 
 
 def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
@@ -316,6 +327,7 @@ def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
         "data_item": config.data_item.value,
         "mode": config.mode.value,
         "seed": config.seed,
+        "train_fraction": config.train_fraction,
         "best_error": result.best_recorded_error,
         "cue_list": render_cue_list(result.best_genotype),
         "chromosomes": [list(ch) for ch in result.best_genotype.chromosomes],
@@ -333,7 +345,7 @@ def _run_one(args, seed: int | None, out_dir: Path) -> int:
         raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
     if not config.schema_path or not config.dataset_path:
         raise UsageError("--schema and --dataset are required")
-    schema, training, evaluator, digests = _open_run(args, config, args.train_fraction)
+    schema, training, evaluator, digests = _open_run(args, config)
     run = EvolutionRun(replace(config, **digests), schema, evaluator, training)
     result = _finish(run, args.stop_after)
     if result is not None:
@@ -394,11 +406,13 @@ def cmd_ablate(args) -> int:
     doc, genotype = _load_best_genotype(args.genotype)
     item = DataItem(args.item) if args.item else DataItem(doc["data_item"])
     seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
+    train_fraction = (
+        args.train_fraction if args.train_fraction is not None
+        else float(doc.get("train_fraction", 0.6))
+    )
     schema = load_schema_file(args.schema)
     records = load_manifest(args.dataset, current_year=args.current_year)
-    training, test = split_records(
-        records, item, Random(seed), train_fraction=args.train_fraction
-    )
+    training, test = split_records(records, item, Random(seed), train_fraction=train_fraction)
     split = training if args.split == "train" else test
     evaluator = _make_evaluator(args)
     report = analysis.ablate(genotype, schema, evaluator, split, item)

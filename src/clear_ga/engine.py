@@ -80,6 +80,7 @@ class RunConfig:
     evaluation_concurrency: int = 1
     retry_limit: int = 3
     current_year: int = 2025
+    train_fraction: float = 0.6
     backend: str = "oracle"
     llm_model: str = "gpt-4o"
     llm_min_interval: float = 0.0
@@ -90,6 +91,7 @@ class RunConfig:
     log_path: str | None = None
     schema_sha256: str = ""
     dataset_sha256: str = ""
+    landscape_sha256: str = ""
 
     def __post_init__(self) -> None:
         self.data_item = DataItem(self.data_item)
@@ -127,9 +129,16 @@ class RunConfig:
         "schema_sha256",
         "dataset_sha256",
     )
+    # Semantic fields added later, with their defaults. Each is hashed only
+    # when it differs from its default, so runs that never set it keep their
+    # digests and their checkpoints stay resumable.
+    _LATER_SEMANTIC_FIELDS = {"train_fraction": 0.6, "landscape_sha256": ""}
 
     def digest(self) -> str:
         payload = {name: getattr(self, name) for name in self._SEMANTIC_FIELDS}
+        for name, default in self._LATER_SEMANTIC_FIELDS.items():
+            if getattr(self, name) != default:
+                payload[name] = getattr(self, name)
         payload["data_item"] = self.data_item.value
         payload["mode"] = self.mode.value
         canonical = json.dumps(payload, sort_keys=True)
@@ -539,20 +548,22 @@ class EvolutionRun:
         training: Sequence[BuildingRecord],
         schema_sha256: str = "",
         dataset_sha256: str = "",
+        landscape_sha256: str = "",
     ) -> "EvolutionRun":
         """Rebuild run state from a checkpoint document.
 
         The run is built as a fresh one is, then the checkpointed state
         replaces the fresh state. Refuses to continue if the stored digest
         does not match the stored config (tampering) or if the
-        caller-supplied schema/dataset hashes differ from the ones the run
-        started with.
+        caller-supplied schema/dataset/landscape hashes differ from the ones
+        the run started with.
         """
         config = checkpoint_config(checkpoint)
-        if schema_sha256 and config.schema_sha256 and schema_sha256 != config.schema_sha256:
-            raise ConfigMismatchError("schema file differs from the checkpointed run")
-        if dataset_sha256 and config.dataset_sha256 and dataset_sha256 != config.dataset_sha256:
-            raise ConfigMismatchError("dataset file differs from the checkpointed run")
+        given = {"schema": schema_sha256, "dataset": dataset_sha256, "landscape": landscape_sha256}
+        for name, digest in given.items():
+            stored = getattr(config, f"{name}_sha256")
+            if digest and stored and digest != stored:
+                raise ConfigMismatchError(f"{name} file differs from the checkpointed run")
         if schema.data_item is not config.data_item:
             raise ConfigMismatchError(
                 f"schema is for {schema.data_item.value!r}, checkpoint wants "

@@ -25,7 +25,7 @@ from clear_ga.backends import (
 from clear_ga.backends.llm import AuthenticationError, TransportError
 from clear_ga.fitness import HeatingClass, WindowClass, YearRange
 from clear_ga.items import ITEMS, building_error
-from clear_ga.schema import DataItem, Genotype, load_schema, render_cue_list
+from clear_ga.schema import DataItem, Genotype, canonical_key, load_schema, render_cue_list
 
 from conftest import build_record, build_schema
 
@@ -123,6 +123,25 @@ class TestOracleScores:
             OracleEvaluator(land).evaluate(request(OPTIMUM, counter=c)) for c in range(16)
         }
         assert len(values) > 1
+
+    def test_score_is_a_function_of_the_canonical_key(self):
+        # Summing benefits in genotype order put these two 1 ulp apart.
+        def fresh_landscape():
+            return PlantedLandscape(
+                planted=(PlantedCue(0, "a", 2.51), PlantedCue(1, "b", 2.991),
+                         PlantedCue(1, "c", 2.899)),
+                distractor_penalty=1.0,
+                base_error=20.0,
+                noise_scale=0.0,
+            )
+
+        first = Genotype((("a",), ("b", "c")))
+        second = Genotype((("a",), ("c", "b")))
+        assert canonical_key(first) == canonical_key(second)
+        in_key_order = 20.0 - (0.0 + 2.51 + 2.991 + 2.899)
+        # A landscape each, so neither score comes from the other's memo.
+        scores = [fresh_landscape().latent_score(g, "b1", 0) for g in (first, second)]
+        assert scores == [in_key_order, in_key_order]
 
     def test_zero_noise_argmin_is_exactly_the_planted_set(self):
         land = landscape()

@@ -34,14 +34,16 @@ LANDSCAPE = {
 }
 
 
-def make_workspace(tmp_path: Path, item: str = "energy") -> dict[str, str]:
+def make_workspace(
+    tmp_path: Path, item: str = "energy", energies=(60, 90, 150, 160, 210, 300)
+) -> dict[str, str]:
     schema = dict(SCHEMA, data_item=item)
     schema_path = tmp_path / "schema.json"
     schema_path.write_text(json.dumps(schema), encoding="utf-8")
     landscape_path = tmp_path / "landscape.json"
     landscape_path.write_text(json.dumps(LANDSCAPE), encoding="utf-8")
     entries = []
-    for i, energy in enumerate([60, 90, 150, 160, 210, 300]):
+    for i, energy in enumerate(energies):
         entries.append(
             {
                 "id": f"b{i}",
@@ -214,6 +216,58 @@ class TestResumeCommand:
         dataset.write_text(json.dumps(records), encoding="utf-8")
         assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 2
 
+    def test_resume_keeps_the_runs_train_fraction(self, tmp_path):
+        # Five buildings per stratum: 0.5 trains on two of each, 0.6 on three.
+        ws = make_workspace(tmp_path, energies=(60, 70, 80, 90, 95, 150, 160, 170, 180, 190))
+        out_dir = tmp_path / "out"
+        names = ("run.log.jsonl", "checkpoint.json", "best.json")
+        assert main(run_args(ws, out_dir, "--train-fraction", "0.5")) == 0
+        reference = {name: (out_dir / name).read_bytes() for name in names}
+
+        assert main(run_args(ws, out_dir, "--train-fraction", "0.5", "--stop-after", "2")) == 0
+        assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 0
+        for name, content in reference.items():
+            assert (out_dir / name).read_bytes() == content
+        best = json.loads(reference["best.json"])
+        assert best["train_fraction"] == 0.5
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda landscape: landscape.update(seed=6),
+            lambda landscape: landscape["planted"][0].update(cue="c0_2"),
+        ],
+        ids=["seed", "planted-cue"],
+    )
+    def test_resume_with_edited_landscape_refused(self, tmp_path, capsys, edit):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir, "--stop-after", "1")) == 0
+        landscape = json.loads(Path(ws["landscape"]).read_text(encoding="utf-8"))
+        edit(landscape)
+        Path(ws["landscape"]).write_text(json.dumps(landscape), encoding="utf-8")
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 2
+        assert "landscape file differs" in capsys.readouterr().err
+
+    def test_resume_from_another_directory_after_relative_paths(
+        self, tmp_path, monkeypatch
+    ):
+        work = tmp_path / "work"
+        work.mkdir()
+        ws = make_workspace(work)
+        relative = {name: str(Path(path).relative_to(work)) for name, path in ws.items()}
+        monkeypatch.chdir(work)
+        assert main(run_args(relative, Path("full"))) == 0
+        assert main(run_args(relative, Path("part"), "--stop-after", "2")) == 0
+
+        monkeypatch.chdir(tmp_path)
+        assert main(["resume", "--checkpoint", str(Path("work/part/checkpoint.json"))]) == 0
+        assert (work / "part" / "best.json").read_bytes() == (work / "full" / "best.json").read_bytes()
+        # A run log's first line is its config, which names the output paths.
+        full_rows = (work / "full" / "run.log.jsonl").read_bytes().splitlines()[1:]
+        assert (work / "part" / "run.log.jsonl").read_bytes().splitlines()[1:] == full_rows
+
     def test_resume_writes_next_to_a_moved_checkpoint(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
         moved = tmp_path / "moved"
@@ -279,6 +333,22 @@ class TestAnalysisCommands:
         assert lines[0] == "cue,category,new_error,delta,failed"
         assert len(lines) >= 2
         assert "base error" in capsys.readouterr().out
+
+    def test_ablate_splits_at_the_runs_train_fraction(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path, energies=(60, 70, 80, 90, 95, 150, 160, 170, 180, 190))
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir, "--train-fraction", "0.5")) == 0
+        ablate = [
+            "ablate", "--genotype", str(out_dir / "best.json"), "--schema", ws["schema"],
+            "--dataset", ws["dataset"], "--landscape", ws["landscape"], "--split", "test",
+        ]
+        outputs = []
+        for extra in ([], ["--train-fraction", "0.5"], ["--train-fraction", "0.6"]):
+            capsys.readouterr()
+            assert main(ablate + extra) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert outputs[0] != outputs[2]
 
     def test_probe_writes_json(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)

@@ -400,6 +400,31 @@ class TestCheckpointResume:
         with pytest.raises(ConfigMismatchError, match="schema"):
             EvolutionRun.resume(doc, schema, evaluator, records, schema_sha256="different")
 
+    def test_changed_landscape_digest_refused(self, tmp_path):
+        config, schema, evaluator, records = self.run_setup(tmp_path, "landscape")
+        config.landscape_sha256 = "abc"
+        evolve(config, schema, evaluator, records, stop_after_generation=2)
+        doc = json.loads(Path(config.checkpoint_path).read_text(encoding="utf-8"))
+        with pytest.raises(ConfigMismatchError, match="landscape"):
+            EvolutionRun.resume(doc, schema, evaluator, records, landscape_sha256="different")
+
+    def test_fields_at_their_defaults_leave_the_digest_as_it_was(self):
+        # Digests of configs written before train_fraction and
+        # landscape_sha256 existed; their checkpoints must stay resumable.
+        assert RunConfig(data_item="energy").digest() == (
+            "c5eb4b9c97209071b196929795595e7442ae8a98ee83cba0d6ac094015d18be8"
+        )
+        pinned = RunConfig(data_item="windows", mode="fixed", seed=4, schema_sha256="ab",
+                           dataset_sha256="cd", train_fraction=0.6, landscape_sha256="")
+        assert pinned.digest() == (
+            "7cc91d496dbec94865825c9c9feb1623e65598c4d80d1ae2045672a4a35ac98e"
+        )
+        digests = {
+            RunConfig(data_item="energy", **change).digest()
+            for change in ({}, {"train_fraction": 0.5}, {"landscape_sha256": "ef"})
+        }
+        assert len(digests) == 3
+
     def test_resume_of_completed_run_is_noop(self, tmp_path):
         config, schema, evaluator, records = self.run_setup(tmp_path, "done")
         finished = evolve(config, schema, evaluator, records)
