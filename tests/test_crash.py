@@ -1,0 +1,268 @@
+"""Crash injection: a checkpointed run survives a crash at any file operation.
+
+``DurabilityModel`` stands between the engine and the disk and keeps, for
+each file the engine writes, the content a crash would leave:
+
+- written data becomes durable only when its file is fsynced;
+- opening a file for writing empties its durable content at once, and a
+  truncation shortens it at once;
+- a rename moves only what its source had made durable, so renaming a file
+  that was never fsynced can leave an empty file in its place;
+- an unlink is durable at once.
+
+These are the weakest orderings common POSIX file systems promise (Pillai et
+al., "All File Systems Are Not Created Equal", OSDI 2014). The model counts
+the engine's file operations inside a span of the run and crashes at the
+k-th one: it raises :class:`Crash` and resets every file it tracks to its
+durable content. The run then resumes from what survived, and must end with
+the same run-log generation rows and checkpoint bytes as an uninterrupted
+run. Every k is tried, across three spans: generations committed after a
+fresh start, the commit of a pause, and generations committed by a run that
+resumed after a crash.
+"""
+
+from __future__ import annotations
+
+import io
+import os
+import shutil
+from pathlib import Path
+
+import pytest
+
+from clear_ga import engine
+from clear_ga.backends import OracleEvaluator, PlantedCue, PlantedLandscape
+from clear_ga.engine import EvolutionRun, Mode, RunConfig, load_checkpoint_file
+from clear_ga.schema import DataItem
+
+from conftest import build_record, build_schema
+
+GENERATIONS = 6
+
+
+class Crash(BaseException):
+    """The simulated power cut; not an ``Exception``, so no handler in the program takes it."""
+
+
+class DurabilityModel:
+    def __init__(self) -> None:
+        self.durable: dict[Path, bytes | None] = {}  # None: the file does not exist
+        self.paths_by_fd: dict[int, Path] = {}
+        self.crash_at: int | None = None
+        self.operations = 0
+
+    def arm(self, crash_at: int) -> None:
+        self.crash_at, self.operations = crash_at, 0
+
+    def disarm(self) -> None:
+        self.crash_at = None
+
+    def operation(self) -> None:
+        if self.crash_at is None:
+            return
+        self.operations += 1
+        if self.operations == self.crash_at:
+            self.crash_at = None
+            raise Crash(f"crash at operation {self.operations}")
+
+    def opened(self, path: Path, mode: str, fh) -> None:
+        if "w" in mode or "x" in mode:
+            self.durable[path] = b""
+        elif self.durable.get(path) is None:
+            self.durable[path] = b""
+        self.paths_by_fd[fh.fileno()] = path
+
+    def fsync(self, fd: int) -> None:
+        self.operation()
+        path = self.paths_by_fd.get(fd)
+        if path is not None:
+            with io.open(path, "rb") as fh:
+                self.durable[path] = fh.read()
+
+    def truncated(self, path: Path, size: int) -> None:
+        if self.durable.get(path) is not None:
+            self.durable[path] = self.durable[path][:size]
+
+    def replace(self, src, dst) -> None:
+        self.operation()
+        os.replace(src, dst)
+        src, dst = Path(src).absolute(), Path(dst).absolute()
+        self.durable[dst] = self.durable.get(src) or b""
+        self.durable[src] = None
+
+    def unlinked(self, path: Path) -> None:
+        self.durable[path] = None
+
+    def restore(self) -> None:
+        """Leave every tracked file as the crash would."""
+        for path, content in self.durable.items():
+            if content is None:
+                path.unlink(missing_ok=True)
+            else:
+                with io.open(path, "wb") as fh:
+                    fh.write(content)
+        self.paths_by_fd.clear()
+
+
+class ModelFile:
+    """A file the engine opened for writing; its writes and truncations are operations."""
+
+    def __init__(self, model: DurabilityModel, path: Path, fh) -> None:
+        self._model, self._path, self._fh = model, path, fh
+
+    def write(self, data):
+        self._model.operation()
+        return self._fh.write(data)
+
+    def writelines(self, lines) -> None:
+        for line in lines:
+            self.write(line)
+
+    def truncate(self, size=None):
+        self._model.operation()
+        size = self._fh.truncate(size)
+        self._model.truncated(self._path, size)
+        return size
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fh.close()
+
+
+def install(monkeypatch, model: DurabilityModel) -> None:
+    """Route the engine's file writes, ``os.fsync`` and ``os.replace`` through ``model``."""
+
+    class ModelPath(type(Path())):
+        def open(self, mode="r", *args, **kwargs):
+            if not any(flag in mode for flag in "wax+"):
+                return super().open(mode, *args, **kwargs)
+            model.operation()
+            fh = super().open(mode, *args, **kwargs)
+            path = self.absolute()
+            model.opened(path, mode, fh)
+            return ModelFile(model, path, fh)
+
+        def unlink(self, missing_ok=False):
+            model.operation()
+            super().unlink(missing_ok=missing_ok)
+            model.unlinked(self.absolute())
+
+    class ModelOs:
+        fsync = staticmethod(model.fsync)
+        replace = staticmethod(model.replace)
+
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+    monkeypatch.setattr(engine, "Path", ModelPath)
+    monkeypatch.setattr(engine, "os", ModelOs())
+
+
+def setup(directory: Path):
+    config = RunConfig(
+        data_item=DataItem.ENERGY, mode=Mode.VARIABLE, population_size=6,
+        generations=GENERATIONS, elites=2, seed=23,
+        checkpoint_path=str(directory / "checkpoint.json"),
+        log_path=str(directory / "run.log.jsonl"),
+    )
+    landscape = PlantedLandscape(
+        planted=(PlantedCue(0, "c0_1", 3.0), PlantedCue(2, "c2_0", 3.0)),
+        distractor_penalty=1.0, base_error=8.0, noise_scale=0.6, seed=5,
+    )
+    records = [build_record(), build_record("b2")]
+    return config, build_schema(category_sizes=(4, 4, 4)), OracleEvaluator(landscape), records
+
+
+def resume(config: RunConfig, schema, evaluator, records) -> EvolutionRun:
+    doc = load_checkpoint_file(config.checkpoint_path)
+    return EvolutionRun.resume(doc, schema, evaluator, records)
+
+
+def outputs(config: RunConfig) -> tuple[bytes, bytes]:
+    """The run log's generation rows and the checkpoint's bytes."""
+    log = Path(config.log_path).read_bytes()
+    return log[log.index(b"\n") + 1:], Path(config.checkpoint_path).read_bytes()
+
+
+class Stop(Exception):
+    pass
+
+
+def run_span(directory: Path, model: DurabilityModel, span: str, crash_at: int,
+             committed: list[int]) -> bool:
+    """Run up to the end of ``span`` with the model armed to crash at operation
+    ``crash_at`` of it; True if the span ended first. ``committed`` collects the
+    generations whose commit returned."""
+    config, schema, evaluator, records = setup(directory)
+    first, last = {"generations": (1, 2), "pause": (3, 3), "after-crash": (3, 4)}[span]
+
+    def on_generation(stats, population):
+        committed.append(stats.generation)
+        if stats.generation == first - 1:
+            model.arm(crash_at)
+        if stats.generation == last and span != "pause":
+            model.disarm()
+            raise Stop
+
+    if span == "after-crash":
+        # A crash right after generation 2's commit, then a run resumed from what survived.
+        def crash_after_two(stats, population):
+            committed.append(stats.generation)
+            if stats.generation == 2:
+                raise Crash
+
+        with pytest.raises(Crash):
+            EvolutionRun(config, schema, evaluator, records).run(on_generation=crash_after_two)
+        model.restore()
+        run = resume(config, schema, evaluator, records)
+        model.arm(crash_at)
+    else:
+        run = EvolutionRun(config, schema, evaluator, records)
+    try:
+        if span == "pause":
+            result = run.run(on_generation=on_generation, stop_after_generation=last)
+            assert not result.completed
+            model.disarm()
+        else:
+            run.run(on_generation=on_generation)
+    except Stop:
+        pass
+    except Crash:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("span", ["generations", "pause", "after-crash"])
+def test_resume_after_a_crash_at_any_operation_matches_uninterrupted(tmp_path, monkeypatch, span):
+    directory = tmp_path / "run"
+    directory.mkdir()
+    config, schema, evaluator, records = setup(directory)
+    assert EvolutionRun(config, schema, evaluator, records).run().completed
+    expected = outputs(config)
+
+    crash_at = 0
+    while True:
+        crash_at += 1
+        shutil.rmtree(directory)
+        directory.mkdir()
+        committed: list[int] = []
+        model = DurabilityModel()
+        install(monkeypatch, model)
+        if run_span(directory, model, span, crash_at, committed):
+            break
+        model.restore()
+        survived = load_checkpoint_file(config.checkpoint_path)
+        assert survived["generation"] >= committed[-1], (
+            f"crash at operation {crash_at} lost generation {committed[-1]}'s commit"
+        )
+        model.disarm()
+        result = resume(config, schema, evaluator, records).run()
+        assert result.completed
+        assert outputs(config) == expected, f"crash at operation {crash_at} of the {span} span"
+    # The span did file operations, and a crash was tried at every one of them.
+    assert crash_at > 3
