@@ -79,7 +79,6 @@ class HttpTransport:
         self.model = model
         self.min_request_interval = min_request_interval
         self.timeout = timeout
-        self.request_count = 0
         self._lock = threading.Lock()
         self._last_request = 0.0
 
@@ -106,8 +105,6 @@ class HttpTransport:
             )
         except requests.RequestException as exc:
             raise TransportError(f"request failed: {exc}") from None
-        with self._lock:
-            self.request_count += 1
         if response.status_code in (401, 403):
             raise AuthenticationError(
                 f"endpoint rejected credentials (HTTP {response.status_code}); "

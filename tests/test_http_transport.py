@@ -75,7 +75,7 @@ class TestHttpTransport:
         prefix, encoded = url.split(",", 1)
         assert prefix == "data:image/png;base64"
         assert base64.b64decode(encoded) == b"\x89PNG fake"
-        assert transport.request_count == 1
+        assert len(server.requests) == 1
 
     def test_auth_rejection_is_not_transient(self, server):
         server.responses.append((401, {"error": "bad key"}))
