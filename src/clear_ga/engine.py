@@ -266,9 +266,17 @@ class GenerationStats:
     perfect: bool
 
     def to_json_obj(self) -> dict:
-        obj = asdict(self)
-        obj["type"] = "generation"
-        return obj
+        return {
+            "generation": self.generation,
+            "errors": list(self.errors),
+            "best_error": self.best_error,
+            "best_ever_error": self.best_ever_error,
+            "mean_cue_count": self.mean_cue_count,
+            "chromosome_mean_cue_counts": list(self.chromosome_mean_cue_counts),
+            "parent_pool_size": self.parent_pool_size,
+            "perfect": self.perfect,
+            "type": "generation",
+        }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GenerationStats":
