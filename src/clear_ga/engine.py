@@ -12,6 +12,18 @@ deterministic evaluator: the random stream is consumed only by
 initialization and reproduction, never by evaluation, eval counters are
 assigned per member before dispatch, and each member's errors are summed in
 building order, so results are identical at any evaluation concurrency.
+
+A checkpoint is a snapshot plus a journal (the snapshot-and-log design of
+Mohan et al., "ARIES", TODS 1992). The snapshot, ``checkpoint.json``, is the
+whole run state as one JSON document; it is written to a temp file, fsynced
+and renamed into place at a run's first commit, at a pause and at the end.
+Each generation in between appends one fsynced line to the journal next to
+it, ``checkpoint.json.journal``, holding only what changed, so a commit costs
+one small append instead of a rewrite that grows with the ledger. The
+journal's first line names the sha256 of the snapshot it extends:
+:func:`load_checkpoint_file` replays its complete lines onto that snapshot
+and no other, and a run resumed from the same path appends to the same
+journal, cutting off a torn last line first.
 """
 
 from __future__ import annotations
@@ -30,7 +42,7 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 from random import Random
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .backends.base import BackendHardFailure, EvaluationFailure, EvaluationRequest, Evaluator
 from .dataset import BuildingRecord, require_truth
@@ -42,6 +54,7 @@ from .schema import CueSchema, DataItem, Genotype, canonical_key, random_genotyp
 log = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT = "clear-ga/checkpoint/1"
+JOURNAL_FORMAT = "clear-ga/checkpoint-journal/1"
 
 
 class Mode(str, Enum):
@@ -177,9 +190,6 @@ class FitnessLedger:
 
     def __init__(self) -> None:
         self.entries: dict[str, LedgerEntry] = {}
-        # JSON text of each entry as of its last serialization; ``record``,
-        # the only writer of ``entries``, drops the text of the entry it changes.
-        self._texts: dict[str, str] = {}
 
     def record(self, key: str, error: float, generation: int) -> LedgerEntry:
         if error < 0:
@@ -192,7 +202,6 @@ class FitnessLedger:
             entry.worst_error = max(entry.worst_error, error)
             entry.evaluations += 1
             entry.first_seen_generation = min(entry.first_seen_generation, generation)
-            self._texts.pop(key, None)
         return entry
 
     def worst(self, key: str) -> float:
@@ -221,18 +230,6 @@ class FitnessLedger:
 
     def to_json_obj(self) -> list[dict]:
         return [self._entry_obj(key, e) for key, e in self.entries.items()]
-
-    def entry_texts(self) -> Iterator[str]:
-        """``json.dumps`` of each :meth:`to_json_obj` row, in order.
-
-        Only entries added or changed since the previous call are serialized.
-        """
-        texts = self._texts
-        for key, entry in self.entries.items():
-            text = texts.get(key)
-            if text is None:
-                text = texts[key] = json.dumps(self._entry_obj(key, entry))
-            yield text
 
     @classmethod
     def from_json_obj(cls, rows: list[dict]) -> "FitnessLedger":
@@ -394,19 +391,65 @@ def _genotype_obj(key: str, genotype: Genotype) -> dict:
     return {"key": key, "chromosomes": [list(ch) for ch in genotype.chromosomes]}
 
 
-def _comma_separated(texts: Iterable[str]) -> Iterator[str]:
-    """The pieces of ``", ".join(texts)``, each joining up to 512 texts.
+def journal_path(checkpoint_path: str | Path) -> Path:
+    """The journal that extends the snapshot at ``checkpoint_path``."""
+    path = Path(checkpoint_path)
+    return path.with_name(path.name + ".journal")
 
-    A file write per small text costs more than the join; one join of all
-    texts would hold the whole section in memory. No text is empty, so an
-    empty piece means the texts are used up.
+
+def _journal_header(snapshot: bytes) -> bytes:
+    """A journal's first line, without its newline: it names the snapshot it extends."""
+    base = hashlib.sha256(snapshot).hexdigest()
+    return json.dumps({"format": JOURNAL_FORMAT, "base": base}).encode("utf-8")
+
+
+class _Journal:
+    """The journal next to a snapshot, open for one appended record per commit.
+
+    A new journal starts with its header line. An existing one is cut back to
+    ``length``, the bytes of its records that a load replayed, so a torn
+    last line goes before the next record is appended. Each record is
+    written whole and fsynced before :meth:`append` returns.
     """
-    texts = iter(texts)
-    separator = ""
-    while piece := ", ".join(islice(texts, 512)):
-        yield separator
-        yield piece
-        separator = ", "
+
+    def __init__(self, path: Path, header: bytes, length: int = 0):
+        self.path = path
+        self.header = header
+        self.length = length
+        self._fh = None
+
+    def append(self, record: dict) -> None:
+        line = json.dumps(record).encode("utf-8") + b"\n"
+        if self._fh is None:
+            if self.length:
+                self._fh = self.path.open("ab")
+                self._fh.truncate(self.length)
+            else:
+                self._fh = self.path.open("wb")
+                line = self.header + b"\n" + line
+        self._fh.write(line)
+        self._fh.flush()
+        os.fsync(self._fh.fileno())
+
+    def close(self) -> None:
+        if self._fh is not None:
+            self._fh.close()
+            self._fh = None
+
+
+def _continue_journal(path: Path, length: int) -> _Journal:
+    """The journal that extends the snapshot now at ``path``, keeping the
+    first ``length`` bytes of the one there if it still names that snapshot."""
+    header = _journal_header(path.read_bytes())
+    journal = journal_path(path)
+    if length:
+        try:
+            with journal.open("rb") as fh:
+                if fh.read(len(header) + 1) != header + b"\n":
+                    length = 0
+        except FileNotFoundError:
+            length = 0
+    return _Journal(journal, header, length)
 
 
 def checkpoint_config(checkpoint: dict) -> RunConfig:
@@ -466,86 +509,114 @@ class EvolutionRun:
         self._evaluated = False
         self._last_pool_size: int | None = None
         self._log_started = False
-        self._genotype_json: list[str] = []
-        self._log_json: list[str] = []
+        # What the checkpoint files hold: how many genotypes and log rows, and
+        # the keys the latest evaluation recorded, which the next commit saves.
+        self._saved_genotypes = 0
+        self._saved_log_rows = 0
+        self._evaluated_keys: list[str] = []
+        self._journal: _Journal | None = None
+        # (path, journal length) of the checkpoint a resumed run was loaded from.
+        self._loaded_from: tuple[Path, int] | None = None
 
     # -- persistence -----------------------------------------------------
 
-    def _checkpoint_head(self) -> dict:
-        """The checkpoint fields up to the population, all rewritten every generation."""
+    def _population_obj(self) -> list[dict]:
+        return [
+            {
+                "chromosomes": [list(ch) for ch in m.genotype.chromosomes],
+                "recorded_error": m.recorded_error,
+            }
+            for m in self.population
+        ]
+
+    def checkpoint_obj(self) -> dict:
+        """Snapshot between generations; resuming from it reproduces the run exactly."""
         return {
             "format": CHECKPOINT_FORMAT,
             "digest": self.config.digest(),
             "config": self.config.to_json_obj(),
             "generation": self.generation,
             "evaluated": self._evaluated,
-            "population": [
-                {
-                    "chromosomes": [list(ch) for ch in m.genotype.chromosomes],
-                    "recorded_error": m.recorded_error,
-                }
-                for m in self.population
-            ],
-        }
-
-    def checkpoint_obj(self) -> dict:
-        """Snapshot between generations; resuming from it reproduces the run exactly."""
-        return {
-            **self._checkpoint_head(),
+            "population": self._population_obj(),
             "ledger": self.ledger.to_json_obj(),
             "genotypes": [_genotype_obj(key, g) for key, g in self.genotypes_by_key.items()],
             "rng_state": _rng_state_to_json(self.rng.getstate()),
             "log": [row.to_json_obj() for row in self.log_rows],
         }
 
-    def _genotype_texts(self) -> list[str]:
-        """JSON text of each ``genotypes_by_key`` item; the dict only grows."""
-        texts = self._genotype_json
-        texts.extend(
-            json.dumps(_genotype_obj(key, g))
-            for key, g in islice(self.genotypes_by_key.items(), len(texts), None)
-        )
-        return texts
+    def _journal_record(self) -> dict:
+        """What changed since the previous commit, as one journal record.
 
-    def _log_texts(self) -> list[str]:
-        """JSON text of each ``log_rows`` row; the list only grows."""
-        texts = self._log_json
-        texts.extend(json.dumps(row.to_json_obj()) for row in self.log_rows[len(texts):])
-        return texts
-
-    def _checkpoint_text(self) -> Iterator[str]:
-        """``json.dumps(self.checkpoint_obj()) + "\\n"``, in pieces.
-
-        Ledger entries, genotypes and log rows come from text caches, so a
-        write serializes only what is new or changed since the previous one.
+        The ledger entries are those the latest evaluation recorded, in the
+        order it recorded them, so replaying appends new keys in ledger order.
         """
-        yield json.dumps(self._checkpoint_head())[:-1]  # its closing brace comes last
-        yield ', "ledger": ['
-        yield from _comma_separated(self.ledger.entry_texts())
-        yield '], "genotypes": ['
-        yield from _comma_separated(self._genotype_texts())
-        yield '], "rng_state": ' + json.dumps(_rng_state_to_json(self.rng.getstate()))
-        yield ', "log": ['
-        yield from _comma_separated(self._log_texts())
-        yield "]}\n"
+        entries = self.ledger.entries
+        return {
+            "generation": self.generation,
+            "evaluated": self._evaluated,
+            "population": self._population_obj(),
+            "rng_state": _rng_state_to_json(self.rng.getstate()),
+            "ledger": [
+                FitnessLedger._entry_obj(key, entries[key])
+                for key in dict.fromkeys(self._evaluated_keys)
+            ],
+            "genotypes": [
+                _genotype_obj(key, g)
+                for key, g in islice(self.genotypes_by_key.items(), self._saved_genotypes, None)
+            ],
+            "log": [row.to_json_obj() for row in self.log_rows[self._saved_log_rows:]],
+        }
 
-    def write_checkpoint(self) -> None:
-        """Replace the checkpoint file atomically with :meth:`checkpoint_obj` as JSON.
+    def _write_snapshot(self, path: Path) -> bytes:
+        """Replace the snapshot at ``path`` with :meth:`checkpoint_obj` as JSON
+        and remove the journal, which it makes stale; returns the bytes written.
 
-        The text is streamed into a temp file, which is fsynced before the
-        rename, so after a crash the file holds either the old checkpoint or
-        the new one.
+        The bytes go to a temp file, which is fsynced before the rename, so
+        after a crash the path holds either the old snapshot or the new one. A
+        journal that outlives a crash before its removal names the old
+        snapshot, so loading ignores it.
+        """
+        if self._journal is not None:
+            self._journal.close()
+            self._journal = None
+        data = (json.dumps(self.checkpoint_obj()) + "\n").encode("utf-8")
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = path.with_name(path.name + ".tmp")
+        with tmp.open("wb") as fh:
+            fh.write(data)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+        journal_path(path).unlink(missing_ok=True)
+        return data
+
+    def write_checkpoint(self, journal: bool = False) -> None:
+        """Commit the run's state to its checkpoint path.
+
+        With ``journal``, one record of what changed since the previous commit
+        is appended to the journal next to the snapshot, if the run has one:
+        the journal it started at its previous snapshot, or, for a run resumed
+        from this path, the one it was loaded with. Otherwise the snapshot is
+        replaced whole, and with ``journal`` a new journal starts on it.
+        :meth:`run` passes ``journal`` for every generation but a pause and the
+        last, and closes the journal when it returns or raises.
         """
         if not self.config.checkpoint_path:
             return
         path = Path(self.config.checkpoint_path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("w", encoding="utf-8") as fh:
-            fh.writelines(self._checkpoint_text())
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        if journal and self._journal is None and self._loaded_from is not None:
+            source, length = self._loaded_from
+            if source.resolve() == path.resolve():
+                self._journal = _continue_journal(path, length)
+        self._loaded_from = None
+        if journal and self._journal is not None:
+            self._journal.append(self._journal_record())
+        else:
+            data = self._write_snapshot(path)
+            if journal:
+                self._journal = _Journal(journal_path(path), _journal_header(data))
+        self._saved_genotypes = len(self.genotypes_by_key)
+        self._saved_log_rows = len(self.log_rows)
 
     @classmethod
     def resume(
@@ -593,6 +664,10 @@ class EvolutionRun:
             run.log_rows = [GenerationStats.from_json_obj(row) for row in checkpoint["log"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
+        run._saved_genotypes = len(run.genotypes_by_key)
+        run._saved_log_rows = len(run.log_rows)
+        if isinstance(checkpoint, CheckpointDocument):
+            run._loaded_from = (checkpoint.path, checkpoint.journal_length)
         return run
 
     # -- run log ----------------------------------------------------------
@@ -619,8 +694,8 @@ class EvolutionRun:
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w", encoding="utf-8") as fh:
             fh.write(self._config_log_line())
-            for text in self._log_texts():
-                fh.write(text + "\n")
+            for row in self.log_rows:
+                fh.write(json.dumps(row.to_json_obj()) + "\n")
         self._log_started = True
 
     def _append_log_row(self) -> None:
@@ -631,7 +706,7 @@ class EvolutionRun:
             self._start_log()
             return
         with Path(self.config.log_path).open("a", encoding="utf-8") as fh:
-            fh.write(self._log_texts()[-1] + "\n")
+            fh.write(json.dumps(self.log_rows[-1].to_json_obj()) + "\n")
 
     # -- the loop ----------------------------------------------------------
 
@@ -656,6 +731,7 @@ class EvolutionRun:
             self.ledger.record(key, aggregate_fitness(errors[i * n:(i + 1) * n]), self.generation)
         for member, key in zip(self.population, keys):
             member.recorded_error = self.ledger.worst(key)
+        self._evaluated_keys = keys
         self._evaluated = True
 
     def _collect_stats(self) -> GenerationStats:
@@ -677,12 +753,15 @@ class EvolutionRun:
             perfect=best == 0,
         )
 
-    def _step_evaluate(self, on_generation: OnGeneration | None, executor: Executor | None) -> None:
+    def _step_evaluate(
+        self, on_generation: OnGeneration | None, executor: Executor | None, stop: int | None
+    ) -> None:
         self._evaluate_population(executor)
         stats = self._collect_stats()
         self.log_rows.append(stats)
         self._append_log_row()
-        self.write_checkpoint()
+        # A pause and the end write the snapshot whole; generations between journal.
+        self.write_checkpoint(journal=not (self._terminal() or self._pausing(stop)))
         if on_generation is not None:
             on_generation(stats, self.population)
         log.info(
@@ -692,6 +771,9 @@ class EvolutionRun:
 
     def _terminal(self) -> bool:
         return self.log_rows[-1].perfect or self.generation >= self.config.generations
+
+    def _pausing(self, stop_after_generation: int | None) -> bool:
+        return stop_after_generation is not None and self.generation >= stop_after_generation
 
     @property
     def finished(self) -> bool:
@@ -725,15 +807,15 @@ class EvolutionRun:
             # One pool serves every generation; concurrency 1 (the oracle) stays serial.
             with ThreadPoolExecutor(concurrency) if concurrency > 1 else nullcontext() as executor:
                 if not self._evaluated:
-                    self._step_evaluate(on_generation, executor)
+                    self._step_evaluate(on_generation, executor, stop_after_generation)
                 while not self._terminal():
-                    if stop_after_generation is not None and self.generation >= stop_after_generation:
+                    if self._pausing(stop_after_generation):
                         return self._result(completed=False)
                     self.population, self._last_pool_size = next_generation(
                         self.population, self.schema, self.config, self.rng
                     )
                     self.generation += 1
-                    self._step_evaluate(on_generation, executor)
+                    self._step_evaluate(on_generation, executor, stop_after_generation)
             return self._result(completed=True)
         except BackendHardFailure as exc:
             path = self.config.checkpoint_path
@@ -742,6 +824,10 @@ class EvolutionRun:
             raise RunAborted(
                 f"evaluator hard failure at generation {self.generation}: {exc}", written
             ) from exc
+        finally:
+            if self._journal is not None:
+                self._journal.close()
+                self._journal = None
 
 
 def evolve(
@@ -757,10 +843,70 @@ def evolve(
     return run.run(on_generation=on_generation, stop_after_generation=stop_after_generation)
 
 
-def load_checkpoint_file(path: str | Path) -> dict:
+class CheckpointDocument(dict):
+    """A checkpoint document as :func:`load_checkpoint_file` read it.
+
+    ``path`` is the snapshot it was read from and ``journal_length`` the
+    bytes of the journal whose records were replayed onto it (0 for none),
+    so a run resumed from the same path continues that journal.
+    """
+
+    def __init__(self, doc: dict, path: Path, journal_length: int):
+        super().__init__(doc)
+        self.path = path
+        self.journal_length = journal_length
+
+
+def _replay_journal(doc: dict, snapshot: bytes, journal: bytes) -> int:
+    """Apply the journal's complete records to ``doc``; returns the bytes they
+    span with the header, or 0 if the journal names another snapshot.
+
+    A record is complete when its line ends in a newline and parses; the
+    first that does not ends the journal.
+    """
+    header, *lines = journal.split(b"\n")
+    records = []
+    for line in lines[:-1]:  # the last piece follows the last newline
+        try:
+            records.append(json.loads(line))
+        except ValueError:
+            break
+    if not records or header != _journal_header(snapshot):
+        return 0
+    ledger = doc["ledger"]
+    index = {row["key"]: i for i, row in enumerate(ledger)}
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        for record in records:
+            for row in record["ledger"]:
+                i = index.setdefault(row["key"], len(ledger))
+                if i == len(ledger):
+                    ledger.append(row)
+                else:
+                    ledger[i] = row
+            doc["genotypes"] += record["genotypes"]
+            doc["log"] += record["log"]
+            for name in ("generation", "evaluated", "population", "rng_state"):
+                doc[name] = record[name]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"corrupt checkpoint journal: {exc}") from None
+    return len(header) + 1 + sum(len(line) + 1 for line in lines[: len(records)])
+
+
+def load_checkpoint_file(path: str | Path) -> dict:
+    """The checkpoint at ``path``: its snapshot, with the complete records of
+    the journal next to it replayed if that journal names this snapshot."""
+    path = Path(path)
+    try:
+        snapshot = path.read_bytes()
+        doc = json.loads(snapshot)
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        return doc
+    try:
+        journal = journal_path(path).read_bytes()
+    except FileNotFoundError:
+        return CheckpointDocument(doc, path, 0)
+    return CheckpointDocument(doc, path, _replay_journal(doc, snapshot, journal))

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from clear_ga.cli import main
+from clear_ga.engine import EvolutionRun, journal_path, load_checkpoint_file
 
 from conftest import write_manifest
 
@@ -288,6 +289,49 @@ class TestResumeCommand:
         assert doc["generation"] == 3
 
         assert main(["resume", "--checkpoint", checkpoint]) == 0
+        assert not first.exists()
+        for name, content in reference.items():
+            assert (moved / name).read_bytes() == content
+
+    def test_resume_of_a_moved_directory_continues_its_journal(self, tmp_path, monkeypatch):
+        ws = make_workspace(tmp_path)
+        moved = tmp_path / "moved"
+        assert main(run_args(ws, moved)) == 0
+        names = ("run.log.jsonl", "checkpoint.json", "best.json")
+        reference = {name: (moved / name).read_bytes() for name in names}
+        shutil.rmtree(moved)
+
+        class Interrupt(Exception):
+            pass
+
+        write_checkpoint = EvolutionRun.write_checkpoint
+
+        def interrupt_after(generation):
+            def write_then_stop(run, *args, **kwargs):
+                write_checkpoint(run, *args, **kwargs)
+                if run.generation == generation:
+                    raise Interrupt
+
+            return write_then_stop
+
+        first = tmp_path / "first"
+        monkeypatch.setattr(EvolutionRun, "write_checkpoint", interrupt_after(2))
+        with pytest.raises(Interrupt):
+            main(run_args(ws, first))
+        first.rename(moved)
+        checkpoint = moved / "checkpoint.json"
+        snapshot, journal = checkpoint.read_bytes(), journal_path(checkpoint).read_bytes()
+
+        monkeypatch.setattr(EvolutionRun, "write_checkpoint", interrupt_after(4))
+        with pytest.raises(Interrupt):
+            main(["resume", "--checkpoint", str(checkpoint)])
+        assert not first.exists()
+        assert checkpoint.read_bytes() == snapshot
+        assert journal_path(checkpoint).read_bytes().startswith(journal)
+        assert load_checkpoint_file(checkpoint)["generation"] == 4
+
+        monkeypatch.setattr(EvolutionRun, "write_checkpoint", write_checkpoint)
+        assert main(["resume", "--checkpoint", str(checkpoint)]) == 0
         assert not first.exists()
         for name, content in reference.items():
             assert (moved / name).read_bytes() == content

@@ -14,6 +14,7 @@ from random import Random
 
 import pytest
 
+from clear_ga import engine
 from clear_ga.backends import (
     BackendHardFailure,
     EvaluationFailure,
@@ -34,6 +35,8 @@ from clear_ga.engine import (
     RunConfig,
     evaluate_genotype,
     evolve,
+    journal_path,
+    load_checkpoint_file,
     next_generation,
     select_parents,
 )
@@ -469,7 +472,8 @@ class WorseningEvaluator:
 
 
 class TestCheckpointWrites:
-    """The incrementally written checkpoint file equals the reference serialization."""
+    """The checkpoint on disk equals the reference serialization: loaded, after
+    every generation, and byte for byte at a pause and at the end."""
 
     def make_run(self, tmp_path, name, evaluator=None, **overrides):
         values = dict(
@@ -484,14 +488,17 @@ class TestCheckpointWrites:
         return EvolutionRun(make_config(**values), schema, evaluator, records), schema, records
 
     def checked_run(self, run, written: list[int], **kwargs):
-        """Run, asserting after every generation that the file holds ``checkpoint_obj``."""
+        """Run, asserting after every generation that the checkpoint loads as
+        ``checkpoint_obj``, and when the run returns that the file holds it."""
 
         def check(stats, population):
-            expected = json.dumps(run.checkpoint_obj()) + "\n"
-            assert Path(run.config.checkpoint_path).read_bytes() == expected.encode("utf-8")
+            assert load_checkpoint_file(run.config.checkpoint_path) == run.checkpoint_obj()
             written.append(stats.generation)
 
-        return run.run(on_generation=check, **kwargs)
+        result = run.run(on_generation=check, **kwargs)
+        expected = json.dumps(run.checkpoint_obj()) + "\n"
+        assert Path(run.config.checkpoint_path).read_bytes() == expected.encode("utf-8")
+        return result
 
     @pytest.mark.parametrize("mode", [Mode.FIXED, Mode.VARIABLE])
     @pytest.mark.parametrize("concurrency", [1, 3])
@@ -524,7 +531,7 @@ class TestCheckpointWrites:
         snapshots: list[tuple[list[str], dict[str, dict]]] = []
 
         def capture(stats, population):
-            doc = json.loads(Path(run.config.checkpoint_path).read_text(encoding="utf-8"))
+            doc = load_checkpoint_file(run.config.checkpoint_path)
             ranked = sorted(population, key=lambda m: m.recorded_error)
             elites = [canonical_key(m.genotype) for m in ranked[: run.config.elites]]
             snapshots.append((elites, {row["key"]: row for row in doc["ledger"]}))
@@ -553,6 +560,100 @@ class TestCheckpointWrites:
         shuffled = Genotype((("c0_2", "c0_0"), (), ("c2_1",)))
         rebuilt = Genotype(tuple(tuple(ch) for ch in json.loads(json.dumps(shuffled.chromosomes))))
         assert canonical_key(rebuilt) == canonical_key(shuffled) == '[["c0_0","c0_2"],[],["c2_1"]]'
+
+
+class Interrupt(Exception):
+    """Stops a run from ``on_generation``, as a crash right after a commit would."""
+
+
+def interrupt_at(generation: int):
+    def on_generation(stats, population):
+        if stats.generation == generation:
+            raise Interrupt
+
+    return on_generation
+
+
+class TestJournal:
+    """Generations between a run's first commit and its last go to the journal."""
+
+    make_run = TestCheckpointWrites.make_run
+
+    def test_torn_last_line_is_ignored_then_cut_off(self, tmp_path):
+        full, _, _ = self.make_run(tmp_path, "full")
+        full.run()
+        run, schema, records = self.make_run(tmp_path, "part")
+        path = Path(run.config.checkpoint_path)
+        with pytest.raises(Interrupt):
+            run.run(on_generation=interrupt_at(3))
+        snapshot, intact = path.read_bytes(), journal_path(path).read_bytes()
+        assert json.loads(snapshot)["generation"] == 0
+        assert intact.count(b"\n") == 4  # the header and generations 1 to 3
+        last = intact.splitlines()[-1]
+        journal_path(path).write_bytes(intact + last[: len(last) // 2])
+
+        doc = load_checkpoint_file(path)
+        assert doc == run.checkpoint_obj()
+        resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
+        with pytest.raises(Interrupt):
+            resumed.run(on_generation=interrupt_at(5))
+        # The resumed run appended to the journal it was loaded with, torn line cut off.
+        assert path.read_bytes() == snapshot
+        journal = journal_path(path).read_bytes()
+        assert journal.startswith(intact) and journal.count(b"\n") == 6
+        assert all(json.loads(line) for line in journal.splitlines())
+        assert load_checkpoint_file(path) == resumed.checkpoint_obj()
+
+        EvolutionRun.resume(load_checkpoint_file(path), schema, run.evaluator, records).run()
+        assert not journal_path(path).exists()
+        uninterrupted = Path(full.config.checkpoint_path).read_text(encoding="utf-8")
+        assert path.read_text(encoding="utf-8").replace("part", "full") == uninterrupted
+
+    def test_journal_of_another_snapshot_is_ignored(self, tmp_path):
+        old, schema, records = self.make_run(tmp_path, "run", seed=5)
+        path = Path(old.config.checkpoint_path)
+        with pytest.raises(Interrupt):
+            old.run(on_generation=interrupt_at(3))
+        stale = journal_path(path).read_bytes()
+
+        # A fresh run into the same directory; its snapshot removes the old journal.
+        run, _, _ = self.make_run(tmp_path, "run")
+        assert not run.run(stop_after_generation=2).completed
+        assert not journal_path(path).exists()
+        # As if that removal had not survived a crash.
+        journal_path(path).write_bytes(stale)
+        doc = load_checkpoint_file(path)
+        assert doc == run.checkpoint_obj()
+
+        resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
+        with pytest.raises(Interrupt):
+            resumed.run(on_generation=interrupt_at(4))
+        assert load_checkpoint_file(path) == resumed.checkpoint_obj()
+        assert journal_path(path).read_bytes().split(b"\n")[0] != stale.split(b"\n")[0]
+
+    def test_journal_closed_when_run_returns_pauses_or_raises(self, tmp_path, monkeypatch):
+        opened = []
+
+        class RecordingPath(type(Path())):
+            def open(self, *args, **kwargs):
+                fh = super().open(*args, **kwargs)
+                opened.append(fh)
+                return fh
+
+        monkeypatch.setattr(engine, "Path", RecordingPath)
+        for name, kwargs in [
+            ("returns", {}),
+            ("pauses", {"stop_after_generation": 4}),
+            ("raises", {"on_generation": interrupt_at(4)}),
+        ]:
+            run, _, _ = self.make_run(tmp_path, name)
+            try:
+                run.run(**kwargs)
+            except Interrupt:
+                pass
+            journals = [fh for fh in opened if fh.name.endswith(".journal")]
+            assert journals and all(fh.closed for fh in opened), name
+            opened.clear()
 
 
 class TestRunLog:
