@@ -445,7 +445,8 @@ def _continue_journal(path: Path, length: int) -> _Journal:
     if length:
         try:
             with journal.open("rb") as fh:
-                if fh.read(len(header) + 1) != header + b"\n":
+                named = fh.read(len(header) + 1) == header + b"\n"
+                if not named or os.fstat(fh.fileno()).st_size < length:
                     length = 0
         except FileNotFoundError:
             length = 0
