@@ -548,11 +548,14 @@ class EvolutionRun:
     def _journal_record(self) -> dict:
         """What changed since the previous commit, as one journal record.
 
-        The ledger entries are those the latest evaluation recorded, in the
-        order it recorded them, so replaying appends new keys in ledger order.
+        The config is included because a resumed run may write to other paths
+        or at another concurrency than its snapshot names. The ledger entries
+        are those the latest evaluation recorded, in the order it recorded
+        them, so replaying appends new keys in ledger order.
         """
         entries = self.ledger.entries
         return {
+            "config": self.config.to_json_obj(),
             "generation": self.generation,
             "evaluated": self._evaluated,
             "population": self._population_obj(),
@@ -886,7 +889,7 @@ def _replay_journal(doc: dict, snapshot: bytes, journal: bytes) -> int:
                     ledger[i] = row
             doc["genotypes"] += record["genotypes"]
             doc["log"] += record["log"]
-            for name in ("generation", "evaluated", "population", "rng_state"):
+            for name in ("config", "generation", "evaluated", "population", "rng_state"):
                 doc[name] = record[name]
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"corrupt checkpoint journal: {exc}") from None

@@ -328,7 +328,8 @@ class TestResumeCommand:
         assert not first.exists()
         assert checkpoint.read_bytes() == snapshot
         assert journal_path(checkpoint).read_bytes().startswith(journal)
-        assert load_checkpoint_file(checkpoint)["generation"] == 4
+        doc = load_checkpoint_file(checkpoint)
+        assert doc["generation"] == 4 and doc["config"]["checkpoint_path"] == str(checkpoint)
 
         monkeypatch.setattr(EvolutionRun, "write_checkpoint", write_checkpoint)
         assert main(["resume", "--checkpoint", str(checkpoint)]) == 0
