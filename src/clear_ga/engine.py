@@ -877,9 +877,9 @@ def _replay_journal(doc: dict, snapshot: bytes, journal: bytes) -> int:
             break
     if not records or header != _journal_header(snapshot):
         return 0
-    ledger = doc["ledger"]
-    index = {row["key"]: i for i, row in enumerate(ledger)}
     try:
+        ledger = doc["ledger"]
+        index = {row["key"]: i for i, row in enumerate(ledger)}
         for record in records:
             for row in record["ledger"]:
                 i = index.setdefault(row["key"], len(ledger))
