@@ -22,8 +22,6 @@ import time
 from pathlib import Path
 from typing import Callable, Protocol, Sequence
 
-import requests
-
 from ..fitness import DataEstimate
 from ..items import ITEMS, build_evaluation_prompt, parse_estimate
 from ..parsing import ParseError, extract_delimited
@@ -92,6 +90,9 @@ class HttpTransport:
             self._last_request = time.monotonic()
 
     def send(self, prompt: str, images: Sequence[Path]) -> str:
+        # Imported on first use: it costs more start-up time than the rest of the package.
+        import requests
+
         self._throttle()
         content: list[dict] = [{"type": "text", "text": prompt}]
         content.extend(_encode_image(Path(p)) for p in images)

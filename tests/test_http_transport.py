@@ -4,8 +4,12 @@ from __future__ import annotations
 
 import base64
 import json
+import os
+import subprocess
+import sys
 import threading
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -44,6 +48,56 @@ def server():
     httpd.shutdown()
     httpd.server_close()
     thread.join(timeout=5)
+
+
+# Imports the package, reports whether the HTTP stack came with it, then makes
+# eight first sends at once from a pool, each answered with its own prompt.
+FRESH_PROCESS = """
+import sys
+import clear_ga, clear_ga.cli
+print(sorted(name for name in ("requests", "urllib3") if name in sys.modules))
+
+import json, threading
+from concurrent.futures import ThreadPoolExecutor
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from clear_ga.backends.llm import HttpTransport
+
+class Echo(BaseHTTPRequestHandler):
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        text = request["messages"][0]["content"][0]["text"]
+        data = json.dumps({"choices": [{"message": {"content": text}}]}).encode()
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+with ThreadingHTTPServer(("127.0.0.1", 0), Echo) as httpd:
+    threading.Thread(target=httpd.serve_forever, daemon=True).start()
+    transport = HttpTransport(f"http://127.0.0.1:{httpd.server_address[1]}", "k", timeout=30)
+    start = threading.Barrier(8)
+
+    def first_send(i):
+        start.wait()
+        return transport.send(str(i), [])
+
+    with ThreadPoolExecutor(8) as pool:
+        print(list(pool.map(first_send, range(8))))
+    httpd.shutdown()
+"""
+
+
+def test_http_stack_loads_on_first_send_only():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", FRESH_PROCESS], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["[]", str([str(i) for i in range(8)])]
 
 
 def completion(text: str) -> dict:
