@@ -1,24 +1,30 @@
 """Crash injection: a checkpointed run survives a crash at any file operation.
 
 ``DurabilityModel`` stands between the engine and the disk and keeps, for
-each file the engine writes, the content a crash would leave:
+each file the engine writes and for each name in a directory, the state a
+crash would leave:
 
 - written data becomes durable only when its file is fsynced;
 - opening a file for writing empties its durable content at once, and a
   truncation shortens it at once;
-- a rename moves only what its source had made durable, so renaming a file
-  that was never fsynced can leave an empty file in its place;
-- an unlink is durable at once.
+- a directory entry changes durably only when its directory is fsynced:
+  until then a crash undoes every file created, renamed or removed in that
+  directory since its last fsync, so a renamed file reverts to the name and
+  the durable content it had, and a new file vanishes;
+- the durable content of a file follows it through a rename, so renaming a
+  file that was never fsynced can leave an empty file in its place.
 
 These are the weakest orderings common POSIX file systems promise (Pillai et
-al., "All File Systems Are Not Created Equal", OSDI 2014). The model counts
-the engine's file operations inside a span of the run and crashes at the
-k-th one: it raises :class:`Crash` and resets every file it tracks to its
-durable content. The run then resumes from what survived, and must end with
-the same run-log generation rows and checkpoint bytes as an uninterrupted
-run. Every k is tried, across three spans: generations committed after a
-fresh start, the commit of a pause, and generations committed by a run that
-resumed after a crash.
+al., "All File Systems Are Not Created Equal", OSDI 2014), except that the
+changes to a directory since its last fsync are lost together, not one by
+one. Each run starts in an empty directory, so the model sees every file
+from its creation. It counts the engine's file operations inside a span of
+the run and crashes at the k-th one: it raises :class:`Crash` and resets
+every file it tracks to its durable state. The run then resumes from what
+survived, and must end with the same run-log generation rows and checkpoint
+bytes as an uninterrupted run. Every k is tried, across three spans:
+generations committed after a fresh start, the commit of a pause, and
+generations committed by a run that resumed after a crash.
 """
 
 from __future__ import annotations
@@ -46,8 +52,12 @@ class Crash(BaseException):
 
 class DurabilityModel:
     def __init__(self) -> None:
-        self.durable: dict[Path, bytes | None] = {}  # None: the file does not exist
-        self.paths_by_fd: dict[int, Path] = {}
+        # A file is a number; its durable content outlives the names it had.
+        self.content: dict[int, bytes] = {}
+        self.names: dict[Path, int] = {}  # the directory entries now
+        self.durable_names: dict[Path, int | None] = {}  # None: no such entry
+        self.files_by_fd: dict[int, int] = {}
+        self.directories_by_fd: dict[int, Path] = {}
         self.crash_at: int | None = None
         self.operations = 0
 
@@ -66,42 +76,61 @@ class DurabilityModel:
             raise Crash(f"crash at operation {self.operations}")
 
     def opened(self, path: Path, mode: str, fh) -> None:
-        if "w" in mode or "x" in mode:
-            self.durable[path] = b""
-        elif self.durable.get(path) is None:
-            self.durable[path] = b""
-        self.paths_by_fd[fh.fileno()] = path
+        if path not in self.names:
+            self.names[path] = len(self.content)
+            self.content[self.names[path]] = b""
+        elif "w" in mode:
+            self.content[self.names[path]] = b""
+        self.files_by_fd[fh.fileno()] = self.names[path]
+
+    def open(self, path, flags, *args, **kwargs) -> int:
+        directory = Path(path).absolute()
+        assert directory.is_dir(), "files are modelled through Path.open, not os.open"
+        fd = os.open(path, flags, *args, **kwargs)
+        self.directories_by_fd[fd] = directory
+        return fd
+
+    def close(self, fd: int) -> None:
+        self.directories_by_fd.pop(fd, None)
+        self.files_by_fd.pop(fd, None)
+        os.close(fd)
 
     def fsync(self, fd: int) -> None:
         self.operation()
-        path = self.paths_by_fd.get(fd)
-        if path is not None:
-            with io.open(path, "rb") as fh:
-                self.durable[path] = fh.read()
+        if fd in self.directories_by_fd:
+            directory = self.directories_by_fd[fd]
+            for path in set(self.names) | set(self.durable_names):
+                if path.parent == directory:
+                    self.durable_names[path] = self.names.get(path)
+        elif fd in self.files_by_fd:
+            file = self.files_by_fd[fd]
+            path = next(path for path, named in self.names.items() if named == file)
+            self.content[file] = path.read_bytes()
 
     def truncated(self, path: Path, size: int) -> None:
-        if self.durable.get(path) is not None:
-            self.durable[path] = self.durable[path][:size]
+        file = self.names[path]
+        self.content[file] = self.content[file][:size]
 
     def replace(self, src, dst) -> None:
         self.operation()
         os.replace(src, dst)
-        src, dst = Path(src).absolute(), Path(dst).absolute()
-        self.durable[dst] = self.durable.get(src) or b""
-        self.durable[src] = None
+        self.names[Path(dst).absolute()] = self.names.pop(Path(src).absolute())
 
     def unlinked(self, path: Path) -> None:
-        self.durable[path] = None
+        self.names.pop(path, None)
 
     def restore(self) -> None:
         """Leave every tracked file as the crash would."""
-        for path, content in self.durable.items():
-            if content is None:
+        for path in set(self.names) | set(self.durable_names):
+            file = self.durable_names.get(path)
+            if file is None:
                 path.unlink(missing_ok=True)
             else:
                 with io.open(path, "wb") as fh:
-                    fh.write(content)
-        self.paths_by_fd.clear()
+                    fh.write(self.content[file])
+        self.names = {path: file for path, file in self.durable_names.items() if file is not None}
+        self.files_by_fd.clear()
+        self.directories_by_fd.clear()
 
 
 class ModelFile:
@@ -135,7 +164,8 @@ class ModelFile:
 
 
 def install(monkeypatch, model: DurabilityModel) -> None:
-    """Route the engine's file writes, ``os.fsync`` and ``os.replace`` through ``model``."""
+    """Route the engine's file writes and its ``os.open``, ``os.close``,
+    ``os.fsync`` and ``os.replace`` calls through ``model``."""
 
     class ModelPath(type(Path())):
         def open(self, mode="r", *args, **kwargs):
@@ -153,6 +183,8 @@ def install(monkeypatch, model: DurabilityModel) -> None:
             model.unlinked(self.absolute())
 
     class ModelOs:
+        open = staticmethod(model.open)
+        close = staticmethod(model.close)
         fsync = staticmethod(model.fsync)
         replace = staticmethod(model.replace)
 
