@@ -403,6 +403,16 @@ def _journal_header(snapshot: bytes) -> bytes:
     return json.dumps({"format": JOURNAL_FORMAT, "base": base}).encode("utf-8")
 
 
+def _fsync_directory(path: Path) -> None:
+    """Make the entries of the directory holding ``path`` durable, so a file
+    created, renamed or removed there stays so after a crash."""
+    fd = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 class _Journal:
     """The journal next to a snapshot, open for one appended record per commit.
 
@@ -420,6 +430,7 @@ class _Journal:
 
     def append(self, record: dict) -> None:
         line = json.dumps(record).encode("utf-8") + b"\n"
+        created = False
         if self._fh is None:
             if self.length:
                 self._fh = self.path.open("ab")
@@ -427,9 +438,12 @@ class _Journal:
             else:
                 self._fh = self.path.open("wb")
                 line = self.header + b"\n" + line
+                created = True
         self._fh.write(line)
         self._fh.flush()
         os.fsync(self._fh.fileno())
+        if created:
+            _fsync_directory(self.path)
 
     def close(self) -> None:
         if self._fh is not None:
@@ -592,6 +606,7 @@ class EvolutionRun:
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         journal_path(path).unlink(missing_ok=True)
+        _fsync_directory(path)
         return data
 
     def write_checkpoint(self, journal: bool = False) -> None:
