@@ -16,7 +16,8 @@ building order, so results are identical at any evaluation concurrency.
 A checkpoint is a snapshot plus a journal (the snapshot-and-log design of
 Mohan et al., "ARIES", TODS 1992). The snapshot, ``checkpoint.json``, is the
 whole run state as one JSON document; it is written to a temp file, fsynced
-and renamed into place at a run's first commit, at a pause and at the end.
+and renamed into place, and its directory fsynced, at a run's first commit,
+at a pause and at the end.
 Each generation in between appends one fsynced line to the journal next to
 it, ``checkpoint.json.journal``, holding only what changed, so a commit costs
 one small append instead of a rewrite that grows with the ledger. The
@@ -419,7 +420,8 @@ class _Journal:
     A new journal starts with its header line. An existing one is cut back to
     ``length``, the bytes of its records that a load replayed, so a torn
     last line goes before the next record is appended. Each record is
-    written whole and fsynced before :meth:`append` returns.
+    written whole and fsynced before :meth:`append` returns, and so is the
+    directory entry of a journal the first record created.
     """
 
     def __init__(self, path: Path, header: bytes, length: int = 0):
@@ -590,9 +592,10 @@ class EvolutionRun:
         and remove the journal, which it makes stale; returns the bytes written.
 
         The bytes go to a temp file, which is fsynced before the rename, so
-        after a crash the path holds either the old snapshot or the new one. A
-        journal that outlives a crash before its removal names the old
-        snapshot, so loading ignores it.
+        after a crash the path holds either the old snapshot or the new one;
+        the directory is fsynced after the rename and the removal, so neither
+        is undone once this returns. A journal that outlives a crash before
+        its removal names the old snapshot, so loading ignores it.
         """
         if self._journal is not None:
             self._journal.close()
