@@ -81,7 +81,7 @@ with ThreadingHTTPServer(("127.0.0.1", 0), Echo) as httpd:
     start = threading.Barrier(8)
 
     def first_send(i):
-        start.wait()
+        start.wait(timeout=30)
         return transport.send(str(i), [])
 
     with ThreadPoolExecutor(8) as pool:
