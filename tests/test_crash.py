@@ -92,7 +92,6 @@ class DurabilityModel:
 
     def close(self, fd: int) -> None:
         self.directories_by_fd.pop(fd, None)
-        self.files_by_fd.pop(fd, None)
         os.close(fd)
 
     def fsync(self, fd: int) -> None:
