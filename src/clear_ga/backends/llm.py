@@ -20,7 +20,7 @@ import os
 import threading
 import time
 from pathlib import Path
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Protocol, Sequence, TypeVar
 
 from ..fitness import DataEstimate
 from ..items import ITEMS, build_evaluation_prompt, parse_estimate
@@ -33,10 +33,11 @@ log = logging.getLogger(__name__)
 DEFAULT_ENDPOINT = "https://api.openai.com/v1"
 API_KEY_ENV = "CLEAR_LLM_API_KEY"
 ENDPOINT_ENV = "CLEAR_LLM_ENDPOINT"
+T = TypeVar("T")
 
 
 class TransportError(RuntimeError):
-    """Transient transport problem; the evaluator retries it."""
+    """Transient transport problem; :func:`send_parsed` retries it."""
 
 
 class AuthenticationError(RuntimeError):
@@ -45,6 +46,23 @@ class AuthenticationError(RuntimeError):
 
 class Transport(Protocol):
     def send(self, prompt: str, images: Sequence[Path]) -> str: ...
+
+
+def send_parsed(
+    transport: Transport, prompt: str, images: Sequence[Path], parse: Callable[[str], T],
+    retry_limit: int,
+) -> T:
+    """Return ``parse`` of the answer to ``prompt``. A ``TransportError`` or a
+    ``ParseError`` resends the whole prompt, up to ``retry_limit + 1`` sends in
+    all, then re-raises; an ``AuthenticationError`` is never retried."""
+    if retry_limit < 0:
+        raise ValueError("retry_limit must be >= 0")
+    for attempt in range(retry_limit):
+        try:
+            return parse(transport.send(prompt, images))
+        except (TransportError, ParseError) as exc:
+            log.debug("attempt %d/%d failed: %s", attempt + 1, retry_limit + 1, exc)
+    return parse(transport.send(prompt, images))
 
 
 def _encode_image(path: Path) -> dict:
@@ -162,27 +180,19 @@ class LlmEvaluator:
         cue_list = render_cue_list(request.genotype)
         prompt = build_evaluation_prompt(item, request.building.region, cue_list)
         images = request.building.image_sets.get(ITEMS[item].image_subset, ())
-        last_error: Exception | None = None
-        for attempt in range(self.retry_limit + 1):
-            try:
-                text = self.transport.send(prompt, images)
-                payload = extract_delimited(text)
-                return parse_estimate(item, payload, self.current_year)
-            except AuthenticationError as exc:
-                raise BackendHardFailure(str(exc)) from exc
-            except (TransportError, ParseError) as exc:
-                last_error = exc
-                log.debug(
-                    "attempt %d/%d failed for building %s: %s",
-                    attempt + 1,
-                    self.retry_limit + 1,
-                    request.building.id,
-                    exc,
-                )
-        raise EvaluationFailure(
-            f"no usable answer for building {request.building.id!r} "
-            f"after {self.retry_limit + 1} attempts: {last_error}"
-        )
+        try:
+            return send_parsed(
+                self.transport, prompt, images,
+                lambda text: parse_estimate(item, extract_delimited(text), self.current_year),
+                self.retry_limit,
+            )
+        except AuthenticationError as exc:
+            raise BackendHardFailure(str(exc)) from exc
+        except (TransportError, ParseError) as exc:
+            raise EvaluationFailure(
+                f"no usable answer for building {request.building.id!r} "
+                f"after {self.retry_limit + 1} attempts: {exc}"
+            ) from exc
 
     def describe(self) -> dict:
         base = {"backend": "llm", "retry_limit": self.retry_limit}

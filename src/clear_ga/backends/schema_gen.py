@@ -4,7 +4,8 @@ Pipeline: group the training set by the data item's value (via the LLM for
 building age, via fixed value bands otherwise), pick one representative
 building per group, ask the estimator to list candidate visual features for
 each representative, then have it deduplicate, cluster, and format the pool
-into categories of cues.
+into categories of cues. Every step goes through :func:`send_parsed` with
+its own parser, so each sends at most ``retry_limit + 1`` prompts.
 """
 
 from __future__ import annotations
@@ -13,10 +14,11 @@ import ast
 import logging
 import re
 from random import Random
-from typing import Sequence
+from typing import Callable, Sequence, TypeVar
 
 from ..dataset import BuildingRecord
 from ..items import ITEMS
+from ..parsing import ParseError
 from ..prompts import (
     AGE_CLUSTERING_TEMPLATE,
     DEDUP_CLUSTER_TEMPLATE,
@@ -24,12 +26,13 @@ from ..prompts import (
     FORMATTING_TEMPLATE,
 )
 from ..schema import CueCategory, CueSchema, DataItem, SchemaError
-from .llm import Transport, TransportError
+from .llm import Transport, TransportError, send_parsed
 
 log = logging.getLogger(__name__)
 
 REPRESENTATIVE_GROUPS = 3
 DEFAULT_CLUSTER_TARGET = 8
+T = TypeVar("T")
 
 
 class SchemaGenerationError(RuntimeError):
@@ -40,30 +43,50 @@ class SchemaGenerationError(RuntimeError):
         self.raw_response = raw_response
 
 
-def _send_with_retries(transport: Transport, prompt: str, images: Sequence, retry_limit: int) -> str:
-    last: Exception | None = None
-    for _ in range(retry_limit + 1):
-        try:
-            return transport.send(prompt, images)
-        except TransportError as exc:
-            last = exc
-    raise SchemaGenerationError(f"transport failed after {retry_limit + 1} attempts: {last}")
+def _ask(
+    transport: Transport, prompt: str, images: Sequence, parse: Callable[[str], T],
+    retry_limit: int, unusable: str = "",
+) -> T:
+    """One pipeline step through :func:`send_parsed`. Its failure becomes a
+    ``SchemaGenerationError`` carrying the last answer received, if any."""
+    answers: list[str] = []
+
+    def keep(text: str) -> T:
+        answers.append(text)
+        return parse(text)
+
+    try:
+        return send_parsed(transport, prompt, images, keep, retry_limit)
+    except TransportError as exc:
+        message = f"transport failed after {retry_limit + 1} attempts: {exc}"
+    except ParseError:
+        message = unusable
+    raise SchemaGenerationError(message, answers[-1] if answers else None)
 
 
-def _extract_array_literal(text: str) -> object:
-    """Pull the first balanced [...] block out of free text and parse it."""
+def _parse_groups(text: str) -> list[list]:
+    """The non-empty arrays inside the first balanced [...] block of free text."""
     start = text.find("[")
     if start < 0:
-        raise ValueError("no array literal found")
+        raise ParseError("no array literal found")
     depth = 0
-    for i in range(start, len(text)):
-        if text[i] == "[":
+    for end in range(start, len(text)):
+        if text[end] == "[":
             depth += 1
-        elif text[i] == "]":
+        elif text[end] == "]":
             depth -= 1
             if depth == 0:
-                return ast.literal_eval(text[start : i + 1])
-    raise ValueError("unbalanced array literal")
+                break
+    else:
+        raise ParseError("unbalanced array literal")
+    try:
+        literal = ast.literal_eval(text[start : end + 1])
+    except (ValueError, SyntaxError, TypeError) as exc:
+        raise ParseError(f"unreadable array literal: {exc}") from None
+    groups = [list(group) for group in literal if isinstance(group, (list, tuple)) and group]
+    if not groups:
+        raise ParseError("no non-empty arrays")
+    return groups
 
 
 _BULLET = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s*")
@@ -71,44 +94,30 @@ _BULLET = re.compile(r"^\s*(?:[-*•]|\d+[.)])\s*")
 
 def _parse_feature_list(text: str) -> list[str]:
     """Read one feature per line, tolerating bullets, numbering, and quotes."""
-    features = []
-    for line in text.splitlines():
-        cleaned = _BULLET.sub("", line).strip().strip('"').strip("'").strip()
-        if not cleaned or cleaned.endswith(":"):
-            continue
-        features.append(cleaned)
+    cleaned = (_BULLET.sub("", s).strip().strip('"').strip("'").strip() for s in text.splitlines())
+    features = [feature for feature in cleaned if feature and not feature.endswith(":")]
+    if not features:
+        raise ParseError("no features listed")
     return features
-
-
-def _age_rows(training: list[BuildingRecord]) -> str:
-    rows = []
-    for record in training:
-        age = record.truth.age
-        rows.append(f"{record.id}, {age.start}" if age.is_exact else f"{record.id}, {age.start}-{age.end}")
-    return "\n".join(rows)
 
 
 def _age_groups(
     training: list[BuildingRecord], transport: Transport, retry_limit: int
 ) -> list[list[BuildingRecord]]:
-    prompt = AGE_CLUSTERING_TEMPLATE.format(rows=_age_rows(training))
     by_id = {record.id: record for record in training}
-    raw = ""
-    for _ in range(retry_limit + 1):
-        raw = _send_with_retries(transport, prompt, (), retry_limit)
-        try:
-            arrays = _extract_array_literal(raw)
-            groups = [
-                [by_id[str(i)] for i in era if str(i) in by_id]
-                for era in arrays
-                if isinstance(era, (list, tuple))
-            ]
-            groups = [g for g in groups if g]
-            if groups:
-                return groups
-        except (ValueError, SyntaxError) as exc:
-            log.debug("era grouping response unusable: %s", exc)
-    raise SchemaGenerationError("could not parse era grouping response", raw_response=raw)
+    rows = "\n".join(
+        f"{r.id}, {r.truth.age.start}" + ("" if r.truth.age.is_exact else f"-{r.truth.age.end}")
+        for r in training
+    )
+
+    def parse(text: str) -> list[list[BuildingRecord]]:
+        groups = [[by_id[str(i)] for i in era if str(i) in by_id] for era in _parse_groups(text)]
+        if not any(groups):
+            raise ParseError("no era names a training building")
+        return [g for g in groups if g]
+
+    prompt = AGE_CLUSTERING_TEMPLATE.format(rows=rows)
+    return _ask(transport, prompt, (), parse, retry_limit, "could not parse era grouping response")
 
 
 def _pick_representatives(
@@ -179,41 +188,25 @@ def generate_schema(
     )
     features: list[str] = []
     for rep in representatives:
-        images = rep.image_sets[spec.image_subset]
-        text = _send_with_retries(transport, extraction_prompt, images, retry_limit)
-        found = _parse_feature_list(text)
-        if not found:
-            raise SchemaGenerationError(
-                f"no features parsed from response for building {rep.id!r}", raw_response=text
-            )
-        features.extend(found)
+        features.extend(_ask(
+            transport, extraction_prompt, rep.image_sets[spec.image_subset],
+            _parse_feature_list, retry_limit,
+            f"no features parsed from response for building {rep.id!r}",
+        ))
     log.info("collected %d raw features", len(features))
 
     cluster_prompt = DEDUP_CLUSTER_TEMPLATE.format(
         raw_feature_list=", ".join(features), cluster_target=cluster_target
     )
-    cluster_text = _send_with_retries(transport, cluster_prompt, (), retry_limit)
+    cluster_text = _ask(transport, cluster_prompt, (), str, retry_limit)
 
     formatting_prompt = FORMATTING_TEMPLATE.format(categories=cluster_text)
-    formatted = ""
-    arrays: list[list[str]] | None = None
-    for _ in range(retry_limit + 1):
-        formatted = _send_with_retries(transport, formatting_prompt, (), retry_limit)
-        try:
-            candidate = _extract_array_literal(formatted)
-            if isinstance(candidate, (list, tuple)) and candidate:
-                arrays = [
-                    [str(cue) for cue in group]
-                    for group in candidate
-                    if isinstance(group, (list, tuple)) and group
-                ]
-                if arrays:
-                    break
-        except (ValueError, SyntaxError) as exc:
-            log.debug("formatting response unusable: %s", exc)
-        arrays = None
-    if not arrays:
-        raise SchemaGenerationError("could not parse formatted cue arrays", raw_response=formatted)
+    # The answer itself is kept too, for an error raised after parsing.
+    formatted, arrays = _ask(
+        transport, formatting_prompt, (),
+        lambda text: (text, [[str(cue) for cue in group] for group in _parse_groups(text)]),
+        retry_limit, "could not parse formatted cue arrays",
+    )
 
     names = _cluster_names(cluster_text, len(arrays))
     categories = []
@@ -222,13 +215,9 @@ def generate_schema(
         if name in used_names:
             name = f"{name}_{len(used_names) + 1}"
         used_names.add(name)
-        deduped: list[str] = []
-        for cue in cues:
-            cleaned = cue.strip()
-            if cleaned and cleaned not in deduped:
-                deduped.append(cleaned)
+        deduped = tuple(dict.fromkeys(cue.strip() for cue in cues if cue.strip()))
         if deduped:
-            categories.append(CueCategory(name=name, cues=tuple(deduped)))
+            categories.append(CueCategory(name=name, cues=deduped))
     try:
         schema = CueSchema(data_item=item, region=region, categories=tuple(categories))
     except SchemaError as exc:

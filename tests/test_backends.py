@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterator
 from random import Random
 
 import pytest
@@ -334,6 +335,25 @@ class TestLlmEvaluator:
         assert estimate.start == 120
         assert len(attempts) == 2
 
+    @pytest.mark.parametrize("retry_limit, sends", [(2, 3), (1, 2)])
+    def test_transport_and_parse_failures_share_one_budget(self, retry_limit, sends):
+        answers = iter([TransportError("connection reset"), "no fences here", "### 120 ###"])
+
+        def scripted(prompt, images):
+            answer = next(answers)
+            if isinstance(answer, Exception):
+                raise answer
+            return answer
+
+        transport = FunctionTransport(scripted)
+        evaluator = LlmEvaluator(transport, retry_limit=retry_limit)
+        if retry_limit == 2:
+            assert evaluator.evaluate(request(OPTIMUM)).start == 120
+        else:
+            with pytest.raises(EvaluationFailure, match="after 2 attempts: no"):
+                evaluator.evaluate(request(OPTIMUM))
+        assert len(transport.calls) == sends
+
     def test_auth_failure_aborts_immediately(self):
         def rejected(prompt, images):
             raise AuthenticationError("bad key")
@@ -346,7 +366,11 @@ class TestLlmEvaluator:
 
 
 class ScriptedTransport:
-    """Replays canned responses keyed by recognizable prompt fragments."""
+    """Replays canned responses keyed by recognizable prompt fragments.
+
+    A response may be an iterator, whose items are answered in turn; an
+    exception among them is raised instead of answered.
+    """
 
     def __init__(self, script):
         self.script = script
@@ -356,8 +380,15 @@ class ScriptedTransport:
         self.calls.append((prompt, tuple(images)))
         for fragment, response in self.script:
             if fragment in prompt:
+                if isinstance(response, Iterator):
+                    response = next(response)
+                if isinstance(response, Exception):
+                    raise response
                 return response
         raise AssertionError(f"no scripted response for prompt: {prompt[:80]}...")
+
+    def sends(self, fragment):
+        return sum(fragment in prompt for prompt, _ in self.calls)
 
 
 FEATURES = "\n".join(f"{i + 1}. feature {i + 1}" for i in range(10))
@@ -475,3 +506,91 @@ class TestGenerateSchema:
         )
         schema = generate_schema(self.records(), DataItem.WINDOWS, transport, Random(0))
         assert [c.name for c in schema.categories] == ["category_1", "category_2"]
+
+    def age_records(self):
+        return [
+            build_record("b1", age=YearRange(1890, 1890)),
+            build_record("b2", age=YearRange(1950, 1950)),
+            build_record("b3", age=YearRange(2015, 2015)),
+        ]
+
+    def test_formatting_step_sends_at_most_retry_limit_plus_one_prompts(self):
+        answers = [TransportError("reset"), TransportError("reset"), "no arrays here"]
+        transport = ScriptedTransport(
+            [
+                ("List 50 detailed visible features", FEATURES),
+                ("remove duplicated items", CLUSTER_TEXT),
+                ("produce a python array", itertools.cycle(answers)),
+            ]
+        )
+        with pytest.raises(SchemaGenerationError) as exc_info:
+            generate_schema(self.records(), DataItem.WINDOWS, transport, Random(0), retry_limit=2)
+        assert transport.sends("produce a python array") == 3
+        assert str(exc_info.value) == "could not parse formatted cue arrays"
+        assert exc_info.value.raw_response == "no arrays here"
+
+    def test_era_step_ending_in_transport_error_keeps_the_last_answer(self):
+        answers = ["no arrays here", TransportError("reset"), TransportError("reset")]
+        transport = ScriptedTransport([("group the buildings by 3 eras", itertools.cycle(answers))])
+        with pytest.raises(SchemaGenerationError) as exc_info:
+            generate_schema(self.age_records(), DataItem.BUILDING_AGE, transport, Random(0))
+        assert transport.sends("group the buildings by 3 eras") == 3
+        assert str(exc_info.value) == "transport failed after 3 attempts: reset"
+        assert exc_info.value.raw_response == "no arrays here"
+
+    def test_era_naming_no_training_building_is_resent(self):
+        transport = ScriptedTransport(
+            [
+                ("group the buildings by 3 eras", iter(['[["x9"], []]', '[["b1", "b2"], ["b3"]]'])),
+                ("List 50 visible features", FEATURES),
+                ("remove duplicated items", CLUSTER_TEXT),
+                ("produce a python array", FORMATTED),
+            ]
+        )
+        generate_schema(self.age_records(), DataItem.BUILDING_AGE, transport, Random(0))
+        assert transport.sends("group the buildings by 3 eras") == 2
+
+    def test_authentication_error_propagates_after_one_send(self):
+        transport = ScriptedTransport(
+            [("List 50 detailed visible features", iter([AuthenticationError("bad key")]))]
+        )
+        with pytest.raises(AuthenticationError):
+            generate_schema(self.records(), DataItem.WINDOWS, transport, Random(0), retry_limit=5)
+        assert len(transport.calls) == 1
+
+    def test_single_transport_error_then_good_answer_recovers(self):
+        transport = ScriptedTransport(
+            [
+                ("List 50 detailed visible features", FEATURES),
+                ("remove duplicated items", iter([TransportError("reset"), CLUSTER_TEXT])),
+                ("produce a python array", FORMATTED),
+            ]
+        )
+        schema = generate_schema(self.records(), DataItem.WINDOWS, transport, Random(0))
+        assert [c.name for c in schema.categories] == ["Frames", "Glass"]
+        assert transport.sends("remove duplicated items") == 2
+
+    def test_empty_feature_list_is_resent_then_fails_with_its_raw_response(self):
+        transport = ScriptedTransport([("List 50 detailed visible features", "Features:\n\n")])
+        with pytest.raises(SchemaGenerationError, match="no features parsed from") as exc_info:
+            generate_schema(self.records(), DataItem.WINDOWS, transport, Random(0), retry_limit=2)
+        assert transport.sends("List 50 detailed visible features") == 3
+        assert exc_info.value.raw_response == "Features:\n\n"
+
+    def test_literal_with_unhashable_key_is_an_unparseable_answer(self):
+        transport = ScriptedTransport(
+            [
+                ("List 50 detailed visible features", FEATURES),
+                ("remove duplicated items", CLUSTER_TEXT),
+                ("produce a python array", iter(["[{[]: 1}]", FORMATTED])),
+            ]
+        )
+        schema = generate_schema(self.records(), DataItem.WINDOWS, transport, Random(0))
+        assert schema.category_count == 2
+        assert transport.sends("produce a python array") == 2
+
+    def test_negative_retry_limit_rejected_before_any_send(self):
+        transport = self.transport()
+        with pytest.raises(ValueError, match="retry_limit"):
+            generate_schema(self.records(), DataItem.WINDOWS, transport, Random(0), retry_limit=-1)
+        assert transport.calls == []

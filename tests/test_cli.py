@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from clear_ga.backends import HttpTransport
 from clear_ga.cli import main
 from clear_ga.engine import EvolutionRun, journal_path, load_checkpoint_file
 
@@ -476,3 +477,23 @@ class TestGenSchemaCommand:
         )
         assert status == 2
         assert "CLEAR_LLM_API_KEY" in capsys.readouterr().err
+
+    def test_negative_retry_limit_is_config_error_without_a_request(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("CLEAR_LLM_API_KEY", "test-key")
+        sent = []
+        monkeypatch.setattr(HttpTransport, "send", lambda self, prompt, images: sent.append(prompt))
+        ws = make_workspace(tmp_path)
+        status = main(
+            [
+                "gen-schema",
+                "--item", "windows",
+                "--dataset", ws["dataset"],
+                "--out", str(tmp_path / "schema.out.json"),
+                "--retry-limit", "-1",
+            ]
+        )
+        assert status == 2
+        assert sent == []
+        assert "retry_limit must be >= 0" in capsys.readouterr().err
