@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -456,6 +457,49 @@ class TestAnalysisCommands:
         assert len(csvs) == 3
         out = capsys.readouterr().out
         assert out.count("best error") == 2
+
+    def test_report_output_is_pinned(self, tmp_path, capsys):
+        # The fixed run is shorter, so the comparison pads its columns.
+        ws = make_workspace(tmp_path)
+        variable, fixed = tmp_path / "variable", tmp_path / "fixed"
+        assert main(run_args(ws, variable)) == 0
+        args = run_args(ws, fixed)
+        args[args.index("--mode") + 1] = "fixed"
+        args[args.index("--generations") + 1] = "3"
+        assert main(args) == 0
+        capsys.readouterr()  # drop the run commands' own output
+        report_dir = tmp_path / "reports"
+        status = main(
+            [
+                "report",
+                "--log", str(variable / "run.log.jsonl"), str(fixed / "run.log.jsonl"),
+                "--out-dir", str(report_dir),
+            ]
+        )
+        assert status == 0
+        assert capsys.readouterr().out == (
+            "run energy_variable_s3: 6 generations\n"
+            "  best error: 17.5528 -> 3.57221 (best ever 3.57221)\n"
+            "  mean cue count: 3.00 -> 2.12\n"
+            "run energy_fixed_s3: 4 generations\n"
+            "  best error: 17.5528 -> 5.89594 (best ever 5.89594)\n"
+            "  mean cue count: 3.00 -> 3.00\n"
+            f"wrote {report_dir / 'energy_variable_s3_series.csv'}\n"
+            f"wrote {report_dir / 'energy_fixed_s3_series.csv'}\n"
+            f"wrote {report_dir / 'comparison.csv'}\n"
+        )
+        digests = {
+            path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in report_dir.glob("*.csv")
+        }
+        assert digests == {
+            "energy_variable_s3_series.csv":
+                "6ae6d1cdbd62a582473e6ecd4c49c704b854a6d37977db85c832b8de87fcab9c",
+            "energy_fixed_s3_series.csv":
+                "c3ececd27d948e4714696ca5bc147d5046a5787ea9bcabeaf37cc9caefa7a291",
+            "comparison.csv":
+                "5492eff960261363eccee3325d0a9cde685ad4cd173188fb6f1c14c09757dca2",
+        }
 
     def test_report_on_garbage_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
