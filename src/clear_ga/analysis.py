@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import json
 import logging
-import statistics
+import math
+import operator
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -29,17 +31,66 @@ class ReportError(ValueError):
     """Raised for malformed run-log input."""
 
 
+# The radicand is scaled to at least 2**(2 * mant_dig + 2), so its integer
+# root has the mant_dig + 2 bits that rounding to odd needs.
+_SQRT_BITS = 2 * sys.float_info.mant_dig + 3
+
+
+def _sqrt_of_ratio(numerator: int, denominator: int) -> float:
+    """sqrt(numerator / denominator) as a correctly rounded float.
+
+    The root is first taken to at least mant_dig + 2 bits, rounded to odd
+    (an inexact root gets its last bit set), so the one rounding to a float
+    that follows is correct: Boldo & Melquiond, "Emulation of FMA and
+    correctly rounded sums: proved algorithms using rounding to odd", IEEE
+    Trans. Computers 57(4), 2008.
+    """
+    shift = (numerator.bit_length() - denominator.bit_length() - _SQRT_BITS) // 2
+    if shift >= 0:
+        denominator <<= 2 * shift
+    else:
+        numerator <<= -2 * shift
+    root = math.isqrt(numerator // denominator)
+    root |= root * root * denominator != numerator
+    return float(root << shift) if shift >= 0 else root / (1 << -shift)
+
+
+def pstdev(values: Sequence[float]) -> float:
+    """Population standard deviation, correctly rounded from its exact value.
+
+    Every value is an exact ratio of integers, so over a common denominator
+    ``d`` the variance of ``k`` values with numerators ``a`` is exactly
+    ``(k * sum(a*a) - sum(a)**2) / (k * d)**2``, in integers.
+    """
+    if not values:
+        raise ValueError("pstdev of an empty sequence")
+    try:
+        ratios = [value.as_integer_ratio() for value in values]
+    except (OverflowError, ValueError):
+        raise ValueError("pstdev of a non-finite value") from None
+    denominator = math.lcm(*(d for _, d in ratios))
+    scaled = [n * (denominator // d) for n, d in ratios]
+    k = len(scaled)
+    total = sum(scaled)
+    spread = k * sum(map(operator.mul, scaled, scaled)) - total * total
+    return _sqrt_of_ratio(spread, (k * denominator) ** 2)
+
+
 def cv(values: Sequence[float]) -> float:
     """Coefficient of variation: population standard deviation over mean.
 
-    Undefined (and refused) when the mean is zero.
+    The standard deviation is correctly rounded and the mean is
+    ``math.fsum(values) / len(values)``. Undefined (and refused) when the mean
+    is zero or a value is not finite.
     """
     if not values:
         raise ValueError("cv of an empty sequence")
-    mean = statistics.fmean(values)
+    mean = math.fsum(values) / len(values)
+    if not math.isfinite(mean):
+        raise ValueError("cv of a non-finite value")
     if mean == 0:
         raise ValueError("cv undefined: mean is zero")
-    return statistics.pstdev(values) / mean
+    return pstdev(values) / mean
 
 
 @dataclass
@@ -107,8 +158,8 @@ def ablate(
     return AblationReport(
         base_error=base_error,
         rows=rows,
-        mean_new_error=statistics.fmean(successful) if successful else None,
-        stddev=statistics.pstdev(successful) if successful else None,
+        mean_new_error=math.fsum(successful) / len(successful) if successful else None,
+        stddev=pstdev(successful) if successful else None,
         failed_rows=len(rows) - len(successful),
     )
 
@@ -204,6 +255,27 @@ def consistency_probe(
 # --- run-log reports ----------------------------------------------------------
 
 
+def _error_fields_problem(row: GenerationStats) -> str | None:
+    """Why a logged row's errors cannot be reported on, or None if they can."""
+    errors = row.errors
+    if not isinstance(errors, list) or not errors:
+        return "errors must be a non-empty list"
+    if not set(map(type, errors)) <= {int, float}:
+        return "errors must be numbers"
+    try:
+        total = math.fsum(errors)
+    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+        total = math.inf
+    if not math.isfinite(total) or min(errors) < 0:
+        return "errors must be finite and >= 0, with a finite sum"
+    for name in ("best_error", "best_ever_error"):
+        value = getattr(row, name)
+        # a JSON number, not a bool, within the float range
+        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+            return f"{name} {value!r} is not a finite number"
+    return None
+
+
 def load_run_log(path: str | Path) -> tuple[dict | None, list[GenerationStats]]:
     """Read a JSONL run log; returns (config record or None, generation rows)."""
     path = Path(path)
@@ -227,9 +299,13 @@ def load_run_log(path: str | Path) -> tuple[dict | None, list[GenerationStats]]:
             config = obj
         elif kind == "generation":
             try:
-                rows.append(GenerationStats.from_json_obj(obj))
+                row = GenerationStats.from_json_obj(obj)
             except TypeError as exc:
                 raise ReportError(f"{path}:{number}: bad generation record: {exc}") from None
+            problem = _error_fields_problem(row)
+            if problem:
+                raise ReportError(f"{path}:{number}: bad generation record: {problem}")
+            rows.append(row)
         else:
             raise ReportError(f"{path}:{number}: unknown record type {kind!r}")
     if not rows:
@@ -250,7 +326,7 @@ def run_series(rows: list[GenerationStats]) -> list[dict]:
                 "generation": row.generation,
                 "best_error": row.best_error,
                 "best_ever_error": row.best_ever_error,
-                "mean_error": statistics.fmean(row.errors),
+                "mean_error": math.fsum(row.errors) / len(row.errors),
                 "fitness_cv": fitness_cv,
                 "mean_cue_count": row.mean_cue_count,
                 "chromosome_mean_cue_counts": list(row.chromosome_mean_cue_counts),
@@ -262,9 +338,13 @@ def run_series(rows: list[GenerationStats]) -> list[dict]:
 
 def comparison_series(labeled_runs: list[tuple[str, list[GenerationStats]]]) -> list[dict]:
     """Generation-aligned comparison of best error and fitness cv across runs."""
+    return _aligned(labeled_runs, {label: run_series(rows) for label, rows in labeled_runs})
+
+
+def _aligned(labeled_runs: list[tuple[str, list[GenerationStats]]],
+             per_run: dict[str, list[dict]]) -> list[dict]:
     longest = max(len(rows) for _, rows in labeled_runs)
     out = []
-    per_run = {label: run_series(rows) for label, rows in labeled_runs}
     for generation in range(longest):
         entry: dict = {"generation": generation}
         for label, series in per_run.items():
@@ -284,19 +364,19 @@ def summarize(labeled_runs: list[tuple[str, list[GenerationStats]]]) -> dict:
     a generation-aligned comparison with the per-generation fitness cv."""
     if not labeled_runs:
         raise ValueError("no runs to summarize")
-    document: dict = {"runs": {label: run_series(rows) for label, rows in labeled_runs}}
+    per_run = {label: run_series(rows) for label, rows in labeled_runs}
+    document: dict = {"runs": per_run}
     if len(labeled_runs) > 1:
-        document["comparison"] = comparison_series(labeled_runs)
+        document["comparison"] = _aligned(labeled_runs, per_run)
     return document
 
 
 def render_text_summary(label: str, rows: list[GenerationStats]) -> str:
-    series = run_series(rows)
-    first, last = series[0], series[-1]
+    first, last = rows[0], rows[-1]
     lines = [
-        f"run {label}: {len(series)} generations",
-        f"  best error: {first['best_error']:g} -> {last['best_error']:g} "
-        f"(best ever {last['best_ever_error']:g})",
-        f"  mean cue count: {first['mean_cue_count']:.2f} -> {last['mean_cue_count']:.2f}",
+        f"run {label}: {len(rows)} generations",
+        f"  best error: {first.best_error:g} -> {last.best_error:g} "
+        f"(best ever {last.best_ever_error:g})",
+        f"  mean cue count: {first.mean_cue_count:.2f} -> {last.mean_cue_count:.2f}",
     ]
     return "\n".join(lines)

@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import json
+import math
+import statistics
+import struct
+import sys
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -14,6 +20,7 @@ from clear_ga.analysis import (
     consistency_probe,
     cv,
     load_run_log,
+    pstdev,
     run_series,
 )
 from clear_ga.backends import (
@@ -27,6 +34,62 @@ from clear_ga.fitness import WindowClass
 from clear_ga.schema import DataItem, Genotype
 
 from conftest import build_record, build_schema
+
+
+def float_from_bits(bits: int) -> float:
+    return struct.unpack("<d", struct.pack("<Q", bits))[0]
+
+
+def nearest_float_sqrt(q: Fraction) -> float:
+    """The float nearest sqrt(q), ties to even, by bisection on exact squares.
+
+    Non-negative floats are ordered as their bit patterns are.
+    """
+    lo, hi = 0, 0x7FF0000000000000  # the bit patterns of 0.0 and inf
+    while hi - lo > 1:  # lo's square is <= q, hi's is > q
+        mid = (lo + hi) // 2
+        if Fraction(float_from_bits(mid)) ** 2 <= q:
+            lo = mid
+        else:
+            hi = mid
+    midpoint = (Fraction(float_from_bits(lo)) + Fraction(float_from_bits(hi))) / 2
+    if q < midpoint ** 2 or (q == midpoint ** 2 and lo % 2 == 0):
+        return float_from_bits(lo)
+    return float_from_bits(hi)
+
+
+def exact_pstdev(values) -> float:
+    exact = [Fraction(v) for v in values]
+    mean = sum(exact) / len(exact)
+    return nearest_float_sqrt(sum((x - mean) ** 2 for x in exact) / len(exact))
+
+
+def exact_cv(values) -> float:
+    return exact_pstdev(values) / (float(sum(map(Fraction, values))) / len(values))
+
+
+def random_float(rng: Random) -> float:
+    """A positive float of any binade from the subnormals up, below 2**1019 so
+    that the sum of a case stays finite."""
+    return math.ldexp(rng.random(), rng.randint(-1074, 1019))
+
+
+def cv_cases():
+    rng = Random(2008)
+    cases = []
+    for _ in range(150):  # any exponents and signs, so magnitudes far apart
+        cases.append([rng.choice((-1, 1)) * random_float(rng) for _ in range(rng.randint(1, 9))])
+    for _ in range(150):  # one binade, so the spread is far from negligible
+        exponent = rng.randint(-1074, 1016)
+        cases.append([math.ldexp(rng.random(), exponent + rng.randint(0, 3))
+                      for _ in range(rng.randint(2, 9))])
+    for scale in (5e-324, 2.2250738585072014e-308, 1e-300, 1e300, 1e307):
+        cases.append([scale * rng.random() for _ in range(6)])
+        cases.append([scale] * 4)
+    for _ in range(50):
+        cases.append([rng.randint(-10**6, 10**6) for _ in range(rng.randint(1, 9))])
+    cases += [[7], [0.1], [2.5] * 9, [3, 3.0, 3], [0.1, 0.2, 0.3], [5e-324, 0.0, 0.0]]
+    return cases
 
 
 class TestCv:
@@ -45,6 +108,43 @@ class TestCv:
             cv([1, -1])
         with pytest.raises(ValueError):
             cv([0, 0])
+
+    def test_equals_exact_reference(self):
+        for values in cv_cases():
+            assert pstdev(values) == exact_pstdev(values), values
+            try:
+                expected = exact_cv(values)
+            except ZeroDivisionError:  # the mean rounds to zero
+                with pytest.raises(ValueError, match="mean is zero"):
+                    cv(values)
+            else:
+                assert cv(values) == expected, values
+
+    def test_pstdev_exact_where_the_mean_is_not(self):
+        # ints past float precision, and floats whose sum overflows
+        for values in ([2**80 + 1, 2**80 + 2, 2**80 + 4, 3**50],
+                       [sys.float_info.max, sys.float_info.max / 3, 0.9 * sys.float_info.max]):
+            assert pstdev(values) == exact_pstdev(values)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="statistics.pstdev rounds twice before Python 3.11")
+    def test_equals_stdlib(self):
+        for values in cv_cases():
+            if statistics.fmean(values) != 0:
+                assert cv(values) == statistics.pstdev(values) / statistics.fmean(values), values
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_rejected(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            cv([1.0, bad, 2.0])
+        with pytest.raises(ValueError, match="non-finite"):
+            pstdev([1.0, bad])
+
+    def test_empty_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            cv([])
+        with pytest.raises(ValueError, match="empty"):
+            pstdev([])
 
     def test_scale_invariance(self):
         rng = Random(1)
@@ -149,6 +249,7 @@ class TestAblate:
         assert report.failed_rows == 0
         expected_mean = (4.0 + 3.0 + 5.0 + 0.0) / 4
         assert report.mean_new_error == pytest.approx(expected_mean)
+        assert report.stddev == math.sqrt(3.5)  # (1 + 0 + 4 + 9) / 4, correctly rounded
 
     def test_single_cue_genotype_single_row(self):
         schema = build_schema(category_sizes=(3, 3))
@@ -233,6 +334,52 @@ class TestRunLogReports:
         path.write_text('{"type": "mystery"}\n', encoding="utf-8")
         with pytest.raises(ReportError, match="unknown record type"):
             load_run_log(path)
+
+    @pytest.mark.parametrize(
+        "field, text",
+        [
+            ("errors", "[1.0, Infinity]"),
+            ("errors", "[NaN, 1.0]"),
+            ("errors", "[1.0, 1e400]"),
+            ("errors", '[1.0, "2"]'),
+            ("errors", "[1.0, null]"),
+            ("errors", "[true, 1.0]"),
+            ("errors", "[1.0, -0.5]"),
+            ("errors", "[]"),
+            ("errors", "3.0"),
+            ("errors", "[1e308, 1e308]"),
+            ("errors", "[1, 10" + "0" * 400 + "]"),
+            ("best_error", "-Infinity"),
+            ("best_error", '"1.0"'),
+            ("best_ever_error", "NaN"),
+            ("best_ever_error", "false"),
+        ],
+    )
+    def test_unreportable_error_fields_rejected(self, tmp_path, field, text):
+        row = {
+            "generation": 0, "errors": [1.0, 2.0], "best_error": 1.0, "best_ever_error": 1.0,
+            "mean_cue_count": 1.0, "chromosome_mean_cue_counts": [1.0],
+            "parent_pool_size": None, "perfect": False, "type": "generation",
+        }
+        bad = json.dumps(dict(row, **{field: "@"})).replace('"@"', text)
+        path = tmp_path / "bad.jsonl"
+        path.write_text(
+            "\n".join([json.dumps({"type": "config", "config": {}}), json.dumps(row), bad]),
+            encoding="utf-8",
+        )
+        with pytest.raises(ReportError, match=r"bad\.jsonl:3: bad generation record"):
+            load_run_log(path)
+
+    def test_zero_and_int_errors_accepted(self, tmp_path):
+        path = tmp_path / "ints.jsonl"
+        row = {
+            "generation": 0, "errors": [0, 2, 0.5], "best_error": 0, "best_ever_error": 0,
+            "mean_cue_count": 1.0, "chromosome_mean_cue_counts": [1.0],
+            "parent_pool_size": None, "perfect": True, "type": "generation",
+        }
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        _, rows = load_run_log(path)
+        assert run_series(rows)[0]["mean_error"] == 2.5 / 3
 
     def test_comparison_series_for_matched_runs(self, tmp_path):
         log_a = write_run_log(tmp_path, "variable.jsonl", mode=Mode.VARIABLE)

@@ -506,6 +506,22 @@ class TestAnalysisCommands:
         bad.write_text("nonsense\n", encoding="utf-8")
         assert main(["report", "--log", str(bad)]) == 2
 
+    def test_report_on_an_infinite_error_names_the_line(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir)) == 0
+        log_path = out_dir / "run.log.jsonl"
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[-1])
+        row["errors"][0] = float("inf")
+        lines[-1] = json.dumps(row)  # written as Infinity, which json.loads accepts
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--log", str(log_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log_path}:{len(lines)}: bad generation record")
+        assert "Traceback" not in err
+
 
 class TestGenSchemaCommand:
     def test_missing_credentials(self, tmp_path, monkeypatch, capsys):

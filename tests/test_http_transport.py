@@ -100,6 +100,20 @@ def test_http_stack_loads_on_first_send_only():
     assert result.stdout.splitlines() == ["[]", str([str(i) for i in range(8)])]
 
 
+def test_package_import_leaves_stdlib_statistics_unloaded():
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = (
+        "import sys, clear_ga, clear_ga.cli\n"
+        "print(sorted(name for name in ('statistics', 'fractions', 'decimal', 'numbers')"
+        " if name in sys.modules))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def completion(text: str) -> dict:
     return {"choices": [{"message": {"content": text}}]}
 
