@@ -434,6 +434,61 @@ class TestAnalysisCommands:
         )
         assert status == 1
 
+    def test_ablate_and_probe_output_is_pinned(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir)) == 0
+        inputs = ["--schema", ws["schema"], "--dataset", ws["dataset"],
+                  "--landscape", ws["landscape"]]
+        outputs = {}
+        for split in ("test", "train"):
+            capsys.readouterr()
+            path = tmp_path / f"{split}.csv"
+            assert main(["ablate", "--genotype", str(out_dir / "best.json"), *inputs,
+                         "--split", split, "--out", str(path)]) == 0
+            outputs[path.name] = capsys.readouterr().out
+        path = tmp_path / "probe.json"
+        assert main(["probe", *inputs, "--item", "energy", "--cue", "c0_1",
+                     "--building", "b2", "--out", str(path)]) == 0
+        outputs[path.name] = capsys.readouterr().out
+        responses = [
+            "154.0099530643147", "153.7568792473238", "154.03198432146422",
+            "154.31293279089184", "153.7497404266351", "153.77595823166612",
+            "154.06175233878696", "153.90328197106865", "153.35963572442128",
+            "153.63317003459227",
+        ]
+        assert outputs == {
+            "test.csv": (
+                "base error on test split: 3.33033\n"
+                "  - c0_1 [cat0]: 12.8631 (delta +9.53273)\n"
+                "  - c1_2 [cat1]: 12.2459 (delta +8.91556)\n"
+                "mean new error 12.5545, stddev 0.308587\n"
+                f"wrote {tmp_path / 'test.csv'}\n"
+            ),
+            "train.csv": (
+                "base error on train split: 3.57221\n"
+                "  - c0_1 [cat0]: 12.0031 (delta +8.43084)\n"
+                "  - c1_2 [cat1]: 12.6557 (delta +9.08348)\n"
+                "mean new error 12.3294, stddev 0.326321\n"
+                f"wrote {tmp_path / 'train.csv'}\n"
+            ),
+            "probe.json": (
+                "cue 'c0_1' on building b2 (10 samples)\n"
+                "  disagreement rate: 0.90\n"
+                "  cv: 0.0016\n"
+                f"  responses: {responses}\n"
+                f"wrote {tmp_path / 'probe.json'}\n"
+            ),
+        }
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in outputs
+        }
+        assert digests == {
+            "test.csv": "ae88510270b9cca9eef8d43b88550ac85556449e186904d766d99c75200226b3",
+            "train.csv": "27631369180c46aafbb4b308df26ee46aa08f58ca6648e15ffbbc92e4e233626",
+            "probe.json": "8c3069c24b458490efb9a5164034359f0b1ef8d2c349decb818695aef175c85a",
+        }
+
     def test_report_single_and_comparison(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
         out_a = tmp_path / "a"
