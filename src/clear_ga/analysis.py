@@ -135,16 +135,14 @@ def ablate(
         raise ValueError("cannot ablate an empty genotype")
     if not records:
         raise ValueError("evaluation split is empty")
-    base_error = evaluate_genotype(genotype, records, item, evaluator, penalize_failures=False)
+    base_error = evaluate_genotype(genotype, records, item, evaluator)
     rows: list[AblationRow] = []
     for index, chromosome in enumerate(genotype.chromosomes):
         for position, cue in enumerate(chromosome):
             variant = _without_cue(genotype, index, position)
             category = schema.categories[index].name
             try:
-                new_error = evaluate_genotype(
-                    variant, records, item, evaluator, penalize_failures=False
-                )
+                new_error = evaluate_genotype(variant, records, item, evaluator)
             except EvaluationFailure as exc:
                 log.warning("ablation row for cue %r failed: %s", cue, exc)
                 rows.append(AblationRow(cue=cue, category=category, new_error=None,

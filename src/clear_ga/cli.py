@@ -20,6 +20,7 @@ from . import analysis
 from .backends import (
     AuthenticationError,
     BackendHardFailure,
+    EvaluationFailure,
     HttpTransport,
     LlmEvaluator,
     OracleEvaluator,
@@ -71,8 +72,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-# The backend flags are stored under the names of the RunConfig fields they
-# set, so _make_evaluator reads either one.
+# Flags that set a RunConfig field are stored under the field's name, so
+# _flag_settings reads them all; each metavar keeps the flag's own name in
+# --help. Their defaults are RunConfig's, so the flags default to None.
 def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--model", dest="llm_model", metavar="MODEL", default=None,
@@ -108,19 +110,20 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-schema", help="generate a cue schema from a dataset via the LLM")
-    p.add_argument("--item", required=True, choices=[i.value for i in DataItem])
-    p.add_argument("--dataset", required=True, help="dataset manifest JSON")
+    p.add_argument("--item", dest="data_item", required=True, choices=[i.value for i in DataItem])
+    p.add_argument(
+        "--dataset", dest="dataset_path", metavar="DATASET", required=True,
+        help="dataset manifest JSON",
+    )
     p.add_argument("--out", required=True, help="schema file to write")
     p.add_argument("--region", default=None, help="region override (default: first building's)")
-    p.add_argument("--seed", type=int, default=0, help="representative sampling seed")
+    p.add_argument("--seed", type=int, default=None, help="representative sampling seed")
     p.add_argument("--clusters", type=int, default=8, help="target category count")
     p.add_argument("--retry-limit", type=int, default=2)
-    p.add_argument("--current-year", type=int, default=2025)
+    p.add_argument("--current-year", type=int, default=None)
     _add_llm_flags(p)
     p.set_defaults(func=cmd_gen_schema)
 
-    # Flags that set a RunConfig field are stored under the field's name, so
-    # _flag_settings reads them all; each metavar keeps the flag's own name.
     p = sub.add_parser("run", help="run the evolutionary search")
     p.add_argument("--item", dest="data_item", default=None, choices=[i.value for i in DataItem])
     p.add_argument("--mode", default=None, choices=[m.value for m in Mode])
@@ -163,31 +166,31 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("ablate", help="remove each cue of a solution in turn and re-measure")
     p.add_argument("--genotype", required=True, help="best-genotype JSON from a run")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--dataset", required=True)
+    p.add_argument("--schema", dest="schema_path", metavar="SCHEMA", required=True)
+    p.add_argument("--dataset", dest="dataset_path", metavar="DATASET", required=True)
     p.add_argument("--split", choices=["train", "test"], default="test")
-    p.add_argument("--item", default=None, choices=[i.value for i in DataItem])
+    p.add_argument("--item", dest="data_item", default=None, choices=[i.value for i in DataItem])
     p.add_argument("--seed", type=int, default=None, help="split seed (default: from genotype file)")
     p.add_argument(
         "--train-fraction", type=float, default=None,
         help="split fraction (default: from genotype file, else 0.6)",
     )
-    p.add_argument("--current-year", type=int, default=2025)
-    p.add_argument("--retry-limit", type=int, default=3)
+    p.add_argument("--current-year", type=int, default=None)
+    p.add_argument("--retry-limit", type=int, default=None)
     p.add_argument("--out", default=None, help="CSV report path")
     _add_backend_flags(p)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("probe", help="repeat a single-cue evaluation to measure consistency")
-    p.add_argument("--schema", required=True)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--item", required=True, choices=[i.value for i in DataItem])
+    p.add_argument("--schema", dest="schema_path", metavar="SCHEMA", required=True)
+    p.add_argument("--dataset", dest="dataset_path", metavar="DATASET", required=True)
+    p.add_argument("--item", dest="data_item", required=True, choices=[i.value for i in DataItem])
     p.add_argument("--cue", required=True)
     p.add_argument("--category", default=None, help="category name (if the cue is ambiguous)")
     p.add_argument("--building", required=True, help="building id from the manifest")
     p.add_argument("--n", type=int, default=10)
-    p.add_argument("--current-year", type=int, default=2025)
-    p.add_argument("--retry-limit", type=int, default=3)
+    p.add_argument("--current-year", type=int, default=None)
+    p.add_argument("--retry-limit", type=int, default=None)
     p.add_argument("--out", default=None, help="JSON report path")
     _add_backend_flags(p)
     p.set_defaults(func=cmd_probe)
@@ -200,27 +203,22 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _make_transport(endpoint: str | None, settings) -> HttpTransport:
+def _make_transport(config: RunConfig, endpoint: str | None) -> HttpTransport:
     return HttpTransport(
-        endpoint=endpoint,
-        model=settings.llm_model or "gpt-4o",
-        min_request_interval=settings.llm_min_interval or 0.0,
+        endpoint=endpoint, model=config.llm_model, min_request_interval=config.llm_min_interval
     )
 
 
-def _make_evaluator(args, config: RunConfig | None = None):
-    """The evaluator a run's config names or, without one, the backend flags name."""
-    settings = config or args
-    if settings.retry_limit < 0:
-        raise ValueError("retry_limit must be >= 0")
-    if (settings.backend or "oracle") == "oracle":
-        if not settings.landscape_path:
+def _make_evaluator(config: RunConfig, endpoint: str | None):
+    """The evaluator a config names."""
+    if config.backend == "oracle":
+        if not config.landscape_path:
             raise UsageError("oracle backend needs --landscape")
-        return OracleEvaluator(load_landscape_file(settings.landscape_path))
+        return OracleEvaluator(load_landscape_file(config.landscape_path))
     return LlmEvaluator(
-        _make_transport(args.endpoint, settings),
-        retry_limit=settings.retry_limit,
-        current_year=settings.current_year,
+        _make_transport(config, endpoint),
+        retry_limit=config.retry_limit,
+        current_year=config.current_year,
     )
 
 
@@ -235,17 +233,18 @@ def _parse_seeds(text: str) -> list[int]:
 
 
 def cmd_gen_schema(args) -> int:
-    transport = _make_transport(args.endpoint, args)
-    records = load_manifest(args.dataset, current_year=args.current_year)
+    config = _merged_config(args, {})
+    transport = _make_transport(config, args.endpoint)
+    records = load_manifest(config.dataset_path, current_year=config.current_year)
     try:
         schema = generate_schema(
             records,
-            DataItem(args.item),
+            config.data_item,
             transport,
-            Random(args.seed),
+            Random(config.seed),
             region=args.region,
             cluster_target=args.clusters,
-            retry_limit=args.retry_limit,
+            retry_limit=config.retry_limit,
         )
     except SchemaGenerationError as exc:
         if exc.raw_response:
@@ -271,6 +270,14 @@ def _flag_settings(args) -> dict:
     }
 
 
+def _merged_config(args, values: dict) -> RunConfig:
+    """The RunConfig of ``values`` with the command line's flags over them."""
+    try:
+        return RunConfig(**{**values, **_flag_settings(args)})
+    except TypeError as exc:
+        raise UsageError(f"bad config: {exc}") from None
+
+
 def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
     values: dict = {}
     if args.config:
@@ -278,38 +285,37 @@ def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
             values.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
         except json.JSONDecodeError as exc:
             raise DatasetError(f"config file {args.config} is not valid JSON: {exc}") from None
-    values.update(_flag_settings(args))
-    if "data_item" not in values:
+    if "data_item" not in values and args.data_item is None:
         raise UsageError("--item is required (or provide data_item in --config)")
+    config = _merged_config(args, values)
     # Absolute, so the run can be resumed from any working directory.
-    for name in ("schema_path", "dataset_path", "landscape_path"):
-        if values.get(name):
-            values[name] = str(Path(values[name]).resolve())
-    values["seed"] = seed
-    values["checkpoint_path"] = str(out_dir / CHECKPOINT_FILENAME)
-    values["log_path"] = str(out_dir / LOG_FILENAME)
-    try:
-        return RunConfig(**values)
-    except TypeError as exc:
-        raise UsageError(f"bad config: {exc}") from None
+    paths = {
+        name: str(Path(path).resolve())
+        for name in ("schema_path", "dataset_path", "landscape_path")
+        if (path := getattr(config, name))
+    }
+    return replace(
+        config, **paths, seed=seed,
+        checkpoint_path=str(out_dir / CHECKPOINT_FILENAME), log_path=str(out_dir / LOG_FILENAME),
+    )
 
 
-def _open_run(args, config: RunConfig):
-    """What a run's config names: its schema, training split and evaluator, and
-    the schema, dataset and landscape digests that guard its checkpoint."""
+def _open_run(config: RunConfig, endpoint: str | None):
+    """What a config names: its schema, (training, test) split and evaluator, and
+    the schema, dataset and landscape digests that guard a run's checkpoint."""
     schema = load_schema_file(config.schema_path)
     records = load_manifest(config.dataset_path, current_year=config.current_year)
-    training, _ = split_records(
+    splits = split_records(
         records, config.data_item, Random(config.seed), train_fraction=config.train_fraction
     )
-    evaluator = _make_evaluator(args, config)
+    evaluator = _make_evaluator(config, endpoint)
     digests = {
         "schema_sha256": schema_digest(schema),
         "dataset_sha256": manifest_digest(config.dataset_path),
     }
     if isinstance(evaluator, OracleEvaluator):
         digests["landscape_sha256"] = landscape_digest(evaluator.landscape)
-    return schema, training, evaluator, digests
+    return schema, splits, evaluator, digests
 
 
 def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
@@ -345,7 +351,7 @@ def _run_one(args, seed: int | None, out_dir: Path) -> int:
         raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
     if not config.schema_path or not config.dataset_path:
         raise UsageError("--schema and --dataset are required")
-    schema, training, evaluator, digests = _open_run(args, config)
+    schema, (training, _), evaluator, digests = _open_run(config, args.endpoint)
     run = EvolutionRun(replace(config, **digests), schema, evaluator, training)
     result = _finish(run, args.stop_after)
     if result is not None:
@@ -362,9 +368,7 @@ def cmd_run(args) -> int:
     out_dir = Path(args.out_dir) if args.out_dir else Path("runs")
     if args.seeds is not None:
         for seed in _parse_seeds(args.seeds):
-            status = _run_one(args, seed, out_dir / f"seed{seed}")
-            if status != EXIT_OK:
-                return status
+            _run_one(args, seed, out_dir / f"seed{seed}")
         return EXIT_OK
     return _run_one(args, args.seed, out_dir)
 
@@ -374,7 +378,7 @@ def cmd_resume(args) -> int:
     config = checkpoint_config(doc)
     if not config.schema_path or not config.dataset_path:
         raise CheckpointError("checkpoint config lacks schema/dataset paths")
-    schema, training, evaluator, digests = _open_run(args, config)
+    schema, (training, _), evaluator, digests = _open_run(config, args.endpoint)
     run = EvolutionRun.resume(doc, schema, evaluator, training, **digests)
     settings = _flag_settings(args)
     # A moved run directory keeps its old paths in the config; write where the
@@ -394,28 +398,33 @@ def cmd_resume(args) -> int:
     return EXIT_OK
 
 
-def _load_best_genotype(path: str) -> tuple[dict, Genotype]:
+def _load_best_genotype(path: str) -> tuple[Genotype, dict]:
+    """The genotype in a best-genotype file, and the ``data_item``, ``seed`` and
+    ``train_fraction`` it records. Each is checked here: a string seed would
+    seed another split without a word."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        return doc, Genotype(tuple(tuple(ch) for ch in doc["chromosomes"]))
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
+        genotype = Genotype(tuple(tuple(ch) for ch in doc["chromosomes"]))
+        settings = {k: doc[k] for k in ("data_item", "seed", "train_fraction") if k in doc}
+        if "data_item" in settings:
+            DataItem(settings["data_item"])
+        kinds = (("seed", (int,), "integer"), ("train_fraction", (int, float), "number"))
+        for name, types, noun in kinds:
+            if type(settings.get(name, 0)) not in types:  # a bool is refused too
+                raise TypeError(f"{name} {settings[name]!r} is not a JSON {noun}")
+    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise DatasetError(f"bad genotype file {path}: {exc}") from None
+    return genotype, settings
 
 
 def cmd_ablate(args) -> int:
-    doc, genotype = _load_best_genotype(args.genotype)
-    item = DataItem(args.item) if args.item else DataItem(doc["data_item"])
-    seed = args.seed if args.seed is not None else int(doc.get("seed", 0))
-    train_fraction = (
-        args.train_fraction if args.train_fraction is not None
-        else float(doc.get("train_fraction", 0.6))
-    )
-    schema = load_schema_file(args.schema)
-    records = load_manifest(args.dataset, current_year=args.current_year)
-    training, test = split_records(records, item, Random(seed), train_fraction=train_fraction)
+    genotype, settings = _load_best_genotype(args.genotype)
+    if "data_item" not in settings and args.data_item is None:
+        raise UsageError(f"--item is required ({args.genotype} records no data_item)")
+    config = _merged_config(args, settings)
+    schema, (training, test), evaluator, _ = _open_run(config, args.endpoint)
     split = training if args.split == "train" else test
-    evaluator = _make_evaluator(args)
-    report = analysis.ablate(genotype, schema, evaluator, split, item)
+    report = analysis.ablate(genotype, schema, evaluator, split, config.data_item)
     print(f"base error on {args.split} split: {report.base_error:g}")
     for row in report.rows:
         if row.failed:
@@ -433,9 +442,9 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    schema = load_schema_file(args.schema)
-    item = DataItem(args.item)
-    records = load_manifest(args.dataset, current_year=args.current_year)
+    config = _merged_config(args, {})
+    schema = load_schema_file(config.schema_path)
+    records = load_manifest(config.dataset_path, current_year=config.current_year)
     by_id = {r.id: r for r in records}
     if args.building not in by_id:
         raise DatasetError(f"building {args.building!r} not in manifest")
@@ -447,9 +456,9 @@ def cmd_probe(args) -> int:
         raise UsageError(f"cue {args.cue!r} not found in schema")
     if len(matches) > 1:
         raise UsageError(f"cue {args.cue!r} is in several categories; pass --category")
-    evaluator = _make_evaluator(args)
+    evaluator = _make_evaluator(config, args.endpoint)
     report = analysis.consistency_probe(
-        schema, matches[0], args.cue, by_id[args.building], evaluator, item, args.n
+        schema, matches[0], args.cue, by_id[args.building], evaluator, config.data_item, args.n
     )
     cv_text = f"{report.cv:.4f}" if report.cv is not None else "undefined (mean 0)"
     print(f"cue {report.cue!r} on building {args.building} ({report.samples} samples)")
@@ -475,13 +484,16 @@ def _write_csv(path: Path, rows: list[dict]) -> None:
 
 
 def cmd_report(args) -> int:
-    labeled = []
+    labeled, paths = [], {}
     for path in args.log:
         config, rows = analysis.load_run_log(path)
         label = Path(path).parent.name or Path(path).stem
         if config:
             cfg = config.get("config", {})
             label = f"{cfg.get('data_item', label)}_{cfg.get('mode', '')}_s{cfg.get('seed', '')}"
+        if label in paths:
+            raise analysis.ReportError(f"{paths[label]} and {path} both log run {label}")
+        paths[label] = path
         labeled.append((label, rows))
         print(analysis.render_text_summary(label, rows))
     summary = analysis.summarize(labeled)
@@ -500,17 +512,12 @@ def cmd_report(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.WARNING,
-        format="%(levelname)s %(name)s: %(message)s",
-    )
-    try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(
+            level=logging.DEBUG if args.verbose else logging.WARNING,
+            format="%(levelname)s %(name)s: %(message)s",
+        )
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
@@ -520,7 +527,7 @@ def main(argv=None) -> int:
         if exc.checkpoint_path:
             print(f"resume with: clear-ga resume --checkpoint {exc.checkpoint_path}", file=sys.stderr)
         return EXIT_BACKEND
-    except (BackendHardFailure, SchemaGenerationError) as exc:
+    except (BackendHardFailure, EvaluationFailure, SchemaGenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BACKEND
     except (AuthenticationError, SchemaError, DatasetError, CheckpointError,

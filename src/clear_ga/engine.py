@@ -290,20 +290,13 @@ class RunResult:
     completed: bool
 
 
-def evaluate_building(
-    request: EvaluationRequest, evaluator: Evaluator, penalize_failures: bool = True
-) -> float:
-    """Error of one estimate for one building.
-
-    A permanent failure either charges the item's worst-case penalty (engine
-    policy) or propagates, per ``penalize_failures``.
-    """
+def evaluate_building(request: EvaluationRequest, evaluator: Evaluator) -> float:
+    """Error of one estimate for one building; a permanent failure charges the
+    item's worst-case penalty, so a run keeps going."""
     try:
         estimate = evaluator.evaluate(request)
         return building_error(request.data_item, estimate, request.building.truth)
     except EvaluationFailure:
-        if not penalize_failures:
-            raise
         log.warning(
             "building %s: estimate unavailable, charging failure penalty", request.building.id
         )
@@ -315,12 +308,13 @@ def evaluate_genotype(
     records: Sequence[BuildingRecord],
     item: DataItem,
     evaluator: Evaluator,
-    eval_counter: int = 0,
-    penalize_failures: bool = True,
 ) -> float:
-    """Sum of per-building errors for one genotype over a split; see :func:`evaluate_building`."""
-    requests = (EvaluationRequest(genotype, building, item, eval_counter) for building in records)
-    return aggregate_fitness([evaluate_building(r, evaluator, penalize_failures) for r in requests])
+    """Sum of per-building errors for one genotype over a split, each estimated
+    at eval counter 0; a permanent failure propagates as :class:`EvaluationFailure`."""
+    requests = (EvaluationRequest(genotype, building, item) for building in records)
+    return aggregate_fitness(
+        [building_error(r.data_item, evaluator.evaluate(r), r.building.truth) for r in requests]
+    )
 
 
 def _map_until_failure(fn: Callable, items: list, executor: Executor | None) -> list:

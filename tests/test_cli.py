@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from clear_ga.backends import HttpTransport
+from clear_ga.backends import HttpTransport, TransportError
 from clear_ga.cli import main
 from clear_ga.engine import EvolutionRun, journal_path, load_checkpoint_file
 
@@ -434,6 +434,69 @@ class TestAnalysisCommands:
         )
         assert status == 1
 
+    @staticmethod
+    def write_genotype(path: Path, **settings) -> Path:
+        doc = {"data_item": "energy", "seed": 3, "train_fraction": 0.6, **settings,
+               "chromosomes": [["c0_1"], ["c1_2"], []]}
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        return path
+
+    def test_genotype_file_without_data_item_needs_item(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        genotype = tmp_path / "best.json"
+        genotype.write_text(json.dumps({"seed": 3, "chromosomes": [["c0_1"], ["c1_2"], []]}),
+                            encoding="utf-8")
+        ablate = ["ablate", "--genotype", str(genotype), "--schema", ws["schema"],
+                  "--dataset", ws["dataset"], "--landscape", ws["landscape"]]
+        assert main(ablate) == 1
+        assert "--item" in capsys.readouterr().err
+        assert main(ablate + ["--item", "energy"]) == 0
+
+    @pytest.mark.parametrize(
+        "settings",
+        [
+            {"data_item": "roof"},
+            {"seed": "3"},
+            {"seed": 3.0},
+            {"seed": True},
+            {"train_fraction": None},
+            {"train_fraction": "0.5"},
+            {"train_fraction": False},
+        ],
+    )
+    def test_bad_genotype_file_value_is_config_error(self, tmp_path, capsys, settings):
+        ws = make_workspace(tmp_path)
+        genotype = self.write_genotype(tmp_path / "best.json", **settings)
+        status = main(["ablate", "--genotype", str(genotype), "--schema", ws["schema"],
+                       "--dataset", ws["dataset"], "--landscape", ws["landscape"]])
+        assert status == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad genotype file {genotype}: ")
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["ablate", "probe"])
+    def test_estimator_failure_is_backend_error(self, tmp_path, monkeypatch, capsys, command):
+        monkeypatch.setenv("CLEAR_LLM_API_KEY", "test-key")
+        sent = []
+
+        def refuse(self, prompt, images):
+            sent.append(prompt)
+            raise TransportError("connection refused")
+
+        monkeypatch.setattr(HttpTransport, "send", refuse)
+        ws = make_workspace(tmp_path)
+        argv = [command, "--schema", ws["schema"], "--dataset", ws["dataset"],
+                "--backend", "llm", "--retry-limit", "0"]
+        if command == "ablate":
+            argv += ["--genotype", str(self.write_genotype(tmp_path / "best.json"))]
+        else:
+            argv += ["--item", "energy", "--cue", "c0_1", "--building", "b2", "--n", "2"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1
+        assert "Traceback" not in err
+        assert sent
+
     def test_ablate_and_probe_output_is_pinned(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
         out_dir = tmp_path / "out"
@@ -555,6 +618,19 @@ class TestAnalysisCommands:
             "comparison.csv":
                 "5492eff960261363eccee3325d0a9cde685ad4cd173188fb6f1c14c09757dca2",
         }
+
+    def test_report_refuses_two_logs_with_one_label(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        out_a, out_b = tmp_path / "a", tmp_path / "b"
+        assert main(run_args(ws, out_a)) == 0
+        shutil.copytree(out_a, out_b)
+        capsys.readouterr()
+        report_dir = tmp_path / "reports"
+        logs = [str(out_a / "run.log.jsonl"), str(out_b / "run.log.jsonl")]
+        assert main(["report", "--log", *logs, "--out-dir", str(report_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and logs[0] in err and logs[1] in err
+        assert not report_dir.exists()
 
     def test_report_on_garbage_is_config_error(self, tmp_path):
         bad = tmp_path / "bad.jsonl"

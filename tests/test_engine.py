@@ -33,6 +33,7 @@ from clear_ga.engine import (
     Mode,
     RunAborted,
     RunConfig,
+    evaluate_building,
     evaluate_genotype,
     evolve,
     journal_path,
@@ -226,9 +227,8 @@ class TestEvaluateGenotype:
                 raise EvaluationFailure("nope")
 
         g = Genotype((("c0_0",), ("c1_1",)))
-        records = [build_record("b1"), build_record("b2")]
-        total = evaluate_genotype(g, records, DataItem.ENERGY, FailingEvaluator())
-        assert total == 2 * failure_penalty(DataItem.ENERGY)
+        request = EvaluationRequest(g, build_record(), DataItem.ENERGY)
+        assert evaluate_building(request, FailingEvaluator()) == failure_penalty(DataItem.ENERGY)
 
     def test_raise_mode_propagates(self):
         class FailingEvaluator:
@@ -237,9 +237,7 @@ class TestEvaluateGenotype:
 
         g = Genotype((("c0_0",), ("c1_1",)))
         with pytest.raises(EvaluationFailure):
-            evaluate_genotype(
-                g, [build_record()], DataItem.ENERGY, FailingEvaluator(), penalize_failures=False
-            )
+            evaluate_genotype(g, [build_record()], DataItem.ENERGY, FailingEvaluator())
 
 
 class TestEvolve:
