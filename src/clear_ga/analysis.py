@@ -334,28 +334,6 @@ def run_series(rows: list[GenerationStats]) -> list[dict]:
     return series
 
 
-def comparison_series(labeled_runs: list[tuple[str, list[GenerationStats]]]) -> list[dict]:
-    """Generation-aligned comparison of best error and fitness cv across runs."""
-    return _aligned(labeled_runs, {label: run_series(rows) for label, rows in labeled_runs})
-
-
-def _aligned(labeled_runs: list[tuple[str, list[GenerationStats]]],
-             per_run: dict[str, list[dict]]) -> list[dict]:
-    longest = max(len(rows) for _, rows in labeled_runs)
-    out = []
-    for generation in range(longest):
-        entry: dict = {"generation": generation}
-        for label, series in per_run.items():
-            if generation < len(series):
-                entry[f"{label}_best_error"] = series[generation]["best_error"]
-                entry[f"{label}_fitness_cv"] = series[generation]["fitness_cv"]
-            else:
-                entry[f"{label}_best_error"] = None
-                entry[f"{label}_fitness_cv"] = None
-        out.append(entry)
-    return out
-
-
 def summarize(labeled_runs: list[tuple[str, list[GenerationStats]]]) -> dict:
     """One summary document over run logs: per-run series plus, for two or
     more runs (e.g. fixed vs variable, or categorical vs continuous windows),
@@ -365,7 +343,15 @@ def summarize(labeled_runs: list[tuple[str, list[GenerationStats]]]) -> dict:
     per_run = {label: run_series(rows) for label, rows in labeled_runs}
     document: dict = {"runs": per_run}
     if len(labeled_runs) > 1:
-        document["comparison"] = _aligned(labeled_runs, per_run)
+        comparison = []
+        for generation in range(max(len(series) for series in per_run.values())):
+            entry: dict = {"generation": generation}
+            for label, series in per_run.items():
+                row = series[generation] if generation < len(series) else {}
+                entry[f"{label}_best_error"] = row.get("best_error")
+                entry[f"{label}_fitness_cv"] = row.get("fitness_cv")
+            comparison.append(entry)
+        document["comparison"] = comparison
     return document
 
 

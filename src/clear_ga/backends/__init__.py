@@ -18,7 +18,6 @@ from .oracle import (
     landscape_to_json_obj,
     load_landscape_file,
     oracle_evaluate,
-    save_landscape,
 )
 from .schema_gen import SchemaGenerationError, generate_schema
 
@@ -43,5 +42,4 @@ __all__ = [
     "landscape_to_json_obj",
     "load_landscape_file",
     "oracle_evaluate",
-    "save_landscape",
 ]

@@ -229,8 +229,3 @@ def load_landscape_file(path: str | Path) -> PlantedLandscape:
         raise ValueError(f"landscape file {path} is not valid JSON: {exc}") from None
     return landscape_from_json_obj(obj)
 
-
-def save_landscape(landscape: PlantedLandscape, path: str | Path) -> None:
-    Path(path).write_text(
-        json.dumps(landscape_to_json_obj(landscape), indent=2) + "\n", encoding="utf-8"
-    )

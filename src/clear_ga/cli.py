@@ -29,7 +29,7 @@ from .backends import (
     landscape_digest,
     load_landscape_file,
 )
-from .dataset import DatasetError, load_manifest, manifest_digest, split_records
+from .dataset import BuildingRecord, DatasetError, load_manifest, manifest_digest, split_records
 from .engine import (
     CheckpointError,
     EvolutionRun,
@@ -235,10 +235,10 @@ def _parse_seeds(text: str) -> list[int]:
 def cmd_gen_schema(args) -> int:
     config = _merged_config(args, {})
     transport = _make_transport(config, args.endpoint)
-    records = load_manifest(config.dataset_path, current_year=config.current_year)
+    training, _ = _split(config)
     try:
         schema = generate_schema(
-            records,
+            training,
             config.data_item,
             transport,
             Random(config.seed),
@@ -300,14 +300,19 @@ def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
     )
 
 
+def _split(config: RunConfig) -> tuple[list[BuildingRecord], list[BuildingRecord]]:
+    """The (training, test) split of a config's dataset, drawn at its seed."""
+    records = load_manifest(config.dataset_path, current_year=config.current_year)
+    return split_records(
+        records, config.data_item, Random(config.seed), train_fraction=config.train_fraction
+    )
+
+
 def _open_run(config: RunConfig, endpoint: str | None):
     """What a config names: its schema, (training, test) split and evaluator, and
     the schema, dataset and landscape digests that guard a run's checkpoint."""
     schema = load_schema_file(config.schema_path)
-    records = load_manifest(config.dataset_path, current_year=config.current_year)
-    splits = split_records(
-        records, config.data_item, Random(config.seed), train_fraction=config.train_fraction
-    )
+    splits = _split(config)
     evaluator = _make_evaluator(config, endpoint)
     digests = {
         "schema_sha256": schema_digest(schema),

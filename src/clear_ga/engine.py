@@ -13,18 +13,17 @@ initialization and reproduction, never by evaluation, eval counters are
 assigned per member before dispatch, and each member's errors are summed in
 building order, so results are identical at any evaluation concurrency.
 
-A checkpoint is a snapshot plus a journal (the snapshot-and-log design of
-Mohan et al., "ARIES", TODS 1992). The snapshot, ``checkpoint.json``, is the
+A checkpoint is one file, ``checkpoint.json``, in the snapshot-and-log design
+of Mohan et al. ("ARIES", TODS 1992). Its first line, the snapshot, is the
 whole run state as one JSON document; it is written to a temp file, fsynced
 and renamed into place, and its directory fsynced, at a run's first commit,
-at a pause and at the end.
-Each generation in between appends one fsynced line to the journal next to
-it, ``checkpoint.json.journal``, holding only what changed, so a commit costs
-one small append instead of a rewrite that grows with the ledger. The
-journal's first line names the sha256 of the snapshot it extends:
-:func:`load_checkpoint_file` replays its complete lines onto that snapshot
-and no other, and a run resumed from the same path appends to the same
-journal, cutting off a torn last line first.
+at a pause and at the end. Each generation in between appends one fsynced
+record line after it, holding only what changed, so a commit costs one small
+append instead of a rewrite that grows with the ledger. One rename replaces
+the snapshot and its records together, so the records in the file always
+extend the snapshot they follow. :func:`load_checkpoint_file` replays the
+complete records onto the snapshot, and a run resumed from the same path
+appends after them, cutting off a torn last line first.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from .schema import CueSchema, DataItem, Genotype, canonical_key, random_genotyp
 log = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT = "clear-ga/checkpoint/1"
-JOURNAL_FORMAT = "clear-ga/checkpoint-journal/1"
 
 
 class Mode(str, Enum):
@@ -386,18 +384,6 @@ def _genotype_obj(key: str, genotype: Genotype) -> dict:
     return {"key": key, "chromosomes": [list(ch) for ch in genotype.chromosomes]}
 
 
-def journal_path(checkpoint_path: str | Path) -> Path:
-    """The journal that extends the snapshot at ``checkpoint_path``."""
-    path = Path(checkpoint_path)
-    return path.with_name(path.name + ".journal")
-
-
-def _journal_header(snapshot: bytes) -> bytes:
-    """A journal's first line, without its newline: it names the snapshot it extends."""
-    base = hashlib.sha256(snapshot).hexdigest()
-    return json.dumps({"format": JOURNAL_FORMAT, "base": base}).encode("utf-8")
-
-
 def _fsync_directory(path: Path) -> None:
     """Make the entries of the directory holding ``path`` durable, so a file
     created, renamed or removed there stays so after a crash."""
@@ -409,58 +395,31 @@ def _fsync_directory(path: Path) -> None:
 
 
 class _Journal:
-    """The journal next to a snapshot, open for one appended record per commit.
+    """The checkpoint file, open for one appended record per commit.
 
-    A new journal starts with its header line. An existing one is cut back to
-    ``length``, the bytes of its records that a load replayed, so a torn
-    last line goes before the next record is appended. Each record is
-    written whole and fsynced before :meth:`append` returns, and so is the
-    directory entry of a journal the first record created.
+    The file is cut back to ``length``, the bytes of its snapshot line and
+    the records a load replayed, so a torn last line goes before the next
+    record is appended. Each record is written whole and fsynced before
+    :meth:`append` returns.
     """
 
-    def __init__(self, path: Path, header: bytes, length: int = 0):
+    def __init__(self, path: Path, length: int):
         self.path = path
-        self.header = header
         self.length = length
         self._fh = None
 
     def append(self, record: dict) -> None:
-        line = json.dumps(record).encode("utf-8") + b"\n"
-        created = False
         if self._fh is None:
-            if self.length:
-                self._fh = self.path.open("ab")
-                self._fh.truncate(self.length)
-            else:
-                self._fh = self.path.open("wb")
-                line = self.header + b"\n" + line
-                created = True
-        self._fh.write(line)
+            self._fh = self.path.open("ab")
+            self._fh.truncate(self.length)
+        self._fh.write(json.dumps(record).encode("utf-8") + b"\n")
         self._fh.flush()
         os.fsync(self._fh.fileno())
-        if created:
-            _fsync_directory(self.path)
 
     def close(self) -> None:
         if self._fh is not None:
             self._fh.close()
             self._fh = None
-
-
-def _continue_journal(path: Path, length: int) -> _Journal:
-    """The journal that extends the snapshot now at ``path``, keeping the
-    first ``length`` bytes of the one there if it still names that snapshot."""
-    header = _journal_header(path.read_bytes())
-    journal = journal_path(path)
-    if length:
-        try:
-            with journal.open("rb") as fh:
-                named = fh.read(len(header) + 1) == header + b"\n"
-                if not named or os.fstat(fh.fileno()).st_size < length:
-                    length = 0
-        except FileNotFoundError:
-            length = 0
-    return _Journal(journal, header, length)
 
 
 def checkpoint_config(checkpoint: dict) -> RunConfig:
@@ -520,7 +479,7 @@ class EvolutionRun:
         self._evaluated = False
         self._last_pool_size: int | None = None
         self._log_started = False
-        # What the checkpoint files hold: how many genotypes and log rows, and
+        # What the checkpoint file holds: how many genotypes and log rows, and
         # the keys the latest evaluation recorded, which the next commit saves.
         self._saved_genotypes = 0
         self._saved_log_rows = 0
@@ -581,15 +540,14 @@ class EvolutionRun:
             "log": [row.to_json_obj() for row in self.log_rows[self._saved_log_rows:]],
         }
 
-    def _write_snapshot(self, path: Path) -> bytes:
-        """Replace the snapshot at ``path`` with :meth:`checkpoint_obj` as JSON
-        and remove the journal, which it makes stale; returns the bytes written.
+    def _write_snapshot(self, path: Path) -> int:
+        """Replace the checkpoint at ``path``, snapshot and records, with
+        :meth:`checkpoint_obj` as one JSON line; returns its length in bytes.
 
         The bytes go to a temp file, which is fsynced before the rename, so
-        after a crash the path holds either the old snapshot or the new one;
-        the directory is fsynced after the rename and the removal, so neither
-        is undone once this returns. A journal that outlives a crash before
-        its removal names the old snapshot, so loading ignores it.
+        after a crash the path holds either the old checkpoint or the new one;
+        the directory is fsynced after the rename, so it is not undone once
+        this returns.
         """
         if self._journal is not None:
             self._journal.close()
@@ -602,35 +560,35 @@ class EvolutionRun:
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
-        journal_path(path).unlink(missing_ok=True)
         _fsync_directory(path)
-        return data
+        return len(data)
 
     def write_checkpoint(self, journal: bool = False) -> None:
         """Commit the run's state to its checkpoint path.
 
         With ``journal``, one record of what changed since the previous commit
-        is appended to the journal next to the snapshot, if the run has one:
-        the journal it started at its previous snapshot, or, for a run resumed
-        from this path, the one it was loaded with. Otherwise the snapshot is
-        replaced whole, and with ``journal`` a new journal starts on it.
-        :meth:`run` passes ``journal`` for every generation but a pause and the
-        last, and closes the journal when it returns or raises.
+        is appended to the checkpoint file, if the run has it open: since its
+        previous snapshot, or, for a run resumed from this path, since the
+        load, when the file still holds what was loaded. Otherwise the
+        snapshot is replaced whole, and with ``journal`` the next records go
+        after it. :meth:`run` passes ``journal`` for every generation but a
+        pause and the last, and closes the file when it returns or raises.
         """
         if not self.config.checkpoint_path:
             return
         path = Path(self.config.checkpoint_path)
         if journal and self._journal is None and self._loaded_from is not None:
             source, length = self._loaded_from
-            if source.resolve() == path.resolve():
-                self._journal = _continue_journal(path, length)
+            if (source.resolve() == path.resolve() and path.exists()
+                    and path.stat().st_size >= length):
+                self._journal = _Journal(path, length)
         self._loaded_from = None
         if journal and self._journal is not None:
             self._journal.append(self._journal_record())
         else:
-            data = self._write_snapshot(path)
+            length = self._write_snapshot(path)
             if journal:
-                self._journal = _Journal(journal_path(path), _journal_header(data))
+                self._journal = _Journal(path, length)
         self._saved_genotypes = len(self.genotypes_by_key)
         self._saved_log_rows = len(self.log_rows)
 
@@ -717,9 +675,6 @@ class EvolutionRun:
     def _append_log_row(self) -> None:
         """Append the newest of ``log_rows`` to the run log."""
         if not self.config.log_path:
-            return
-        if not self._log_started:
-            self._start_log()
             return
         with Path(self.config.log_path).open("a", encoding="utf-8") as fh:
             fh.write(json.dumps(self.log_rows[-1].to_json_obj()) + "\n")
@@ -862,9 +817,9 @@ def evolve(
 class CheckpointDocument(dict):
     """A checkpoint document as :func:`load_checkpoint_file` read it.
 
-    ``path`` is the snapshot it was read from and ``journal_length`` the
-    bytes of the journal whose records were replayed onto it (0 for none),
-    so a run resumed from the same path continues that journal.
+    ``path`` is the file it was read from and ``journal_length`` the bytes of
+    its snapshot line and the records replayed onto it, so a run resumed from
+    the same path appends after them.
     """
 
     def __init__(self, doc: dict, path: Path, journal_length: int):
@@ -873,22 +828,20 @@ class CheckpointDocument(dict):
         self.journal_length = journal_length
 
 
-def _replay_journal(doc: dict, snapshot: bytes, journal: bytes) -> int:
-    """Apply the journal's complete records to ``doc``; returns the bytes they
-    span with the header, or 0 if the journal names another snapshot.
+def _replay_journal(doc: dict, journal: bytes) -> int:
+    """Apply the complete records of ``journal``, the lines after a snapshot,
+    to ``doc``; returns the bytes they span.
 
     A record is complete when its line ends in a newline and parses; the
     first that does not ends the journal.
     """
-    header, *lines = journal.split(b"\n")
+    lines = journal.split(b"\n")[:-1]  # the last piece follows the last newline
     records = []
-    for line in lines[:-1]:  # the last piece follows the last newline
+    for line in lines:
         try:
             records.append(json.loads(line))
         except ValueError:
             break
-    if not records or header != _journal_header(snapshot):
-        return 0
     try:
         ledger = doc["ledger"]
         index = {row["key"]: i for i, row in enumerate(ledger)}
@@ -904,25 +857,24 @@ def _replay_journal(doc: dict, snapshot: bytes, journal: bytes) -> int:
             for name in ("config", "generation", "evaluated", "population", "rng_state"):
                 doc[name] = record[name]
     except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"corrupt checkpoint journal: {exc}") from None
-    return len(header) + 1 + sum(len(line) + 1 for line in lines[: len(records)])
+        raise CheckpointError(f"corrupt checkpoint record: {exc}") from None
+    return sum(len(line) + 1 for line in lines[: len(records)])
 
 
 def load_checkpoint_file(path: str | Path) -> dict:
-    """The checkpoint at ``path``: its snapshot, with the complete records of
-    the journal next to it replayed if that journal names this snapshot."""
+    """The checkpoint at ``path``: its first line, the snapshot, with the
+    complete records after it replayed."""
     path = Path(path)
     try:
-        snapshot = path.read_bytes()
-        doc = json.loads(snapshot)
+        data = path.read_bytes()
+        end = data.find(b"\n") + 1 or len(data)
+        doc = json.loads(data if end == len(data) else data[:end])
     except OSError as exc:
         raise CheckpointError(f"cannot read checkpoint {path}: {exc}") from None
     except ValueError as exc:
         raise CheckpointError(f"checkpoint {path} is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
         return doc
-    try:
-        journal = journal_path(path).read_bytes()
-    except FileNotFoundError:
-        return CheckpointDocument(doc, path, 0)
-    return CheckpointDocument(doc, path, _replay_journal(doc, snapshot, journal))
+    if end < len(data):
+        end += _replay_journal(doc, data[end:])
+    return CheckpointDocument(doc, path, end)

@@ -16,7 +16,6 @@ from clear_ga import analysis
 from clear_ga.analysis import (
     ReportError,
     ablate,
-    comparison_series,
     consistency_probe,
     cv,
     load_run_log,
@@ -386,7 +385,7 @@ class TestRunLogReports:
         log_b = write_run_log(tmp_path, "fixed.jsonl", mode=Mode.FIXED)
         _, rows_a = load_run_log(log_a)
         _, rows_b = load_run_log(log_b)
-        table = comparison_series([("variable", rows_a), ("fixed", rows_b)])
+        table = analysis.summarize([("variable", rows_a), ("fixed", rows_b)])["comparison"]
         assert len(table) == max(len(rows_a), len(rows_b))
         assert {"generation", "variable_best_error", "variable_fitness_cv",
                 "fixed_best_error", "fixed_fitness_cv"} <= set(table[0])

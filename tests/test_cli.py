@@ -9,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
-from clear_ga.backends import HttpTransport, TransportError
+from clear_ga import cli
+from clear_ga.backends import HttpTransport, SchemaGenerationError, TransportError
 from clear_ga.cli import main
-from clear_ga.engine import EvolutionRun, journal_path, load_checkpoint_file
+from clear_ga.engine import EvolutionRun, load_checkpoint_file
 
 from conftest import write_manifest
 
@@ -322,14 +323,14 @@ class TestResumeCommand:
             main(run_args(ws, first))
         first.rename(moved)
         checkpoint = moved / "checkpoint.json"
-        snapshot, journal = checkpoint.read_bytes(), journal_path(checkpoint).read_bytes()
+        before = checkpoint.read_bytes()
 
         monkeypatch.setattr(EvolutionRun, "write_checkpoint", interrupt_after(4))
         with pytest.raises(Interrupt):
             main(["resume", "--checkpoint", str(checkpoint)])
         assert not first.exists()
-        assert checkpoint.read_bytes() == snapshot
-        assert journal_path(checkpoint).read_bytes().startswith(journal)
+        after = checkpoint.read_bytes()
+        assert after.startswith(before) and after.count(b"\n") == before.count(b"\n") + 2
         doc = load_checkpoint_file(checkpoint)
         assert doc["generation"] == 4 and doc["config"]["checkpoint_path"] == str(checkpoint)
 
@@ -688,3 +689,19 @@ class TestGenSchemaCommand:
         assert status == 2
         assert sent == []
         assert "retry_limit must be >= 0" in capsys.readouterr().err
+
+    def test_samples_only_the_training_split_of_its_seed(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CLEAR_LLM_API_KEY", "test-key")
+        given = []
+
+        def fake_generate_schema(training, *args, **kwargs):
+            given.extend(record.id for record in training)
+            raise SchemaGenerationError("stop here")
+
+        monkeypatch.setattr(cli, "generate_schema", fake_generate_schema)
+        ws = make_workspace(tmp_path)
+        args = ["gen-schema", "--item", "windows", "--dataset", ws["dataset"],
+                "--out", str(tmp_path / "schema.out.json"), "--seed", "0"]
+        assert main(args) == 3
+        # `run --seed 0` trains on these and holds out b3 and b5 for testing.
+        assert given == ["b0", "b1", "b2", "b4"]

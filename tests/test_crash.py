@@ -22,9 +22,9 @@ from its creation. It counts the engine's file operations inside a span of
 the run and crashes at the k-th one: it raises :class:`Crash` and resets
 every file it tracks to its durable state. The run then resumes from what
 survived, and must end with the same run-log generation rows and checkpoint
-bytes as an uninterrupted run. Every k is tried, across three spans:
+bytes as an uninterrupted run. Every k is tried, across four spans:
 generations committed after a fresh start, the commit of a pause, and
-generations committed by a run that resumed after a crash.
+generations committed by a run that resumed after a crash or after a pause.
 """
 
 from __future__ import annotations
@@ -230,7 +230,9 @@ def run_span(directory: Path, model: DurabilityModel, span: str, crash_at: int,
     ``crash_at`` of it; True if the span ended first. ``committed`` collects the
     generations whose commit returned."""
     config, schema, evaluator, records = setup(directory)
-    first, last = {"generations": (1, 2), "pause": (3, 3), "after-crash": (3, 4)}[span]
+    first, last = {
+        "generations": (1, 2), "pause": (3, 3), "after-crash": (3, 4), "after-pause": (3, 4),
+    }[span]
 
     def on_generation(stats, population):
         committed.append(stats.generation)
@@ -250,6 +252,15 @@ def run_span(directory: Path, model: DurabilityModel, span: str, crash_at: int,
         with pytest.raises(Crash):
             EvolutionRun(config, schema, evaluator, records).run(on_generation=crash_after_two)
         model.restore()
+    elif span == "after-pause":
+        # A pause after generation 2, so the resumed run's first record goes
+        # onto a renamed snapshot that holds no records.
+        paused = EvolutionRun(config, schema, evaluator, records).run(
+            on_generation=lambda stats, population: committed.append(stats.generation),
+            stop_after_generation=2,
+        )
+        assert not paused.completed
+    if span.startswith("after-"):
         run = resume(config, schema, evaluator, records)
         model.arm(crash_at)
     else:
@@ -268,7 +279,7 @@ def run_span(directory: Path, model: DurabilityModel, span: str, crash_at: int,
     return True
 
 
-@pytest.mark.parametrize("span", ["generations", "pause", "after-crash"])
+@pytest.mark.parametrize("span", ["generations", "pause", "after-crash", "after-pause"])
 def test_resume_after_a_crash_at_any_operation_matches_uninterrupted(tmp_path, monkeypatch, span):
     directory = tmp_path / "run"
     directory.mkdir()
@@ -295,5 +306,6 @@ def test_resume_after_a_crash_at_any_operation_matches_uninterrupted(tmp_path, m
         result = resume(config, schema, evaluator, records).run()
         assert result.completed
         assert outputs(config) == expected, f"crash at operation {crash_at} of the {span} span"
+        assert sorted(p.name for p in directory.iterdir()) == ["checkpoint.json", "run.log.jsonl"]
     # The span did file operations, and a crash was tried at every one of them.
     assert crash_at > 3

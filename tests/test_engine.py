@@ -36,7 +36,6 @@ from clear_ga.engine import (
     evaluate_building,
     evaluate_genotype,
     evolve,
-    journal_path,
     load_checkpoint_file,
     next_generation,
     select_parents,
@@ -451,7 +450,7 @@ class TestCheckpointResume:
         with pytest.raises(RunAborted) as exc_info:
             evolve(config, schema, flaky, records)
         assert exc_info.value.checkpoint_path == config.checkpoint_path
-        doc = json.loads(Path(config.checkpoint_path).read_text(encoding="utf-8"))
+        doc = load_checkpoint_file(config.checkpoint_path)
         resumed = EvolutionRun.resume(doc, schema, evaluator, records).run()
         assert resumed.completed
 
@@ -573,7 +572,8 @@ def interrupt_at(generation: int):
 
 
 class TestJournal:
-    """Generations between a run's first commit and its last go to the journal."""
+    """Generations between a run's first commit and its last are appended to
+    the checkpoint file, one record line each after the snapshot line."""
 
     make_run = TestCheckpointWrites.make_run
 
@@ -584,42 +584,43 @@ class TestJournal:
         path = Path(run.config.checkpoint_path)
         with pytest.raises(Interrupt):
             run.run(on_generation=interrupt_at(3))
-        snapshot, intact = path.read_bytes(), journal_path(path).read_bytes()
+        intact = path.read_bytes()
+        snapshot, *journal = intact.splitlines()
         assert json.loads(snapshot)["generation"] == 0
-        assert intact.count(b"\n") == 4  # the header and generations 1 to 3
-        last = intact.splitlines()[-1]
-        journal_path(path).write_bytes(intact + last[: len(last) // 2])
+        assert len(journal) == 3  # generations 1 to 3
+        last = journal[-1]
+        path.write_bytes(intact + last[: len(last) // 2])
 
         doc = load_checkpoint_file(path)
         assert doc == run.checkpoint_obj()
         resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
         with pytest.raises(Interrupt):
             resumed.run(on_generation=interrupt_at(5))
-        # The resumed run appended to the journal it was loaded with, torn line cut off.
-        assert path.read_bytes() == snapshot
-        journal = journal_path(path).read_bytes()
-        assert journal.startswith(intact) and journal.count(b"\n") == 6
-        assert all(json.loads(line) for line in journal.splitlines())
+        # The resumed run appended to the file it was loaded from, torn line cut off.
+        appended = path.read_bytes()
+        assert appended.startswith(intact) and appended.count(b"\n") == 6
+        assert all(json.loads(line) for line in appended.splitlines())
         assert load_checkpoint_file(path) == resumed.checkpoint_obj()
 
         EvolutionRun.resume(load_checkpoint_file(path), schema, run.evaluator, records).run()
-        assert not journal_path(path).exists()
         uninterrupted = Path(full.config.checkpoint_path).read_text(encoding="utf-8")
         assert path.read_text(encoding="utf-8").replace("part", "full") == uninterrupted
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "full.checkpoint.json", "full.log.jsonl", "part.checkpoint.json", "part.log.jsonl",
+        ]
 
-    def test_journal_of_another_snapshot_is_ignored(self, tmp_path):
+    def test_snapshot_of_a_new_run_drops_the_old_runs_records(self, tmp_path):
         old, schema, records = self.make_run(tmp_path, "run", seed=5)
         path = Path(old.config.checkpoint_path)
         with pytest.raises(Interrupt):
             old.run(on_generation=interrupt_at(3))
-        stale = journal_path(path).read_bytes()
+        assert path.read_bytes().count(b"\n") == 4  # the snapshot and generations 1 to 3
 
-        # A fresh run into the same directory; its snapshot removes the old journal.
+        # A fresh run into the same directory: its first snapshot replaces the file.
         run, _, _ = self.make_run(tmp_path, "run")
-        assert not run.run(stop_after_generation=2).completed
-        assert not journal_path(path).exists()
-        # As if that removal had not survived a crash.
-        journal_path(path).write_bytes(stale)
+        with pytest.raises(Interrupt):
+            run.run(on_generation=interrupt_at(1))
+        assert path.read_bytes().count(b"\n") == 2  # the snapshot and generation 1
         doc = load_checkpoint_file(path)
         assert doc == run.checkpoint_obj()
 
@@ -627,7 +628,30 @@ class TestJournal:
         with pytest.raises(Interrupt):
             resumed.run(on_generation=interrupt_at(4))
         assert load_checkpoint_file(path) == resumed.checkpoint_obj()
-        assert journal_path(path).read_bytes().split(b"\n")[0] != stale.split(b"\n")[0]
+
+    def test_resumed_run_appends_only_to_the_file_it_loaded(self, tmp_path):
+        run, schema, records = self.make_run(tmp_path, "run")
+        path = Path(run.config.checkpoint_path)
+        with pytest.raises(Interrupt):
+            run.run(on_generation=interrupt_at(3))
+        copied = tmp_path / "copied.json"
+        copied.write_bytes(path.read_bytes())
+        doc = load_checkpoint_file(path)
+        # The loaded file loses its records before the resumed run's first commit.
+        path.write_bytes(path.read_bytes().splitlines(keepends=True)[0])
+        resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
+        with pytest.raises(Interrupt):
+            resumed.run(on_generation=interrupt_at(4))
+        assert load_checkpoint_file(path) == resumed.checkpoint_obj()
+
+        # Loaded from a copy, while the run's own path holds another run's longer file.
+        other, _, _ = self.make_run(tmp_path, "run", seed=5)
+        with pytest.raises(Interrupt):
+            other.run(on_generation=interrupt_at(6))
+        resumed = EvolutionRun.resume(load_checkpoint_file(copied), schema, run.evaluator, records)
+        with pytest.raises(Interrupt):
+            resumed.run(on_generation=interrupt_at(4))
+        assert load_checkpoint_file(path) == resumed.checkpoint_obj()
 
     def test_journal_closed_when_run_returns_pauses_or_raises(self, tmp_path, monkeypatch):
         opened = []
@@ -649,7 +673,7 @@ class TestJournal:
                 run.run(**kwargs)
             except Interrupt:
                 pass
-            journals = [fh for fh in opened if fh.name.endswith(".journal")]
+            journals = [fh for fh in opened if fh.mode == "ab"]
             assert journals and all(fh.closed for fh in opened), name
             opened.clear()
 
