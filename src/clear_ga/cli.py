@@ -39,6 +39,7 @@ from .engine import (
     RunResult,
     checkpoint_config,
     load_checkpoint_file,
+    write_file_durably,
 )
 from .schema import (
     DataItem,
@@ -278,16 +279,25 @@ def _merged_config(args, values: dict) -> RunConfig:
         raise UsageError(f"bad config: {exc}") from None
 
 
-def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
+def _build_run_config(args, seed: int | None, out_dir: Path) -> RunConfig:
+    """The flags over the ``--config`` file, and ``seed``, one of a ``--seeds``
+    range, over both."""
     values: dict = {}
     if args.config:
         try:
-            values.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise DatasetError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(values, dict):
+            raise DatasetError(f"config file {args.config} must be a JSON object")
     if "data_item" not in values and args.data_item is None:
         raise UsageError("--item is required (or provide data_item in --config)")
-    config = _merged_config(args, values)
+    config = _merged_config(args, {"seed": None, **values})  # None: given nowhere
+    seed = config.seed if seed is None else seed
+    if seed is None and config.backend == "oracle":
+        raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
+    if seed is not None and type(seed) is not int:  # a string or bool seeds another stream
+        raise DatasetError(f"config file {args.config} seed {seed!r} is not a JSON integer")
     # Absolute, so the run can be resumed from any working directory.
     paths = {
         name: str(Path(path).resolve())
@@ -295,7 +305,7 @@ def _build_run_config(args, seed: int, out_dir: Path) -> RunConfig:
         if (path := getattr(config, name))
     }
     return replace(
-        config, **paths, seed=seed,
+        config, **paths, seed=seed or 0,
         checkpoint_path=str(out_dir / CHECKPOINT_FILENAME), log_path=str(out_dir / LOG_FILENAME),
     )
 
@@ -323,17 +333,8 @@ def _open_run(config: RunConfig, endpoint: str | None):
     return schema, splits, evaluator, digests
 
 
-def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
-    """Run to the end and write best.json next to the checkpoint; on a pause at
-    ``stop_after``, print how to continue and return None instead."""
-    result = run.run(stop_after_generation=stop_after)
-    config = run.config
-    if not result.completed:
-        print(
-            f"paused after generation {run.generation}; resume with: "
-            f"clear-ga resume --checkpoint {config.checkpoint_path}"
-        )
-        return None
+def _write_best(config: RunConfig, result: RunResult) -> None:
+    """Write a finished run's best.json next to its checkpoint."""
     best = {
         "data_item": config.data_item.value,
         "mode": config.mode.value,
@@ -343,17 +344,27 @@ def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
         "cue_list": render_cue_list(result.best_genotype),
         "chromosomes": [list(ch) for ch in result.best_genotype.chromosomes],
     }
-    Path(config.checkpoint_path).with_name(BEST_FILENAME).write_text(
-        json.dumps(best, indent=2) + "\n", encoding="utf-8"
-    )
+    text = json.dumps(best, indent=2) + "\n"
+    write_file_durably(Path(config.checkpoint_path).with_name(BEST_FILENAME), text.encode("utf-8"))
+
+
+def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
+    """Run to the end and write best.json next to the checkpoint; on a pause at
+    ``stop_after``, print how to continue and return None instead."""
+    result = run.run(stop_after_generation=stop_after)
+    if not result.completed:
+        print(
+            f"paused after generation {run.generation}; resume with: "
+            f"clear-ga resume --checkpoint {run.config.checkpoint_path}"
+        )
+        return None
+    _write_best(run.config, result)
     return result
 
 
 def _run_one(args, seed: int | None, out_dir: Path) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
-    config = _build_run_config(args, seed if seed is not None else 0, out_dir)
-    if config.backend == "oracle" and seed is None:
-        raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
+    config = _build_run_config(args, seed, out_dir)
     if not config.schema_path or not config.dataset_path:
         raise UsageError("--schema and --dataset are required")
     schema, (training, _), evaluator, digests = _open_run(config, args.endpoint)
@@ -361,7 +372,7 @@ def _run_one(args, seed: int | None, out_dir: Path) -> int:
     result = _finish(run, args.stop_after)
     if result is not None:
         print(
-            f"seed {seed}: best error {result.best_recorded_error:g} "
+            f"seed {config.seed}: best error {result.best_recorded_error:g} "
             f"({len(result.per_generation_log)} generations logged)"
         )
         print(f"  best cues: {render_cue_list(result.best_genotype) or '(none)'}")
@@ -375,7 +386,7 @@ def cmd_run(args) -> int:
         for seed in _parse_seeds(args.seeds):
             _run_one(args, seed, out_dir / f"seed{seed}")
         return EXIT_OK
-    return _run_one(args, args.seed, out_dir)
+    return _run_one(args, None, out_dir)
 
 
 def cmd_resume(args) -> int:
@@ -395,6 +406,7 @@ def cmd_resume(args) -> int:
         )
     run.config = replace(run.config, **settings)
     if run.finished:
+        _write_best(run.config, run.result())
         print(f"run already complete at generation {run.generation}; nothing to do")
         return EXIT_OK
     result = _finish(run, args.stop_after)

@@ -21,9 +21,11 @@ at a pause and at the end. Each generation in between appends one fsynced
 record line after it, holding only what changed, so a commit costs one small
 append instead of a rewrite that grows with the ledger. One rename replaces
 the snapshot and its records together, so the records in the file always
-extend the snapshot they follow. :func:`load_checkpoint_file` replays the
-complete records onto the snapshot, and a run resumed from the same path
-appends after them, cutting off a torn last line first.
+extend the snapshot they follow. A record is written by reopening the file
+at the length the run last committed, or loaded, cutting off a torn last line,
+and appending; no handle is held between commits. :func:`load_checkpoint_file`
+replays the complete records onto the snapshot, and a run resumed from the
+same path appends after them.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from functools import partial
 from itertools import islice
 from pathlib import Path
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .backends.base import BackendHardFailure, EvaluationFailure, EvaluationRequest, Evaluator
 from .dataset import BuildingRecord, require_truth
@@ -394,32 +396,33 @@ def _fsync_directory(path: Path) -> None:
         os.close(fd)
 
 
-class _Journal:
-    """The checkpoint file, open for one appended record per commit.
+def write_file_durably(path: Path, data: bytes) -> None:
+    """Replace the file at ``path`` with ``data``.
 
-    The file is cut back to ``length``, the bytes of its snapshot line and
-    the records a load replayed, so a torn last line goes before the next
-    record is appended. Each record is written whole and fsynced before
-    :meth:`append` returns.
+    The bytes go to a temp file, which is fsynced before the rename, so after
+    a crash the path holds either the old file or the new one; the directory
+    is fsynced after the rename, so it is not undone once this returns.
     """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    with tmp.open("wb") as fh:
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    os.replace(tmp, path)
+    _fsync_directory(path)
 
-    def __init__(self, path: Path, length: int):
-        self.path = path
-        self.length = length
-        self._fh = None
 
-    def append(self, record: dict) -> None:
-        if self._fh is None:
-            self._fh = self.path.open("ab")
-            self._fh.truncate(self.length)
-        self._fh.write(json.dumps(record).encode("utf-8") + b"\n")
-        self._fh.flush()
-        os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+def _append_line(path: Path, length: int, obj: dict) -> int:
+    """Cut the file at ``path`` back to ``length`` bytes, so a torn last line
+    goes, then append ``obj`` as one fsynced JSON line; returns the new length."""
+    data = (json.dumps(obj) + "\n").encode("utf-8")
+    with path.open("ab") as fh:
+        fh.truncate(length)
+        fh.write(data)
+        fh.flush()
+        os.fsync(fh.fileno())
+    return length + len(data)
 
 
 def checkpoint_config(checkpoint: dict) -> RunConfig:
@@ -476,7 +479,6 @@ class EvolutionRun:
         self.ledger = FitnessLedger()
         self.genotypes_by_key: dict[str, Genotype] = {}
         self.log_rows: list[GenerationStats] = []
-        self._evaluated = False
         self._last_pool_size: int | None = None
         self._log_started = False
         # What the checkpoint file holds: how many genotypes and log rows, and
@@ -484,111 +486,81 @@ class EvolutionRun:
         self._saved_genotypes = 0
         self._saved_log_rows = 0
         self._evaluated_keys: list[str] = []
-        self._journal: _Journal | None = None
-        # (path, journal length) of the checkpoint a resumed run was loaded from.
-        self._loaded_from: tuple[Path, int] | None = None
+        # (path, length) of the checkpoint file this run last committed to or
+        # was loaded from; the next record goes there while the file holds that.
+        self._committed: tuple[Path, int] | None = None
 
     # -- persistence -----------------------------------------------------
 
-    def _population_obj(self) -> list[dict]:
-        return [
-            {
-                "chromosomes": [list(ch) for ch in m.genotype.chromosomes],
-                "recorded_error": m.recorded_error,
-            }
-            for m in self.population
-        ]
+    def _state(self, ledger_keys: Iterable[str], genotypes_from: int, log_from: int) -> dict:
+        """The run state, with the ledger entries of ``ledger_keys``, and the
+        genotypes and log rows from those indices on."""
+        entries = self.ledger.entries
+        return {
+            "config": self.config.to_json_obj(),
+            "generation": self.generation,
+            "evaluated": bool(self.log_rows),
+            "population": [
+                {
+                    "chromosomes": [list(ch) for ch in m.genotype.chromosomes],
+                    "recorded_error": m.recorded_error,
+                }
+                for m in self.population
+            ],
+            "ledger": [FitnessLedger._entry_obj(key, entries[key]) for key in ledger_keys],
+            "genotypes": [
+                _genotype_obj(key, g)
+                for key, g in islice(self.genotypes_by_key.items(), genotypes_from, None)
+            ],
+            "rng_state": _rng_state_to_json(self.rng.getstate()),
+            "log": [row.to_json_obj() for row in self.log_rows[log_from:]],
+        }
 
     def checkpoint_obj(self) -> dict:
         """Snapshot between generations; resuming from it reproduces the run exactly."""
         return {
             "format": CHECKPOINT_FORMAT,
             "digest": self.config.digest(),
-            "config": self.config.to_json_obj(),
-            "generation": self.generation,
-            "evaluated": self._evaluated,
-            "population": self._population_obj(),
-            "ledger": self.ledger.to_json_obj(),
-            "genotypes": [_genotype_obj(key, g) for key, g in self.genotypes_by_key.items()],
-            "rng_state": _rng_state_to_json(self.rng.getstate()),
-            "log": [row.to_json_obj() for row in self.log_rows],
+            **self._state(self.ledger.entries, 0, 0),
         }
 
-    def _journal_record(self) -> dict:
-        """What changed since the previous commit, as one journal record.
-
-        The config is included because a resumed run may write to other paths
-        or at another concurrency than its snapshot names. The ledger entries
-        are those the latest evaluation recorded, in the order it recorded
-        them, so replaying appends new keys in ledger order.
-        """
-        entries = self.ledger.entries
-        return {
-            "config": self.config.to_json_obj(),
-            "generation": self.generation,
-            "evaluated": self._evaluated,
-            "population": self._population_obj(),
-            "rng_state": _rng_state_to_json(self.rng.getstate()),
-            "ledger": [
-                FitnessLedger._entry_obj(key, entries[key])
-                for key in dict.fromkeys(self._evaluated_keys)
-            ],
-            "genotypes": [
-                _genotype_obj(key, g)
-                for key, g in islice(self.genotypes_by_key.items(), self._saved_genotypes, None)
-            ],
-            "log": [row.to_json_obj() for row in self.log_rows[self._saved_log_rows:]],
-        }
-
-    def _write_snapshot(self, path: Path) -> int:
-        """Replace the checkpoint at ``path``, snapshot and records, with
-        :meth:`checkpoint_obj` as one JSON line; returns its length in bytes.
-
-        The bytes go to a temp file, which is fsynced before the rename, so
-        after a crash the path holds either the old checkpoint or the new one;
-        the directory is fsynced after the rename, so it is not undone once
-        this returns.
-        """
-        if self._journal is not None:
-            self._journal.close()
-            self._journal = None
-        data = (json.dumps(self.checkpoint_obj()) + "\n").encode("utf-8")
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(path.name + ".tmp")
-        with tmp.open("wb") as fh:
-            fh.write(data)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        _fsync_directory(path)
-        return len(data)
+    def _holds_commit(self, path: Path) -> bool:
+        """Whether ``path`` is the file this run last committed to or was
+        loaded from, and still holds at least what was committed or loaded."""
+        if self._committed is None:
+            return False
+        marked, length = self._committed
+        try:
+            same = marked == path or marked.resolve() == path.resolve()
+            return same and path.stat().st_size >= length
+        except OSError:
+            return False
 
     def write_checkpoint(self, journal: bool = False) -> None:
         """Commit the run's state to its checkpoint path.
 
         With ``journal``, one record of what changed since the previous commit
-        is appended to the checkpoint file, if the run has it open: since its
-        previous snapshot, or, for a run resumed from this path, since the
-        load, when the file still holds what was loaded. Otherwise the
-        snapshot is replaced whole, and with ``journal`` the next records go
-        after it. :meth:`run` passes ``journal`` for every generation but a
-        pause and the last, and closes the file when it returns or raises.
+        is appended to the checkpoint file, if it is the file this run last
+        committed to or was loaded from and still holds that. The record holds
+        the config, since a resumed run may write to other paths or at another
+        concurrency than its snapshot names, and the ledger entries the latest
+        evaluation recorded, in the order it recorded them. Otherwise the
+        snapshot replaces the file whole. :meth:`run` passes ``journal`` for
+        every generation but a pause and the last.
         """
         if not self.config.checkpoint_path:
             return
         path = Path(self.config.checkpoint_path)
-        if journal and self._journal is None and self._loaded_from is not None:
-            source, length = self._loaded_from
-            if (source.resolve() == path.resolve() and path.exists()
-                    and path.stat().st_size >= length):
-                self._journal = _Journal(path, length)
-        self._loaded_from = None
-        if journal and self._journal is not None:
-            self._journal.append(self._journal_record())
+        if journal and self._holds_commit(path):
+            record = self._state(
+                dict.fromkeys(self._evaluated_keys), self._saved_genotypes, self._saved_log_rows
+            )
+            length = _append_line(path, self._committed[1], record)
         else:
-            length = self._write_snapshot(path)
-            if journal:
-                self._journal = _Journal(path, length)
+            data = (json.dumps(self.checkpoint_obj()) + "\n").encode("utf-8")
+            write_file_durably(path, data)
+            length = len(data)
+        self._committed = (path, length)
         self._saved_genotypes = len(self.genotypes_by_key)
         self._saved_log_rows = len(self.log_rows)
 
@@ -626,7 +598,6 @@ class EvolutionRun:
         try:
             run.rng.setstate(_rng_state_from_json(checkpoint["rng_state"]))
             run.generation = checkpoint["generation"]
-            run._evaluated = checkpoint["evaluated"]
             run.population = [
                 Member(Genotype(m["chromosomes"]), m["recorded_error"])
                 for m in checkpoint["population"]
@@ -641,7 +612,7 @@ class EvolutionRun:
         run._saved_genotypes = len(run.genotypes_by_key)
         run._saved_log_rows = len(run.log_rows)
         if isinstance(checkpoint, CheckpointDocument):
-            run._loaded_from = (checkpoint.path, checkpoint.journal_length)
+            run._committed = (checkpoint.path, checkpoint.length)
         return run
 
     # -- run log ----------------------------------------------------------
@@ -703,7 +674,6 @@ class EvolutionRun:
         for member, key in zip(self.population, keys):
             member.recorded_error = self.ledger.worst(key)
         self._evaluated_keys = keys
-        self._evaluated = True
 
     def _collect_stats(self) -> GenerationStats:
         errors = [m.recorded_error for m in self.population]
@@ -749,9 +719,10 @@ class EvolutionRun:
     @property
     def finished(self) -> bool:
         """True when the run has already met a termination condition."""
-        return self._evaluated and bool(self.log_rows) and self._terminal()
+        return bool(self.log_rows) and self._terminal()
 
-    def _result(self, completed: bool) -> RunResult:
+    def result(self, completed: bool = True) -> RunResult:
+        """The run's best genotype and log so far."""
         best_key = self.ledger.best_key()
         return RunResult(
             best_genotype=self.genotypes_by_key[best_key],
@@ -777,17 +748,17 @@ class EvolutionRun:
         try:
             # One pool serves every generation; concurrency 1 (the oracle) stays serial.
             with ThreadPoolExecutor(concurrency) if concurrency > 1 else nullcontext() as executor:
-                if not self._evaluated:
+                if not self.log_rows:
                     self._step_evaluate(on_generation, executor, stop_after_generation)
                 while not self._terminal():
                     if self._pausing(stop_after_generation):
-                        return self._result(completed=False)
+                        return self.result(completed=False)
                     self.population, self._last_pool_size = next_generation(
                         self.population, self.schema, self.config, self.rng
                     )
                     self.generation += 1
                     self._step_evaluate(on_generation, executor, stop_after_generation)
-            return self._result(completed=True)
+            return self.result(completed=True)
         except BackendHardFailure as exc:
             path = self.config.checkpoint_path
             written = path if path and Path(path).exists() else None
@@ -795,10 +766,6 @@ class EvolutionRun:
             raise RunAborted(
                 f"evaluator hard failure at generation {self.generation}: {exc}", written
             ) from exc
-        finally:
-            if self._journal is not None:
-                self._journal.close()
-                self._journal = None
 
 
 def evolve(
@@ -817,15 +784,15 @@ def evolve(
 class CheckpointDocument(dict):
     """A checkpoint document as :func:`load_checkpoint_file` read it.
 
-    ``path`` is the file it was read from and ``journal_length`` the bytes of
-    its snapshot line and the records replayed onto it, so a run resumed from
-    the same path appends after them.
+    ``path`` is the file it was read from and ``length`` the bytes of its
+    snapshot line and the records replayed onto it, so a run resumed from the
+    same path appends after them.
     """
 
-    def __init__(self, doc: dict, path: Path, journal_length: int):
+    def __init__(self, doc: dict, path: Path, length: int):
         super().__init__(doc)
         self.path = path
-        self.journal_length = journal_length
+        self.length = length
 
 
 def _replay_journal(doc: dict, journal: bytes) -> int:
@@ -843,19 +810,15 @@ def _replay_journal(doc: dict, journal: bytes) -> int:
         except ValueError:
             break
     try:
-        ledger = doc["ledger"]
-        index = {row["key"]: i for i, row in enumerate(ledger)}
+        # Each key keeps its first position and takes its latest row.
+        ledger = {row["key"]: row for row in doc["ledger"]}
         for record in records:
-            for row in record["ledger"]:
-                i = index.setdefault(row["key"], len(ledger))
-                if i == len(ledger):
-                    ledger.append(row)
-                else:
-                    ledger[i] = row
+            ledger.update((row["key"], row) for row in record["ledger"])
             doc["genotypes"] += record["genotypes"]
             doc["log"] += record["log"]
             for name in ("config", "generation", "evaluated", "population", "rng_state"):
                 doc[name] = record[name]
+        doc["ledger"] = list(ledger.values())
     except (KeyError, TypeError) as exc:
         raise CheckpointError(f"corrupt checkpoint record: {exc}") from None
     return sum(len(line) + 1 for line in lines[: len(records)])

@@ -161,6 +161,41 @@ class TestRunCommand:
         del args[args.index("--seed") : args.index("--seed") + 2]
         assert main(args) == 1
 
+    def test_config_file_seed_is_the_runs_seed(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        assert main(run_args(ws, tmp_path / "flag")) == 0  # --seed 3
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 3}), encoding="utf-8")
+        args = run_args(ws, tmp_path / "file", "--config", str(config_path))
+        del args[args.index("--seed") : args.index("--seed") + 2]
+        capsys.readouterr()
+        assert main(args) == 0
+        assert "seed 3: best error" in capsys.readouterr().out
+        flag, file = tmp_path / "flag", tmp_path / "file"
+        assert (file / "best.json").read_bytes() == (flag / "best.json").read_bytes()
+        # A run log's first line is its config, which names the output paths.
+        flag_rows = (flag / "run.log.jsonl").read_bytes().splitlines()[1:]
+        assert (file / "run.log.jsonl").read_bytes().splitlines()[1:] == flag_rows
+
+    @pytest.mark.parametrize("seed", ["3", True])
+    def test_config_file_seed_that_is_not_an_integer_is_config_error(self, tmp_path, capsys, seed):
+        ws = make_workspace(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": seed}), encoding="utf-8")
+        args = run_args(ws, tmp_path / "x", "--config", str(config_path))
+        del args[args.index("--seed") : args.index("--seed") + 2]
+        assert main(args) == 2
+        assert "is not a JSON integer" in capsys.readouterr().err
+        assert not (tmp_path / "x" / "checkpoint.json").exists()
+
+    @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"x"'])
+    def test_config_file_that_is_not_an_object_is_config_error(self, tmp_path, capsys, text):
+        ws = make_workspace(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(text, encoding="utf-8")
+        assert main(run_args(ws, tmp_path / "x", "--config", str(config_path))) == 2
+        assert f"config file {config_path} must be a JSON object" in capsys.readouterr().err
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["run", "--frobnicate"]) == 1
 
@@ -202,6 +237,25 @@ class TestResumeCommand:
         capsys.readouterr()
         assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 0
         assert "already complete" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("damage", ["deleted", "emptied"])
+    def test_resume_of_a_finished_run_repairs_best_json(self, tmp_path, capsys, damage):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir)) == 0
+        best = out_dir / "best.json"
+        reference = best.read_bytes()
+        if damage == "deleted":
+            best.unlink()
+        else:
+            best.write_bytes(b"")
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 0
+        assert "already complete" in capsys.readouterr().out
+        assert best.read_bytes() == reference
+        assert sorted(p.name for p in out_dir.iterdir()) == [
+            "best.json", "checkpoint.json", "run.log.jsonl",
+        ]
 
     def test_resume_with_missing_schema_file(self, tmp_path):
         ws = make_workspace(tmp_path)

@@ -484,13 +484,16 @@ class TestCheckpointWrites:
         records = [build_record(), build_record("b2")]
         return EvolutionRun(make_config(**values), schema, evaluator, records), schema, records
 
-    def checked_run(self, run, written: list[int], **kwargs):
+    def checked_run(self, run, written: list[int], files: dict | None = None, **kwargs):
         """Run, asserting after every generation that the checkpoint loads as
-        ``checkpoint_obj``, and when the run returns that the file holds it."""
+        ``checkpoint_obj``, and when the run returns that the file holds it;
+        ``files``, if given, maps each generation to the file's bytes then."""
 
         def check(stats, population):
             assert load_checkpoint_file(run.config.checkpoint_path) == run.checkpoint_obj()
             written.append(stats.generation)
+            if files is not None:
+                files[stats.generation] = Path(run.config.checkpoint_path).read_bytes()
 
         result = run.run(on_generation=check, **kwargs)
         expected = json.dumps(run.checkpoint_obj()) + "\n"
@@ -522,6 +525,17 @@ class TestCheckpointWrites:
         paused = Path(run.config.checkpoint_path).read_text(encoding="utf-8")
         uninterrupted = Path(full.config.checkpoint_path).read_text(encoding="utf-8")
         assert paused.replace("paused", "full") == uninterrupted
+
+    def test_same_run_appends_after_its_own_pause_snapshot(self, tmp_path):
+        run, _, _ = self.make_run(tmp_path, "run")
+        written: list[int] = []
+        assert not self.checked_run(run, written, stop_after_generation=3).completed
+        paused = Path(run.config.checkpoint_path).read_bytes()
+        files: dict[int, bytes] = {}
+        assert self.checked_run(run, written, files).completed
+        assert written == list(range(10))
+        # Generation 4 went on as one record after the pause snapshot.
+        assert files[4].startswith(paused) and files[4].count(b"\n") == 2
 
     def test_reevaluated_elite_shows_new_worst_error(self, tmp_path):
         run, _, _ = self.make_run(tmp_path, "worse", evaluator=WorseningEvaluator(), generations=4)
@@ -662,11 +676,20 @@ class TestJournal:
                 opened.append(fh)
                 return fh
 
+        def all_closed(stats, population):
+            # No handle is held between commits, so none is open while the
+            # callback runs.
+            assert opened and all(fh.closed for fh in opened), stats.generation
+
+        def interrupted(stats, population):
+            all_closed(stats, population)
+            interrupt_at(4)(stats, population)
+
         monkeypatch.setattr(engine, "Path", RecordingPath)
         for name, kwargs in [
-            ("returns", {}),
-            ("pauses", {"stop_after_generation": 4}),
-            ("raises", {"on_generation": interrupt_at(4)}),
+            ("returns", {"on_generation": all_closed}),
+            ("pauses", {"on_generation": all_closed, "stop_after_generation": 4}),
+            ("raises", {"on_generation": interrupted}),
         ]:
             run, _, _ = self.make_run(tmp_path, name)
             try:
