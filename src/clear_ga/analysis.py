@@ -13,6 +13,7 @@ import logging
 import math
 import operator
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -202,9 +203,8 @@ def consistency_probe(
     """Evaluate a lone cue ``n`` times on one building and summarize the spread.
 
     Disagreement rate is the fraction of answers differing from the modal
-    answer (ties broken by first observation); cv is reported as absent when
-    its mean is zero. Failed samples are skipped; if every sample fails the
-    probe raises.
+    answer; cv is reported as absent when its mean is zero. Failed samples
+    are skipped; if every sample fails the probe raises.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
@@ -229,13 +229,7 @@ def consistency_probe(
     if not values:
         raise EvaluationFailure(f"all {n} probe evaluations failed")
 
-    first_seen: dict[float, int] = {}
-    counts: dict[float, int] = {}
-    for i, value in enumerate(values):
-        first_seen.setdefault(value, i)
-        counts[value] = counts.get(value, 0) + 1
-    mode = max(counts, key=lambda v: (counts[v], -first_seen[v]))
-    disagreement = sum(1 for v in values if v != mode) / len(values)
+    disagreement = (len(values) - max(Counter(values).values())) / len(values)
     try:
         spread = cv(values)
     except ValueError:

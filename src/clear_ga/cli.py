@@ -292,12 +292,10 @@ def _build_run_config(args, seed: int | None, out_dir: Path) -> RunConfig:
             raise DatasetError(f"config file {args.config} must be a JSON object")
     if "data_item" not in values and args.data_item is None:
         raise UsageError("--item is required (or provide data_item in --config)")
-    config = _merged_config(args, {"seed": None, **values})  # None: given nowhere
-    seed = config.seed if seed is None else seed
-    if seed is None and config.backend == "oracle":
+    config = _merged_config(args, values)
+    given = seed is not None or args.seed is not None or "seed" in values
+    if not given and config.backend == "oracle":
         raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
-    if seed is not None and type(seed) is not int:  # a string or bool seeds another stream
-        raise DatasetError(f"config file {args.config} seed {seed!r} is not a JSON integer")
     # Absolute, so the run can be resumed from any working directory.
     paths = {
         name: str(Path(path).resolve())
@@ -305,7 +303,7 @@ def _build_run_config(args, seed: int | None, out_dir: Path) -> RunConfig:
         if (path := getattr(config, name))
     }
     return replace(
-        config, **paths, seed=seed or 0,
+        config, **paths, seed=config.seed if seed is None else seed,
         checkpoint_path=str(out_dir / CHECKPOINT_FILENAME), log_path=str(out_dir / LOG_FILENAME),
     )
 
@@ -363,7 +361,6 @@ def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
 
 
 def _run_one(args, seed: int | None, out_dir: Path) -> int:
-    out_dir.mkdir(parents=True, exist_ok=True)
     config = _build_run_config(args, seed, out_dir)
     if not config.schema_path or not config.dataset_path:
         raise UsageError("--schema and --dataset are required")

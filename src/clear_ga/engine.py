@@ -21,11 +21,13 @@ at a pause and at the end. Each generation in between appends one fsynced
 record line after it, holding only what changed, so a commit costs one small
 append instead of a rewrite that grows with the ledger. One rename replaces
 the snapshot and its records together, so the records in the file always
-extend the snapshot they follow. A record is written by reopening the file
-at the length the run last committed, or loaded, cutting off a torn last line,
-and appending; no handle is held between commits. :func:`load_checkpoint_file`
-replays the complete records onto the snapshot, and a run resumed from the
-same path appends after them.
+extend the snapshot they follow. The run's commit mark records the path and
+length it last committed, or loaded, and how many genotypes and log rows the
+file then holds; a record carries the genotypes and log rows past those
+counts. It is written by reopening the file at that length, cutting off a
+torn last line, and appending; no handle is held between commits.
+:func:`load_checkpoint_file` replays the complete records onto the snapshot,
+and a run resumed from the same path appends after them.
 """
 
 from __future__ import annotations
@@ -38,10 +40,11 @@ import os
 from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, Executor, ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import partial
 from itertools import islice
+from operator import itemgetter
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -107,9 +110,22 @@ class RunConfig:
     dataset_sha256: str = ""
     landscape_sha256: str = ""
 
+    # The JSON types each annotation takes, and their name; a bool is no number.
+    _JSON_TYPES = {
+        "int": ((int,), "integer"),
+        "float": ((int, float), "number"),
+        "str": ((str,), "string"),
+        "str | None": ((str, type(None)), "string or null"),
+    }
+
     def __post_init__(self) -> None:
         self.data_item = DataItem(self.data_item)
         self.mode = Mode(self.mode)
+        for field in fields(self):
+            types, noun = self._JSON_TYPES.get(field.type, (None, ""))
+            value = getattr(self, field.name)
+            if types and type(value) not in types:
+                raise ValueError(f"{field.name} {value!r} is not a JSON {noun}")
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 0 < self.parent_fraction <= 1:
@@ -226,8 +242,7 @@ class FitnessLedger:
 
     @staticmethod
     def _entry_obj(key: str, e: LedgerEntry) -> dict:
-        return {"key": key, "worst_error": e.worst_error, "evaluations": e.evaluations,
-                "first_seen_generation": e.first_seen_generation}
+        return {"key": key, **vars(e)}
 
     def to_json_obj(self) -> list[dict]:
         return [self._entry_obj(key, e) for key, e in self.entries.items()]
@@ -235,12 +250,9 @@ class FitnessLedger:
     @classmethod
     def from_json_obj(cls, rows: list[dict]) -> "FitnessLedger":
         ledger = cls()
+        values = itemgetter(*(f.name for f in fields(LedgerEntry)))
         for row in rows:
-            ledger.entries[row["key"]] = LedgerEntry(
-                worst_error=row["worst_error"],
-                evaluations=row["evaluations"],
-                first_seen_generation=row["first_seen_generation"],
-            )
+            ledger.entries[row["key"]] = LedgerEntry(*values(row))
         return ledger
 
 
@@ -264,17 +276,7 @@ class GenerationStats:
     perfect: bool
 
     def to_json_obj(self) -> dict:
-        return {
-            "generation": self.generation,
-            "errors": list(self.errors),
-            "best_error": self.best_error,
-            "best_ever_error": self.best_ever_error,
-            "mean_cue_count": self.mean_cue_count,
-            "chromosome_mean_cue_counts": list(self.chromosome_mean_cue_counts),
-            "parent_pool_size": self.parent_pool_size,
-            "perfect": self.perfect,
-            "type": "generation",
-        }
+        return {**vars(self), "type": "generation"}
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GenerationStats":
@@ -479,16 +481,12 @@ class EvolutionRun:
         self.ledger = FitnessLedger()
         self.genotypes_by_key: dict[str, Genotype] = {}
         self.log_rows: list[GenerationStats] = []
-        self._last_pool_size: int | None = None
-        self._log_started = False
-        # What the checkpoint file holds: how many genotypes and log rows, and
-        # the keys the latest evaluation recorded, which the next commit saves.
-        self._saved_genotypes = 0
-        self._saved_log_rows = 0
+        # The keys the latest evaluation recorded, which the next commit saves.
         self._evaluated_keys: list[str] = []
-        # (path, length) of the checkpoint file this run last committed to or
-        # was loaded from; the next record goes there while the file holds that.
-        self._committed: tuple[Path, int] | None = None
+        # (path, length, genotypes, log rows): the checkpoint file this run last
+        # committed to or was loaded from, and how many bytes, genotypes and log
+        # rows it holds; the next record goes there while it holds those bytes.
+        self._committed: tuple[Path, int, int, int] | None = None
 
     # -- persistence -----------------------------------------------------
 
@@ -529,7 +527,7 @@ class EvolutionRun:
         loaded from, and still holds at least what was committed or loaded."""
         if self._committed is None:
             return False
-        marked, length = self._committed
+        marked, length, _, _ = self._committed
         try:
             same = marked == path or marked.resolve() == path.resolve()
             return same and path.stat().st_size >= length
@@ -552,17 +550,14 @@ class EvolutionRun:
             return
         path = Path(self.config.checkpoint_path)
         if journal and self._holds_commit(path):
-            record = self._state(
-                dict.fromkeys(self._evaluated_keys), self._saved_genotypes, self._saved_log_rows
-            )
-            length = _append_line(path, self._committed[1], record)
+            _, length, genotypes, log_rows = self._committed
+            record = self._state(dict.fromkeys(self._evaluated_keys), genotypes, log_rows)
+            length = _append_line(path, length, record)
         else:
             data = (json.dumps(self.checkpoint_obj()) + "\n").encode("utf-8")
             write_file_durably(path, data)
             length = len(data)
-        self._committed = (path, length)
-        self._saved_genotypes = len(self.genotypes_by_key)
-        self._saved_log_rows = len(self.log_rows)
+        self._committed = (path, length, len(self.genotypes_by_key), len(self.log_rows))
 
     @classmethod
     def resume(
@@ -609,10 +604,10 @@ class EvolutionRun:
             run.log_rows = [GenerationStats.from_json_obj(row) for row in checkpoint["log"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
-        run._saved_genotypes = len(run.genotypes_by_key)
-        run._saved_log_rows = len(run.log_rows)
         if isinstance(checkpoint, CheckpointDocument):
-            run._committed = (checkpoint.path, checkpoint.length)
+            run._committed = (
+                checkpoint.path, checkpoint.length, len(run.genotypes_by_key), len(run.log_rows)
+            )
         return run
 
     # -- run log ----------------------------------------------------------
@@ -630,8 +625,9 @@ class EvolutionRun:
     def _start_log(self) -> None:
         """(Re)write the log header plus any rows already in memory.
 
-        Rewriting on resume guarantees the file is byte-identical to an
-        uninterrupted run even if the previous process died mid-write.
+        Rewriting at every :meth:`run` call guarantees the file is
+        byte-identical to an uninterrupted run even if the previous process
+        died mid-write.
         """
         if not self.config.log_path:
             return
@@ -641,7 +637,6 @@ class EvolutionRun:
             fh.write(self._config_log_line())
             for row in self.log_rows:
                 fh.write(json.dumps(row.to_json_obj()) + "\n")
-        self._log_started = True
 
     def _append_log_row(self) -> None:
         """Append the newest of ``log_rows`` to the run log."""
@@ -675,7 +670,7 @@ class EvolutionRun:
             member.recorded_error = self.ledger.worst(key)
         self._evaluated_keys = keys
 
-    def _collect_stats(self) -> GenerationStats:
+    def _collect_stats(self, pool_size: int | None) -> GenerationStats:
         errors = [m.recorded_error for m in self.population]
         counts = [m.genotype.cue_count() for m in self.population]
         per_chromosome = [
@@ -690,19 +685,20 @@ class EvolutionRun:
             best_ever_error=self.ledger.entries[self.ledger.best_key()].worst_error,
             mean_cue_count=sum(counts) / len(counts),
             chromosome_mean_cue_counts=per_chromosome,
-            parent_pool_size=self._last_pool_size,
+            parent_pool_size=pool_size,
             perfect=best == 0,
         )
 
     def _step_evaluate(
-        self, on_generation: OnGeneration | None, executor: Executor | None, stop: int | None
+        self, on_generation: OnGeneration | None, executor: Executor | None, stop: int | None,
+        pool_size: int | None,  # the parent pool's size; None for the first population
     ) -> None:
         self._evaluate_population(executor)
-        stats = self._collect_stats()
+        stats = self._collect_stats(pool_size)
         self.log_rows.append(stats)
         self._append_log_row()
         # A pause and the end write the snapshot whole; generations between journal.
-        self.write_checkpoint(journal=not (self._terminal() or self._pausing(stop)))
+        self.write_checkpoint(journal=not (self.finished or self._pausing(stop)))
         if on_generation is not None:
             on_generation(stats, self.population)
         log.info(
@@ -710,16 +706,15 @@ class EvolutionRun:
             stats.generation, stats.best_error, stats.best_ever_error, stats.mean_cue_count,
         )
 
-    def _terminal(self) -> bool:
-        return self.log_rows[-1].perfect or self.generation >= self.config.generations
-
     def _pausing(self, stop_after_generation: int | None) -> bool:
         return stop_after_generation is not None and self.generation >= stop_after_generation
 
     @property
     def finished(self) -> bool:
         """True when the run has already met a termination condition."""
-        return bool(self.log_rows) and self._terminal()
+        return bool(self.log_rows) and (
+            self.log_rows[-1].perfect or self.generation >= self.config.generations
+        )
 
     def result(self, completed: bool = True) -> RunResult:
         """The run's best genotype and log so far."""
@@ -742,22 +737,23 @@ class EvolutionRun:
         evaluation and checkpoint, returning a partial result that a later
         :meth:`resume` continues exactly; useful for budget-limited sessions.
         """
-        if not self._log_started:
-            self._start_log()
+        if stop_after_generation is not None and stop_after_generation < 0:
+            raise ValueError(f"stop_after_generation must be >= 0, got {stop_after_generation}")
+        self._start_log()
         concurrency = self.config.evaluation_concurrency
         try:
             # One pool serves every generation; concurrency 1 (the oracle) stays serial.
             with ThreadPoolExecutor(concurrency) if concurrency > 1 else nullcontext() as executor:
                 if not self.log_rows:
-                    self._step_evaluate(on_generation, executor, stop_after_generation)
-                while not self._terminal():
+                    self._step_evaluate(on_generation, executor, stop_after_generation, None)
+                while not self.finished:
                     if self._pausing(stop_after_generation):
                         return self.result(completed=False)
-                    self.population, self._last_pool_size = next_generation(
+                    self.population, pool_size = next_generation(
                         self.population, self.schema, self.config, self.rng
                     )
                     self.generation += 1
-                    self._step_evaluate(on_generation, executor, stop_after_generation)
+                    self._step_evaluate(on_generation, executor, stop_after_generation, pool_size)
             return self.result(completed=True)
         except BackendHardFailure as exc:
             path = self.config.checkpoint_path

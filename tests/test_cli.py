@@ -188,6 +188,49 @@ class TestRunCommand:
         assert "is not a JSON integer" in capsys.readouterr().err
         assert not (tmp_path / "x" / "checkpoint.json").exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("elites", 1.5),
+            ("population_size", 6.0),
+            ("generations", 2.5),
+            ("current_year", "2025"),
+            ("mutation_ops_per_child", True),
+            ("evaluation_concurrency", 2.0),
+            ("parent_fraction", "0.5"),
+        ],
+    )
+    def test_config_value_of_the_wrong_json_type_is_config_error(
+        self, tmp_path, capsys, field, value
+    ):
+        ws = make_workspace(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({field: value}), encoding="utf-8")
+        out_dir = tmp_path / "x"
+        args = run_args(ws, out_dir, "--config", str(config_path))
+        for flag in ("--population-size", "--generations"):  # the file's value must count
+            del args[args.index(flag) : args.index(flag) + 2]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} {value!r} is not a JSON " in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "extra, seed",
+        [((), 9), (("--seed", "3"), 3), (("--seed", "3", "--seeds", "5..5"), 5)],
+    )
+    def test_seeds_value_over_seed_flag_over_config_file(self, tmp_path, capsys, extra, seed):
+        ws = make_workspace(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"seed": 9}), encoding="utf-8")
+        out_dir = tmp_path / "x"
+        args = run_args(ws, out_dir, "--config", str(config_path), *extra)
+        del args[args.index("--seed") : args.index("--seed") + 2]
+        assert main(args) == 0
+        assert f"seed {seed}: best error" in capsys.readouterr().out
+        best = out_dir / f"seed{seed}" if "--seeds" in extra else out_dir
+        assert json.loads((best / "best.json").read_text(encoding="utf-8"))["seed"] == seed
+
     @pytest.mark.parametrize("text", ["[1, 2]", "3", "null", '"x"'])
     def test_config_file_that_is_not_an_object_is_config_error(self, tmp_path, capsys, text):
         ws = make_workspace(tmp_path)
@@ -229,6 +272,18 @@ class TestResumeCommand:
         assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 0
         assert (out_dir / "run.log.jsonl").read_bytes() == reference
         assert (out_dir / "best.json").read_bytes() == best_reference
+
+    def test_negative_stop_after_is_config_error_and_writes_nothing(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir, "--stop-after", "-1")) == 2
+        assert "stop_after_generation must be >= 0" in capsys.readouterr().err
+        assert not out_dir.exists()
+        assert main(run_args(ws, out_dir, "--stop-after", "1")) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        paused = checkpoint.read_bytes()
+        assert main(["resume", "--checkpoint", str(checkpoint), "--stop-after", "-1"]) == 2
+        assert checkpoint.read_bytes() == paused
 
     def test_resume_completed_run_is_noop(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)

@@ -750,6 +750,22 @@ class TestRunLog:
             texts.append(log_path.read_text(encoding="utf-8"))
         assert texts[0] == texts[1]
 
+    def test_same_run_continued_after_a_pause_logs_the_uninterrupted_rows(self, tmp_path):
+        schema = build_schema(category_sizes=(3, 3))
+        evaluator = OracleEvaluator(make_landscape(noise=0.9, seed=6, base=8.0))
+        rows = {}
+        for name in ("full", "paused"):
+            log_path = tmp_path / f"{name}.jsonl"
+            config = make_config(generations=8, seed=21, log_path=str(log_path))
+            run = EvolutionRun(config, schema, evaluator, [build_record()])
+            if name == "paused":
+                assert not run.run(stop_after_generation=3).completed
+            assert run.run().completed
+            rows[name] = log_path.read_text(encoding="utf-8").splitlines()[1:]
+        assert rows["paused"] == rows["full"]
+        assert len(rows["full"]) == 9
+        assert json.loads(rows["paused"][4])["parent_pool_size"] == 3
+
 
 class OffByOneEvaluator:
     """One unit off the truth, so no run ends early on a perfect score."""
