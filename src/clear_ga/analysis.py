@@ -213,7 +213,6 @@ def consistency_probe(
     genotype = _single_cue_genotype(schema, category_index, cue)
     values: list[float] = []
     responses: list[str] = []
-    failures = 0
     for counter in range(n):
         request = EvaluationRequest(
             genotype=genotype, building=building, data_item=item, eval_counter=counter
@@ -221,7 +220,6 @@ def consistency_probe(
         try:
             estimate = evaluator.evaluate(request)
         except EvaluationFailure as exc:
-            failures += 1
             log.warning("probe sample %d failed: %s", counter, exc)
             continue
         values.append(spec.coded_value(estimate, spec.truth_of(building.truth)))

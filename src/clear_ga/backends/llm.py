@@ -132,9 +132,12 @@ class HttpTransport:
         if response.status_code != 200:
             raise TransportError(f"HTTP {response.status_code}: {response.text[:200]}")
         try:
-            return response.json()["choices"][0]["message"]["content"]
+            content = response.json()["choices"][0]["message"]["content"]
         except (ValueError, KeyError, IndexError, TypeError) as exc:
             raise TransportError(f"malformed completion response: {exc}") from None
+        if not isinstance(content, str):  # null for a refusal or a content filter
+            raise TransportError(f"malformed completion response: content {content!r}")
+        return content
 
     def describe(self) -> dict:
         return {
@@ -151,12 +154,8 @@ class FunctionTransport:
 
     def __init__(self, fn: Callable[[str, Sequence[Path]], str]):
         self.fn = fn
-        self.calls: list[tuple[str, tuple[Path, ...]]] = []
-        self._lock = threading.Lock()
 
     def send(self, prompt: str, images: Sequence[Path]) -> str:
-        with self._lock:
-            self.calls.append((prompt, tuple(images)))
         return self.fn(prompt, images)
 
     def describe(self) -> dict:

@@ -42,6 +42,7 @@ from .engine import (
     write_file_durably,
 )
 from .schema import (
+    CueSchema,
     DataItem,
     Genotype,
     SchemaError,
@@ -61,7 +62,6 @@ EXIT_BACKEND = 3
 LOG_FILENAME = "run.log.jsonl"
 CHECKPOINT_FILENAME = "checkpoint.json"
 BEST_FILENAME = "best.json"
-
 
 
 class UsageError(Exception):
@@ -126,10 +126,10 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gen_schema)
 
     p = sub.add_parser("run", help="run the evolutionary search")
-    p.add_argument("--item", dest="data_item", default=None, choices=[i.value for i in DataItem])
     p.add_argument("--mode", default=None, choices=[m.value for m in Mode])
     p.add_argument(
-        "--schema", dest="schema_path", metavar="SCHEMA", default=None, help="schema JSON file"
+        "--schema", dest="schema_path", metavar="SCHEMA", default=None,
+        help="schema JSON file, which names the data item",
     )
     p.add_argument(
         "--dataset", dest="dataset_path", metavar="DATASET", default=None,
@@ -170,7 +170,6 @@ def build_parser() -> _Parser:
     p.add_argument("--schema", dest="schema_path", metavar="SCHEMA", required=True)
     p.add_argument("--dataset", dest="dataset_path", metavar="DATASET", required=True)
     p.add_argument("--split", choices=["train", "test"], default="test")
-    p.add_argument("--item", dest="data_item", default=None, choices=[i.value for i in DataItem])
     p.add_argument("--seed", type=int, default=None, help="split seed (default: from genotype file)")
     p.add_argument(
         "--train-fraction", type=float, default=None,
@@ -185,7 +184,6 @@ def build_parser() -> _Parser:
     p = sub.add_parser("probe", help="repeat a single-cue evaluation to measure consistency")
     p.add_argument("--schema", dest="schema_path", metavar="SCHEMA", required=True)
     p.add_argument("--dataset", dest="dataset_path", metavar="DATASET", required=True)
-    p.add_argument("--item", dest="data_item", required=True, choices=[i.value for i in DataItem])
     p.add_argument("--cue", required=True)
     p.add_argument("--category", default=None, help="category name (if the cue is ambiguous)")
     p.add_argument("--building", required=True, help="building id from the manifest")
@@ -279,35 +277,6 @@ def _merged_config(args, values: dict) -> RunConfig:
         raise UsageError(f"bad config: {exc}") from None
 
 
-def _build_run_config(args, seed: int | None, out_dir: Path) -> RunConfig:
-    """The flags over the ``--config`` file, and ``seed``, one of a ``--seeds``
-    range, over both."""
-    values: dict = {}
-    if args.config:
-        try:
-            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise DatasetError(f"config file {args.config} is not valid JSON: {exc}") from None
-        if not isinstance(values, dict):
-            raise DatasetError(f"config file {args.config} must be a JSON object")
-    if "data_item" not in values and args.data_item is None:
-        raise UsageError("--item is required (or provide data_item in --config)")
-    config = _merged_config(args, values)
-    given = seed is not None or args.seed is not None or "seed" in values
-    if not given and config.backend == "oracle":
-        raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
-    # Absolute, so the run can be resumed from any working directory.
-    paths = {
-        name: str(Path(path).resolve())
-        for name in ("schema_path", "dataset_path", "landscape_path")
-        if (path := getattr(config, name))
-    }
-    return replace(
-        config, **paths, seed=config.seed if seed is None else seed,
-        checkpoint_path=str(out_dir / CHECKPOINT_FILENAME), log_path=str(out_dir / LOG_FILENAME),
-    )
-
-
 def _split(config: RunConfig) -> tuple[list[BuildingRecord], list[BuildingRecord]]:
     """The (training, test) split of a config's dataset, drawn at its seed."""
     records = load_manifest(config.dataset_path, current_year=config.current_year)
@@ -316,10 +285,10 @@ def _split(config: RunConfig) -> tuple[list[BuildingRecord], list[BuildingRecord
     )
 
 
-def _open_run(config: RunConfig, endpoint: str | None):
-    """What a config names: its schema, (training, test) split and evaluator, and
-    the schema, dataset and landscape digests that guard a run's checkpoint."""
-    schema = load_schema_file(config.schema_path)
+def _open_run(config: RunConfig, schema: CueSchema, endpoint: str | None):
+    """What a config names besides its ``schema``: its (training, test) split and
+    evaluator, and the schema, dataset and landscape digests that guard a run's
+    checkpoint."""
     splits = _split(config)
     evaluator = _make_evaluator(config, endpoint)
     digests = {
@@ -328,7 +297,7 @@ def _open_run(config: RunConfig, endpoint: str | None):
     }
     if isinstance(evaluator, OracleEvaluator):
         digests["landscape_sha256"] = landscape_digest(evaluator.landscape)
-    return schema, splits, evaluator, digests
+    return splits, evaluator, digests
 
 
 def _write_best(config: RunConfig, result: RunResult) -> None:
@@ -360,11 +329,24 @@ def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
     return result
 
 
-def _run_one(args, seed: int | None, out_dir: Path) -> int:
-    config = _build_run_config(args, seed, out_dir)
-    if not config.schema_path or not config.dataset_path:
-        raise UsageError("--schema and --dataset are required")
-    schema, (training, _), evaluator, digests = _open_run(config, args.endpoint)
+def _run_one(args, values: dict, schema: CueSchema, seed: int | None, out_dir: Path) -> int:
+    """Run the search over ``schema`` with the flags over the ``--config`` file's
+    ``values``, and ``seed``, one of a ``--seeds`` range, over both."""
+    config = _merged_config(args, values)
+    given = seed is not None or args.seed is not None or "seed" in values
+    if not given and config.backend == "oracle":
+        raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
+    # Absolute, so the run can be resumed from any working directory.
+    paths = {
+        name: str(Path(path).resolve())
+        for name in ("schema_path", "dataset_path", "landscape_path")
+        if (path := getattr(config, name))
+    }
+    config = replace(
+        config, **paths, seed=config.seed if seed is None else seed,
+        checkpoint_path=str(out_dir / CHECKPOINT_FILENAME), log_path=str(out_dir / LOG_FILENAME),
+    )
+    (training, _), evaluator, digests = _open_run(config, schema, args.endpoint)
     run = EvolutionRun(replace(config, **digests), schema, evaluator, training)
     result = _finish(run, args.stop_after)
     if result is not None:
@@ -378,12 +360,29 @@ def _run_one(args, seed: int | None, out_dir: Path) -> int:
 
 
 def cmd_run(args) -> int:
+    values: dict = {}
+    if args.config:
+        try:
+            values = json.loads(Path(args.config).read_text(encoding="utf-8"))
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"config file {args.config} is not valid JSON: {exc}") from None
+        if not isinstance(values, dict):
+            raise DatasetError(f"config file {args.config} must be a JSON object")
+    settings = {**values, **_flag_settings(args)}
+    schema_path = settings.get("schema_path")
+    if not schema_path or not settings.get("dataset_path"):
+        raise UsageError("--schema and --dataset are required")
+    if not isinstance(schema_path, str):
+        raise DatasetError(f"schema_path {schema_path!r} is not a JSON string or null")
+    # The schema names the data item; EvolutionRun refuses a file that names another.
+    schema = load_schema_file(schema_path)
+    values = {"data_item": schema.data_item, **values}
     out_dir = Path(args.out_dir) if args.out_dir else Path("runs")
     if args.seeds is not None:
         for seed in _parse_seeds(args.seeds):
-            _run_one(args, seed, out_dir / f"seed{seed}")
+            _run_one(args, values, schema, seed, out_dir / f"seed{seed}")
         return EXIT_OK
-    return _run_one(args, None, out_dir)
+    return _run_one(args, values, schema, None, out_dir)
 
 
 def cmd_resume(args) -> int:
@@ -391,7 +390,8 @@ def cmd_resume(args) -> int:
     config = checkpoint_config(doc)
     if not config.schema_path or not config.dataset_path:
         raise CheckpointError("checkpoint config lacks schema/dataset paths")
-    schema, (training, _), evaluator, digests = _open_run(config, args.endpoint)
+    schema = load_schema_file(config.schema_path)
+    (training, _), evaluator, digests = _open_run(config, schema, args.endpoint)
     run = EvolutionRun.resume(doc, schema, evaluator, training, **digests)
     settings = _flag_settings(args)
     # A moved run directory keeps its old paths in the config; write where the
@@ -402,26 +402,25 @@ def cmd_resume(args) -> int:
             checkpoint_path=str(checkpoint), log_path=str(checkpoint.with_name(LOG_FILENAME))
         )
     run.config = replace(run.config, **settings)
-    if run.finished:
-        _write_best(run.config, run.result())
-        print(f"run already complete at generation {run.generation}; nothing to do")
-        return EXIT_OK
+    finished = run.finished
     result = _finish(run, args.stop_after)
-    if result is not None:
+    if finished:
+        print(f"run already complete at generation {run.generation}; nothing to do")
+    elif result is not None:
         print(f"resumed run finished: best error {result.best_recorded_error:g}")
     return EXIT_OK
 
 
-def _load_best_genotype(path: str) -> tuple[Genotype, dict]:
-    """The genotype in a best-genotype file, and the ``data_item``, ``seed`` and
-    ``train_fraction`` it records. Each is checked here: a string seed would
-    seed another split without a word."""
+def _load_best_genotype(path: str, item: DataItem) -> tuple[Genotype, dict]:
+    """The genotype in a best-genotype file, and the ``seed`` and ``train_fraction``
+    it records. Each is checked here: a string seed would seed another split
+    without a word, and a recorded ``data_item`` must be ``item``."""
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
         genotype = Genotype(tuple(tuple(ch) for ch in doc["chromosomes"]))
-        settings = {k: doc[k] for k in ("data_item", "seed", "train_fraction") if k in doc}
-        if "data_item" in settings:
-            DataItem(settings["data_item"])
+        if doc.get("data_item", item.value) != item.value:
+            raise ValueError(f"data_item {doc['data_item']!r} is not the schema's {item.value!r}")
+        settings = {k: doc[k] for k in ("seed", "train_fraction") if k in doc}
         kinds = (("seed", (int,), "integer"), ("train_fraction", (int, float), "number"))
         for name, types, noun in kinds:
             if type(settings.get(name, 0)) not in types:  # a bool is refused too
@@ -432,13 +431,12 @@ def _load_best_genotype(path: str) -> tuple[Genotype, dict]:
 
 
 def cmd_ablate(args) -> int:
-    genotype, settings = _load_best_genotype(args.genotype)
-    if "data_item" not in settings and args.data_item is None:
-        raise UsageError(f"--item is required ({args.genotype} records no data_item)")
-    config = _merged_config(args, settings)
-    schema, (training, test), evaluator, _ = _open_run(config, args.endpoint)
+    schema = load_schema_file(args.schema_path)
+    genotype, settings = _load_best_genotype(args.genotype, schema.data_item)
+    config = _merged_config(args, {"data_item": schema.data_item, **settings})
+    (training, test), evaluator, _ = _open_run(config, schema, args.endpoint)
     split = training if args.split == "train" else test
-    report = analysis.ablate(genotype, schema, evaluator, split, config.data_item)
+    report = analysis.ablate(genotype, schema, evaluator, split, schema.data_item)
     print(f"base error on {args.split} split: {report.base_error:g}")
     for row in report.rows:
         if row.failed:
@@ -456,8 +454,8 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_probe(args) -> int:
-    config = _merged_config(args, {})
-    schema = load_schema_file(config.schema_path)
+    schema = load_schema_file(args.schema_path)
+    config = _merged_config(args, {"data_item": schema.data_item})
     records = load_manifest(config.dataset_path, current_year=config.current_year)
     by_id = {r.id: r for r in records}
     if args.building not in by_id:
@@ -472,7 +470,7 @@ def cmd_probe(args) -> int:
         raise UsageError(f"cue {args.cue!r} is in several categories; pass --category")
     evaluator = _make_evaluator(config, args.endpoint)
     report = analysis.consistency_probe(
-        schema, matches[0], args.cue, by_id[args.building], evaluator, config.data_item, args.n
+        schema, matches[0], args.cue, by_id[args.building], evaluator, schema.data_item, args.n
     )
     cv_text = f"{report.cv:.4f}" if report.cv is not None else "undefined (mean 0)"
     print(f"cue {report.cue!r} on building {args.building} ({report.samples} samples)")

@@ -17,13 +17,7 @@ _VARIABLE_OPS = ("swap", "delete", "add")
 
 def dedup(cues: Sequence[Cue]) -> tuple[Cue, ...]:
     """Drop repeated labels, keeping the first occurrence in order."""
-    seen: set[str] = set()
-    out: list[Cue] = []
-    for cue in cues:
-        if cue not in seen:
-            seen.add(cue)
-            out.append(cue)
-    return tuple(out)
+    return tuple(dict.fromkeys(cues))
 
 
 def _check_same_shape(p1: Genotype, p2: Genotype) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import threading
 from pathlib import Path
 
 from clear_ga.dataset import IMAGE_SUBSETS, BuildingRecord
@@ -42,6 +43,24 @@ def build_record(building_id: str = "b1", region: str = "UK", **truth) -> Buildi
 def write_manifest(path: Path, entries: list[dict]) -> Path:
     path.write_text(json.dumps(entries, indent=2), encoding="utf-8")
     return path
+
+
+class RecordingTransport:
+    """Transport that records each send in ``calls`` and answers it with
+    ``answer(prompt, images)``."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.calls = []
+        self._lock = threading.Lock()
+
+    def send(self, prompt, images):
+        with self._lock:
+            self.calls.append((prompt, tuple(images)))
+        return self.answer(prompt, images)
+
+    def sends(self, fragment):
+        return sum(fragment in prompt for prompt, _ in self.calls)
 
 
 def pytest_runtest_logreport(report):

@@ -28,7 +28,7 @@ from clear_ga.fitness import HeatingClass, WindowClass, YearRange
 from clear_ga.items import ITEMS, building_error
 from clear_ga.schema import DataItem, Genotype, canonical_key, load_schema, render_cue_list
 
-from conftest import build_record, build_schema
+from conftest import RecordingTransport, build_record, build_schema
 
 
 def landscape(noise: float = 0.0, seed: int = 0, penalty: float = 1.0) -> PlantedLandscape:
@@ -274,7 +274,7 @@ class TestOracleReadouts:
 
 class TestLlmEvaluator:
     def well_formed(self, answer: str):
-        return FunctionTransport(lambda prompt, images: f"reasoning...\n### {answer} ###")
+        return RecordingTransport(lambda prompt, images: f"reasoning...\n### {answer} ###")
 
     def test_parses_well_formed_response(self):
         transport = self.well_formed("(2) double glazed")
@@ -315,7 +315,7 @@ class TestLlmEvaluator:
         assert all(images == paths["lighting"] for _, images in transport.calls)
 
     def test_missing_delimiters_consume_retries_then_fail(self):
-        transport = FunctionTransport(lambda prompt, images: "no fences here")
+        transport = RecordingTransport(lambda prompt, images: "no fences here")
         evaluator = LlmEvaluator(transport, retry_limit=2)
         with pytest.raises(EvaluationFailure, match="3 attempts"):
             evaluator.evaluate(request(OPTIMUM))
@@ -345,7 +345,7 @@ class TestLlmEvaluator:
                 raise answer
             return answer
 
-        transport = FunctionTransport(scripted)
+        transport = RecordingTransport(scripted)
         evaluator = LlmEvaluator(transport, retry_limit=retry_limit)
         if retry_limit == 2:
             assert evaluator.evaluate(request(OPTIMUM)).start == 120
@@ -358,14 +358,14 @@ class TestLlmEvaluator:
         def rejected(prompt, images):
             raise AuthenticationError("bad key")
 
-        transport = FunctionTransport(rejected)
+        transport = RecordingTransport(rejected)
         evaluator = LlmEvaluator(transport, retry_limit=5)
         with pytest.raises(BackendHardFailure):
             evaluator.evaluate(request(OPTIMUM))
         assert len(transport.calls) == 1
 
 
-class ScriptedTransport:
+class ScriptedTransport(RecordingTransport):
     """Replays canned responses keyed by recognizable prompt fragments.
 
     A response may be an iterator, whose items are answered in turn; an
@@ -373,11 +373,10 @@ class ScriptedTransport:
     """
 
     def __init__(self, script):
+        super().__init__(self._reply)
         self.script = script
-        self.calls = []
 
-    def send(self, prompt, images):
-        self.calls.append((prompt, tuple(images)))
+    def _reply(self, prompt, images):
         for fragment, response in self.script:
             if fragment in prompt:
                 if isinstance(response, Iterator):
@@ -386,9 +385,6 @@ class ScriptedTransport:
                     raise response
                 return response
         raise AssertionError(f"no scripted response for prompt: {prompt[:80]}...")
-
-    def sends(self, fragment):
-        return sum(fragment in prompt for prompt, _ in self.calls)
 
 
 FEATURES = "\n".join(f"{i + 1}. feature {i + 1}" for i in range(10))

@@ -10,7 +10,12 @@ from pathlib import Path
 import pytest
 
 from clear_ga import cli
-from clear_ga.backends import HttpTransport, SchemaGenerationError, TransportError
+from clear_ga.backends import (
+    HttpTransport,
+    OracleEvaluator,
+    SchemaGenerationError,
+    TransportError,
+)
 from clear_ga.cli import main
 from clear_ga.engine import EvolutionRun, load_checkpoint_file
 
@@ -72,7 +77,6 @@ def make_workspace(
 def run_args(ws: dict[str, str], out_dir: Path, *extra: str) -> list[str]:
     return [
         "run",
-        "--item", "energy",
         "--mode", "variable",
         "--backend", "oracle",
         "--schema", ws["schema"],
@@ -123,9 +127,7 @@ class TestRunCommand:
     def test_uvalue_item(self, tmp_path):
         ws = make_workspace(tmp_path, item="windows_uvalue")
         out_dir = tmp_path / "uv"
-        args = run_args(ws, out_dir)
-        args[args.index("--item") + 1] = "windows_uvalue"
-        assert main(args) == 0
+        assert main(run_args(ws, out_dir)) == 0
         best = json.loads((out_dir / "best.json").read_text(encoding="utf-8"))
         assert best["data_item"] == "windows_uvalue"
 
@@ -239,6 +241,74 @@ class TestRunCommand:
         assert main(run_args(ws, tmp_path / "x", "--config", str(config_path))) == 2
         assert f"config file {config_path} must be a JSON object" in capsys.readouterr().err
 
+    def test_config_file_data_item_must_be_the_schemas(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"data_item": "heating"}), encoding="utf-8")
+        assert main(run_args(ws, tmp_path / "x", "--config", str(config_path))) == 2
+        assert "schema is for 'energy', run wants 'heating'" in capsys.readouterr().err
+        config_path.write_text(json.dumps({"data_item": "energy"}), encoding="utf-8")
+        assert main(run_args(ws, tmp_path / "y", "--config", str(config_path))) == 0
+
+    def test_config_file_schema_names_the_item(self, tmp_path):
+        ws = make_workspace(tmp_path, item="heating")
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"schema_path": ws["schema"]}), encoding="utf-8")
+        args = run_args(ws, tmp_path / "x", "--config", str(config_path))
+        del args[args.index("--schema") : args.index("--schema") + 2]
+        assert main(args) == 0
+        best = json.loads((tmp_path / "x" / "best.json").read_text(encoding="utf-8"))
+        assert best["data_item"] == "heating"
+
+    def test_config_schema_path_that_is_not_a_string_is_config_error(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"schema_path": 5}), encoding="utf-8")
+        args = run_args(ws, tmp_path / "x", "--config", str(config_path))
+        del args[args.index("--schema") : args.index("--schema") + 2]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "schema_path 5 is not a JSON string" in err and "Traceback" not in err
+
+    def test_schema_and_dataset_are_required_before_the_schema_is_read(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        args = run_args(ws, tmp_path / "x")
+        args[args.index("--schema") + 1] = str(tmp_path / "missing.json")
+        del args[args.index("--dataset") : args.index("--dataset") + 2]
+        assert main(args) == 1
+        assert "--schema and --dataset are required" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [
+            ({"seed": "7"}, "seed '7'"),
+            ({"seed": 5.0}, "seed 5.0"),
+            ({"noise_scale": "0.4"}, "noise_scale '0.4'"),
+            ({"distractor_penalty": True}, "distractor_penalty True"),
+            ({"base_error": float("nan")}, "base_error nan"),
+            ({"base_error": float("inf")}, "base_error inf"),
+            ({"base_error": 10**400}, f"base_error {10**400}"),
+            ({"planted": [{"category": 0, "cue": 5, "benefit": 3.0}]}, "planted[0].cue 5"),
+            ({"planted": [{"category": 1.9, "cue": "c1_2", "benefit": 3.0}]},
+             "planted[0].category 1.9"),
+            ({"planted": [{"category": 0, "cue": "c0_1", "benefit": "3"}]},
+             "planted[0].benefit '3'"),
+        ],
+        ids=["seed-string", "seed-float", "noise-string", "penalty-bool", "base-nan",
+             "base-infinity", "base-huge", "cue-number", "category-float", "benefit-string"],
+    )
+    def test_landscape_value_of_the_wrong_json_type_is_config_error(
+        self, tmp_path, capsys, edit, named
+    ):
+        ws = make_workspace(tmp_path)
+        Path(ws["landscape"]).write_text(json.dumps({**LANDSCAPE, **edit}), encoding="utf-8")
+        out_dir = tmp_path / "x"
+        assert main(run_args(ws, out_dir)) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: invalid landscape document: {named} is not a "
+        )
+        assert not out_dir.exists()
+
     def test_unknown_flag_is_usage_error(self, tmp_path):
         assert main(["run", "--frobnicate"]) == 1
 
@@ -284,6 +354,19 @@ class TestResumeCommand:
         paused = checkpoint.read_bytes()
         assert main(["resume", "--checkpoint", str(checkpoint), "--stop-after", "-1"]) == 2
         assert checkpoint.read_bytes() == paused
+
+    def test_negative_stop_after_on_a_finished_run_is_config_error(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir)) == 0
+        names = ("run.log.jsonl", "checkpoint.json", "best.json")
+        reference = {name: (out_dir / name).read_bytes() for name in names}
+        capsys.readouterr()
+        checkpoint = str(out_dir / "checkpoint.json")
+        assert main(["resume", "--checkpoint", checkpoint, "--stop-after", "-1"]) == 2
+        assert "stop_after_generation must be >= 0" in capsys.readouterr().err
+        for name, content in reference.items():
+            assert (out_dir / name).read_bytes() == content
 
     def test_resume_completed_run_is_noop(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
@@ -516,7 +599,6 @@ class TestAnalysisCommands:
                 "--schema", ws["schema"],
                 "--dataset", ws["dataset"],
                 "--landscape", ws["landscape"],
-                "--item", "energy",
                 "--cue", "c0_1",
                 "--building", "b2",
                 "--n", "10",
@@ -537,7 +619,6 @@ class TestAnalysisCommands:
                 "--schema", ws["schema"],
                 "--dataset", ws["dataset"],
                 "--landscape", ws["landscape"],
-                "--item", "energy",
                 "--cue", "nonexistent",
                 "--building", "b2",
             ]
@@ -551,16 +632,19 @@ class TestAnalysisCommands:
         path.write_text(json.dumps(doc), encoding="utf-8")
         return path
 
-    def test_genotype_file_without_data_item_needs_item(self, tmp_path, capsys):
-        ws = make_workspace(tmp_path)
-        genotype = tmp_path / "best.json"
-        genotype.write_text(json.dumps({"seed": 3, "chromosomes": [["c0_1"], ["c1_2"], []]}),
-                            encoding="utf-8")
-        ablate = ["ablate", "--genotype", str(genotype), "--schema", ws["schema"],
-                  "--dataset", ws["dataset"], "--landscape", ws["landscape"]]
-        assert main(ablate) == 1
-        assert "--item" in capsys.readouterr().err
-        assert main(ablate + ["--item", "energy"]) == 0
+    def test_genotype_file_without_data_item_takes_the_schemas_item(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path, item="heating")
+        ablate = ["ablate", "--schema", ws["schema"], "--dataset", ws["dataset"],
+                  "--landscape", ws["landscape"]]
+        outputs = []
+        for name, recorded in (("with.json", {"data_item": "heating"}), ("without.json", {})):
+            genotype = tmp_path / name
+            doc = {**recorded, "seed": 3, "chromosomes": [["c0_1"], ["c1_2"], []]}
+            genotype.write_text(json.dumps(doc), encoding="utf-8")
+            capsys.readouterr()
+            assert main(ablate + ["--genotype", str(genotype)]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
 
     @pytest.mark.parametrize(
         "settings",
@@ -572,6 +656,7 @@ class TestAnalysisCommands:
             {"train_fraction": None},
             {"train_fraction": "0.5"},
             {"train_fraction": False},
+            {"data_item": "heating"},
         ],
     )
     def test_bad_genotype_file_value_is_config_error(self, tmp_path, capsys, settings):
@@ -600,12 +685,36 @@ class TestAnalysisCommands:
         if command == "ablate":
             argv += ["--genotype", str(self.write_genotype(tmp_path / "best.json"))]
         else:
-            argv += ["--item", "energy", "--cue", "c0_1", "--building", "b2", "--n", "2"]
+            argv += ["--cue", "c0_1", "--building", "b2", "--n", "2"]
         assert main(argv) == 3
         err = capsys.readouterr().err
         assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1
         assert "Traceback" not in err
         assert sent
+
+    def test_every_command_evaluates_the_schemas_item(self, tmp_path, monkeypatch):
+        items = []
+        evaluate = OracleEvaluator.evaluate
+
+        def recording(self, request):
+            items.append(request.data_item.value)
+            return evaluate(self, request)
+
+        monkeypatch.setattr(OracleEvaluator, "evaluate", recording)
+        ws = make_workspace(tmp_path, item="heating")
+        out_dir = tmp_path / "out"
+        inputs = ["--schema", ws["schema"], "--dataset", ws["dataset"],
+                  "--landscape", ws["landscape"]]
+        assert main(run_args(ws, out_dir)) == 0
+        assert main(["ablate", "--genotype", str(out_dir / "best.json"), *inputs]) == 0
+        assert main(["probe", *inputs, "--cue", "c0_1", "--building", "b2"]) == 0
+        assert items and set(items) == {"heating"}
+
+    @pytest.mark.parametrize("command", ["run", "ablate", "probe", "gen-schema"])
+    def test_only_gen_schema_takes_an_item(self, capsys, command):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        assert ("--item" in capsys.readouterr().out) == (command == "gen-schema")
 
     def test_ablate_and_probe_output_is_pinned(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
@@ -621,7 +730,7 @@ class TestAnalysisCommands:
                          "--split", split, "--out", str(path)]) == 0
             outputs[path.name] = capsys.readouterr().out
         path = tmp_path / "probe.json"
-        assert main(["probe", *inputs, "--item", "energy", "--cue", "c0_1",
+        assert main(["probe", *inputs, "--cue", "c0_1",
                      "--building", "b2", "--out", str(path)]) == 0
         outputs[path.name] = capsys.readouterr().out
         responses = [

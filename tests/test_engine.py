@@ -19,7 +19,6 @@ from clear_ga.backends import (
     BackendHardFailure,
     EvaluationFailure,
     EvaluationRequest,
-    FunctionTransport,
     LlmEvaluator,
     OracleEvaluator,
     PlantedCue,
@@ -43,7 +42,7 @@ from clear_ga.engine import (
 from clear_ga.items import failure_penalty
 from clear_ga.schema import DataItem, Genotype, canonical_key
 
-from conftest import build_record, build_schema
+from conftest import RecordingTransport, build_record, build_schema
 
 
 def make_landscape(noise: float = 0.0, seed: int = 0, base: float = 6.0) -> PlantedLandscape:
@@ -817,7 +816,7 @@ class HardFailOnBuilding(OffByOneEvaluator):
 
 
 class ScriptedModel:
-    """Fake vision model for ``FunctionTransport``, answering from (prompt, images).
+    """Fake vision model for ``RecordingTransport``, answering from (prompt, images).
 
     A fifth of the pairs never parse, another fifth answer with a thousands
     separator (which the parser refuses) on their first send only, and the
@@ -884,7 +883,7 @@ class TestPairDispatch:
             for i in range(5)
         ]
         model = ScriptedModel()
-        transport = FunctionTransport(model)
+        transport = RecordingTransport(model)
         evolve(config, build_schema(), LlmEvaluator(transport, retry_limit=1), records)
         texts = []
         for name in ("run.log.jsonl", "checkpoint.json"):

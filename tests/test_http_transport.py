@@ -13,7 +13,11 @@ from pathlib import Path
 
 import pytest
 
-from clear_ga.backends.llm import AuthenticationError, HttpTransport, TransportError
+from clear_ga.backends import EvaluationFailure, EvaluationRequest
+from clear_ga.backends.llm import AuthenticationError, HttpTransport, LlmEvaluator, TransportError
+from clear_ga.schema import DataItem, Genotype
+
+from conftest import build_record
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -162,6 +166,24 @@ class TestHttpTransport:
         transport = make_transport(server)
         with pytest.raises(TransportError, match="malformed"):
             transport.send("hello", [])
+
+    @pytest.mark.parametrize("content", [None, 5, [{"type": "text", "text": "### 120 ###"}]])
+    def test_completion_whose_content_is_not_a_string_is_transient(self, server, content):
+        server.responses.append((200, {"choices": [{"message": {"content": content}}]}))
+        transport = make_transport(server)
+        with pytest.raises(TransportError, match="malformed completion response"):
+            transport.send("hello", [])
+
+    def test_null_content_is_retried_then_fails_the_evaluation(self, server):
+        refusal = {"choices": [{"message": {"content": None}}]}
+        server.responses.extend([(200, refusal), (200, refusal)])
+        evaluator = LlmEvaluator(make_transport(server), retry_limit=1)
+        request = EvaluationRequest(
+            genotype=Genotype((("brick",),)), building=build_record(), data_item=DataItem.ENERGY
+        )
+        with pytest.raises(EvaluationFailure, match="after 2 attempts: malformed"):
+            evaluator.evaluate(request)
+        assert len(server.requests) == 2
 
     def test_connection_refused_is_transient(self):
         transport = HttpTransport(endpoint="http://127.0.0.1:9", api_key="k", timeout=0.5)

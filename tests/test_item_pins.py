@@ -16,7 +16,6 @@ import pytest
 from clear_ga.backends import (
     EvaluationFailure,
     EvaluationRequest,
-    FunctionTransport,
     LlmEvaluator,
     generate_schema,
 )
@@ -24,7 +23,7 @@ from clear_ga.dataset import IMAGE_SUBSETS, BuildingRecord, load_manifest, split
 from clear_ga.fitness import HeatingClass, WindowClass, YearRange
 from clear_ga.schema import DataItem, Genotype
 
-from conftest import build_record, write_manifest
+from conftest import RecordingTransport, build_record, write_manifest
 
 REGION = "Wales"
 GENOTYPE = Genotype((("high ceilings", "ceiling rose"), ("sash windows",)))
@@ -160,7 +159,7 @@ def with_images(record: BuildingRecord) -> BuildingRecord:
 
 @pytest.mark.parametrize("item", list(DataItem), ids=lambda i: i.value)
 def test_evaluation_prompt_and_images(item):
-    transport = FunctionTransport(lambda prompt, images: "### unused ###")
+    transport = RecordingTransport(lambda prompt, images: "### unused ###")
     building = with_images(build_record("b1", region=REGION))
     request = EvaluationRequest(genotype=GENOTYPE, building=building, data_item=item)
     with pytest.raises(EvaluationFailure):  # "unused" is no answer; only the request is pinned
@@ -244,7 +243,7 @@ REPRESENTATIVES = {
 
 @pytest.mark.parametrize("item", list(DataItem), ids=lambda i: i.value)
 def test_feature_extraction_prompt_and_representatives(item):
-    transport = FunctionTransport(script)
+    transport = RecordingTransport(script)
     generate_schema(training_records(), item, transport, Random(5), region=REGION)
     extraction = [(p, images) for p, images in transport.calls if "List 50" in p]
     expected_prompt = (
