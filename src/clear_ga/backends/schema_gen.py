@@ -169,6 +169,8 @@ def generate_schema(
     """Run the full cue-generation pipeline and return a validated schema."""
     if not training:
         raise ValueError("training set is empty")
+    if cluster_target < 1:
+        raise ValueError("cluster_target must be >= 1")
     item = DataItem(item)
     spec = ITEMS[item]
     region = region or training[0].region
@@ -210,11 +212,7 @@ def generate_schema(
 
     names = _cluster_names(cluster_text, len(arrays))
     categories = []
-    used_names: set[str] = set()
     for name, cues in zip(names, arrays):
-        if name in used_names:
-            name = f"{name}_{len(used_names) + 1}"
-        used_names.add(name)
         deduped = tuple(dict.fromkeys(cue.strip() for cue in cues if cue.strip()))
         if deduped:
             categories.append(CueCategory(name=name, cues=deduped))

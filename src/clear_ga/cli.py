@@ -81,7 +81,10 @@ def _add_llm_flags(parser: argparse.ArgumentParser) -> None:
         "--model", dest="llm_model", metavar="MODEL", default=None,
         help="chat model name (default gpt-4o)",
     )
-    parser.add_argument("--endpoint", default=None, help="base URL override for the LLM API")
+    parser.add_argument(
+        "--endpoint", dest="llm_endpoint", metavar="ENDPOINT", default=None,
+        help="base URL override for the LLM API",
+    )
     parser.add_argument(
         "--min-interval", dest="llm_min_interval", metavar="MIN_INTERVAL", type=float,
         default=None, help="minimum seconds between LLM requests (rate ceiling)",
@@ -162,7 +165,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     _add_concurrency_flag(p)
     p.add_argument("--stop-after", type=int, default=None, metavar="GEN")
-    p.add_argument("--endpoint", default=None)
+    p.add_argument("--endpoint", dest="llm_endpoint", metavar="ENDPOINT", default=None)
     p.set_defaults(func=cmd_resume)
 
     p = sub.add_parser("ablate", help="remove each cue of a solution in turn and re-measure")
@@ -202,20 +205,20 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _make_transport(config: RunConfig, endpoint: str | None) -> HttpTransport:
+def _make_transport(config: RunConfig) -> HttpTransport:
     return HttpTransport(
-        endpoint=endpoint, model=config.llm_model, min_request_interval=config.llm_min_interval
+        config.llm_endpoint, model=config.llm_model, min_request_interval=config.llm_min_interval
     )
 
 
-def _make_evaluator(config: RunConfig, endpoint: str | None):
+def _make_evaluator(config: RunConfig):
     """The evaluator a config names."""
     if config.backend == "oracle":
         if not config.landscape_path:
             raise UsageError("oracle backend needs --landscape")
         return OracleEvaluator(load_landscape_file(config.landscape_path))
     return LlmEvaluator(
-        _make_transport(config, endpoint),
+        _make_transport(config),
         retry_limit=config.retry_limit,
         current_year=config.current_year,
     )
@@ -233,7 +236,7 @@ def _parse_seeds(text: str) -> list[int]:
 
 def cmd_gen_schema(args) -> int:
     config = _merged_config(args, {})
-    transport = _make_transport(config, args.endpoint)
+    transport = _make_transport(config)
     training, _ = _split(config)
     try:
         schema = generate_schema(
@@ -285,12 +288,12 @@ def _split(config: RunConfig) -> tuple[list[BuildingRecord], list[BuildingRecord
     )
 
 
-def _open_run(config: RunConfig, schema: CueSchema, endpoint: str | None):
+def _open_run(config: RunConfig, schema: CueSchema):
     """What a config names besides its ``schema``: its (training, test) split and
     evaluator, and the schema, dataset and landscape digests that guard a run's
     checkpoint."""
     splits = _split(config)
-    evaluator = _make_evaluator(config, endpoint)
+    evaluator = _make_evaluator(config)
     digests = {
         "schema_sha256": schema_digest(schema),
         "dataset_sha256": manifest_digest(config.dataset_path),
@@ -329,26 +332,14 @@ def _finish(run: EvolutionRun, stop_after: int | None) -> RunResult | None:
     return result
 
 
-def _run_one(args, values: dict, schema: CueSchema, seed: int | None, out_dir: Path) -> int:
-    """Run the search over ``schema`` with the flags over the ``--config`` file's
-    ``values``, and ``seed``, one of a ``--seeds`` range, over both."""
-    config = _merged_config(args, values)
-    given = seed is not None or args.seed is not None or "seed" in values
-    if not given and config.backend == "oracle":
-        raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
-    # Absolute, so the run can be resumed from any working directory.
-    paths = {
-        name: str(Path(path).resolve())
-        for name in ("schema_path", "dataset_path", "landscape_path")
-        if (path := getattr(config, name))
-    }
+def _run_one(config: RunConfig, schema: CueSchema, out_dir: Path, stop_after: int | None) -> None:
+    """Run the search ``config`` names over ``schema``, writing into ``out_dir``."""
+    (training, _), evaluator, digests = _open_run(config, schema)
     config = replace(
-        config, **paths, seed=config.seed if seed is None else seed,
+        config, **digests,
         checkpoint_path=str(out_dir / CHECKPOINT_FILENAME), log_path=str(out_dir / LOG_FILENAME),
     )
-    (training, _), evaluator, digests = _open_run(config, schema, args.endpoint)
-    run = EvolutionRun(replace(config, **digests), schema, evaluator, training)
-    result = _finish(run, args.stop_after)
+    result = _finish(EvolutionRun(config, schema, evaluator, training), stop_after)
     if result is not None:
         print(
             f"seed {config.seed}: best error {result.best_recorded_error:g} "
@@ -356,7 +347,6 @@ def _run_one(args, values: dict, schema: CueSchema, seed: int | None, out_dir: P
         )
         print(f"  best cues: {render_cue_list(result.best_genotype) or '(none)'}")
         print(f"  outputs in {out_dir}")
-    return EXIT_OK
 
 
 def cmd_run(args) -> int:
@@ -376,13 +366,21 @@ def cmd_run(args) -> int:
         raise DatasetError(f"schema_path {schema_path!r} is not a JSON string or null")
     # The schema names the data item; EvolutionRun refuses a file that names another.
     schema = load_schema_file(schema_path)
-    values = {"data_item": schema.data_item, **values}
+    seeds = None if args.seeds is None else _parse_seeds(args.seeds)
+    config = _merged_config(args, {"data_item": schema.data_item, **values})
+    if seeds is None and "seed" not in settings and config.backend == "oracle":
+        raise UsageError("oracle runs need --seed (or --seeds) for reproducibility")
+    # Absolute, so the run can be resumed from any working directory.
+    config = replace(config, **{
+        name: str(Path(path).resolve())
+        for name in ("schema_path", "dataset_path", "landscape_path")
+        if (path := getattr(config, name))
+    })
     out_dir = Path(args.out_dir) if args.out_dir else Path("runs")
-    if args.seeds is not None:
-        for seed in _parse_seeds(args.seeds):
-            _run_one(args, values, schema, seed, out_dir / f"seed{seed}")
-        return EXIT_OK
-    return _run_one(args, values, schema, None, out_dir)
+    for seed in seeds or [config.seed]:
+        directory = out_dir / f"seed{seed}" if seeds else out_dir
+        _run_one(replace(config, seed=seed), schema, directory, args.stop_after)
+    return EXIT_OK
 
 
 def cmd_resume(args) -> int:
@@ -390,9 +388,6 @@ def cmd_resume(args) -> int:
     config = checkpoint_config(doc)
     if not config.schema_path or not config.dataset_path:
         raise CheckpointError("checkpoint config lacks schema/dataset paths")
-    schema = load_schema_file(config.schema_path)
-    (training, _), evaluator, digests = _open_run(config, schema, args.endpoint)
-    run = EvolutionRun.resume(doc, schema, evaluator, training, **digests)
     settings = _flag_settings(args)
     # A moved run directory keeps its old paths in the config; write where the
     # checkpoint now is. Neither path is part of the digest.
@@ -401,7 +396,11 @@ def cmd_resume(args) -> int:
         settings.update(
             checkpoint_path=str(checkpoint), log_path=str(checkpoint.with_name(LOG_FILENAME))
         )
-    run.config = replace(run.config, **settings)
+    config = replace(config, **settings)
+    doc["config"] = config.to_json_obj()  # EvolutionRun.resume reads its config here
+    schema = load_schema_file(config.schema_path)
+    (training, _), evaluator, digests = _open_run(config, schema)
+    run = EvolutionRun.resume(doc, schema, evaluator, training, **digests)
     finished = run.finished
     result = _finish(run, args.stop_after)
     if finished:
@@ -434,7 +433,7 @@ def cmd_ablate(args) -> int:
     schema = load_schema_file(args.schema_path)
     genotype, settings = _load_best_genotype(args.genotype, schema.data_item)
     config = _merged_config(args, {"data_item": schema.data_item, **settings})
-    (training, test), evaluator, _ = _open_run(config, schema, args.endpoint)
+    (training, test), evaluator, _ = _open_run(config, schema)
     split = training if args.split == "train" else test
     report = analysis.ablate(genotype, schema, evaluator, split, schema.data_item)
     print(f"base error on {args.split} split: {report.base_error:g}")
@@ -468,7 +467,7 @@ def cmd_probe(args) -> int:
         raise UsageError(f"cue {args.cue!r} not found in schema")
     if len(matches) > 1:
         raise UsageError(f"cue {args.cue!r} is in several categories; pass --category")
-    evaluator = _make_evaluator(config, args.endpoint)
+    evaluator = _make_evaluator(config)
     report = analysis.consistency_probe(
         schema, matches[0], args.cue, by_id[args.building], evaluator, schema.data_item, args.n
     )

@@ -84,7 +84,7 @@ class RunAborted(RuntimeError):
 
 @dataclass
 class RunConfig:
-    """Hyperparameters, data item, backend choice, seed, and output paths."""
+    """Hyperparameters, data item, backend choice, seed, LLM endpoint, and output paths."""
 
     data_item: DataItem
     mode: Mode = Mode.VARIABLE
@@ -100,6 +100,7 @@ class RunConfig:
     train_fraction: float = 0.6
     backend: str = "oracle"
     llm_model: str = "gpt-4o"
+    llm_endpoint: str | None = None
     llm_min_interval: float = 0.0
     schema_path: str | None = None
     dataset_path: str | None = None
@@ -144,8 +145,8 @@ class RunConfig:
             raise ValueError(f"backend must be 'oracle' or 'llm', got {self.backend!r}")
 
     # Fields that define the run's semantics; anything else (paths, worker
-    # counts) may change between checkpoint and resume without altering the
-    # result.
+    # counts, the LLM endpoint) may change between checkpoint and resume
+    # without altering the result.
     _SEMANTIC_FIELDS = (
         "data_item",
         "mode",

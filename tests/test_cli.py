@@ -5,6 +5,8 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -326,6 +328,45 @@ class TestRunCommand:
         assert main(args) == 2
 
 
+class _Answer120(BaseHTTPRequestHandler):
+    """Chat-completions stub that records each request's prompt and answers ``###120###``."""
+
+    def do_POST(self):
+        request = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        self.server.prompts.append(request["messages"][0]["content"][0]["text"])
+        data = json.dumps({"choices": [{"message": {"content": "###120###"}}]}).encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def two_endpoints():
+    """Two localhost chat-completions stubs, as (base URL, prompts received) pairs."""
+    servers = [ThreadingHTTPServer(("127.0.0.1", 0), _Answer120) for _ in range(2)]
+    threads = [threading.Thread(target=httpd.serve_forever, daemon=True) for httpd in servers]
+    for httpd, thread in zip(servers, threads):
+        httpd.prompts = []
+        thread.start()
+    yield [(f"http://127.0.0.1:{httpd.server_address[1]}", httpd.prompts) for httpd in servers]
+    for httpd, thread in zip(servers, threads):
+        httpd.shutdown()
+        httpd.server_close()
+        thread.join(timeout=5)
+
+
+def checkpoint_state(path: Path) -> dict:
+    """A checkpoint's document without its config, which names output paths."""
+    doc = dict(load_checkpoint_file(path))
+    del doc["config"]
+    return doc
+
+
 class TestResumeCommand:
     def test_pause_resume_reproduces_log_bytes(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
@@ -531,6 +572,84 @@ class TestResumeCommand:
         assert not first.exists()
         for name, content in reference.items():
             assert (moved / name).read_bytes() == content
+
+    def test_resume_keeps_the_runs_endpoint_unless_given_one(
+        self, tmp_path, monkeypatch, two_endpoints
+    ):
+        (first, to_first), (second, to_second) = two_endpoints
+        monkeypatch.setenv("CLEAR_LLM_API_KEY", "test-key")
+        monkeypatch.setenv("CLEAR_LLM_ENDPOINT", second)
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        args = run_args(ws, out_dir, "--endpoint", first, "--stop-after", "0")
+        args[args.index("--backend") + 1] = "llm"
+        assert main(args) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        paused = len(to_first)
+        assert paused > 0 and to_second == []
+
+        # CLEAR_LLM_ENDPOINT names an endpoint only for runs that were given none.
+        assert main(["resume", "--checkpoint", str(checkpoint), "--stop-after", "2"]) == 0
+        assert len(to_first) > paused and to_second == []
+        assert load_checkpoint_file(checkpoint)["config"]["llm_endpoint"] == first
+
+        sent_to_first = len(to_first)
+        assert main(["resume", "--checkpoint", str(checkpoint), "--endpoint", second]) == 0
+        assert len(to_first) == sent_to_first and len(to_second) > 0
+        doc = load_checkpoint_file(checkpoint)
+        assert doc["generation"] == 5 and doc["config"]["llm_endpoint"] == second
+        assert (out_dir / "best.json").exists()
+
+    def test_checkpoint_without_an_endpoint_field_resumes(self, tmp_path, monkeypatch):
+        # A checkpoint written before RunConfig held the LLM endpoint.
+        ws = make_workspace(tmp_path)
+        full = tmp_path / "full"
+        assert main(run_args(ws, full)) == 0
+
+        class Interrupt(Exception):
+            pass
+
+        write_checkpoint = EvolutionRun.write_checkpoint
+
+        def write_then_stop(run, *args, **kwargs):
+            write_checkpoint(run, *args, **kwargs)
+            if run.generation == 3:
+                raise Interrupt
+
+        out_dir = tmp_path / "out"
+        monkeypatch.setattr(EvolutionRun, "write_checkpoint", write_then_stop)
+        with pytest.raises(Interrupt):
+            main(run_args(ws, out_dir))
+        monkeypatch.setattr(EvolutionRun, "write_checkpoint", write_checkpoint)
+        checkpoint = out_dir / "checkpoint.json"
+        lines = []
+        for line in checkpoint.read_text(encoding="utf-8").splitlines():
+            obj = json.loads(line)
+            del obj["config"]["llm_endpoint"]
+            lines.append(json.dumps(obj) + "\n")
+        assert len(lines) > 1  # the snapshot and at least one record
+        checkpoint.write_text("".join(lines), encoding="utf-8")
+
+        assert main(["resume", "--checkpoint", str(checkpoint)]) == 0
+        log_rows = (out_dir / "run.log.jsonl").read_bytes().splitlines()[1:]
+        assert log_rows == (full / "run.log.jsonl").read_bytes().splitlines()[1:]
+        assert (out_dir / "best.json").read_bytes() == (full / "best.json").read_bytes()
+        assert checkpoint_state(checkpoint) == checkpoint_state(full / "checkpoint.json")
+        assert load_checkpoint_file(checkpoint)["config"]["llm_endpoint"] is None
+
+    def test_resume_with_another_concurrency_matches_the_uninterrupted_run(self, tmp_path):
+        ws = make_workspace(tmp_path)
+        full, out_dir = tmp_path / "full", tmp_path / "out"
+        assert main(run_args(ws, full)) == 0
+        assert main(run_args(ws, out_dir, "--stop-after", "2")) == 0
+        checkpoint = out_dir / "checkpoint.json"
+        assert main(["resume", "--checkpoint", str(checkpoint), "--concurrency", "3"]) == 0
+        log_lines = (out_dir / "run.log.jsonl").read_bytes().splitlines()
+        assert log_lines[1:] == (full / "run.log.jsonl").read_bytes().splitlines()[1:]
+        assert (out_dir / "best.json").read_bytes() == (full / "best.json").read_bytes()
+        assert checkpoint_state(checkpoint) == checkpoint_state(full / "checkpoint.json")
+        assert load_checkpoint_file(checkpoint)["config"]["evaluation_concurrency"] == 3
+        assert json.loads(log_lines[0])["config"]["evaluation_concurrency"] == 3
 
     @pytest.mark.parametrize(
         "doc",
@@ -907,6 +1026,28 @@ class TestGenSchemaCommand:
         assert status == 2
         assert sent == []
         assert "retry_limit must be >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("clusters", ["0", "-2"])
+    def test_cluster_target_below_one_is_config_error_without_a_request(
+        self, tmp_path, monkeypatch, capsys, clusters
+    ):
+        monkeypatch.setenv("CLEAR_LLM_API_KEY", "test-key")
+        sent = []
+        monkeypatch.setattr(HttpTransport, "send", lambda self, prompt, images: sent.append(prompt))
+        ws = make_workspace(tmp_path)
+        status = main(
+            [
+                "gen-schema",
+                "--item", "windows",
+                "--dataset", ws["dataset"],
+                "--out", str(tmp_path / "schema.out.json"),
+                "--clusters", clusters,
+            ]
+        )
+        assert status == 2
+        assert sent == []
+        assert "cluster_target must be >= 1" in capsys.readouterr().err
+        assert not (tmp_path / "schema.out.json").exists()
 
     def test_samples_only_the_training_split_of_its_seed(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("CLEAR_LLM_API_KEY", "test-key")

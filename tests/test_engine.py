@@ -424,6 +424,13 @@ class TestCheckpointResume:
         }
         assert len(digests) == 3
 
+    def test_llm_endpoint_is_outside_the_digest(self):
+        # A run may be resumed against another endpoint, and checkpoints
+        # written before the field existed stay resumable.
+        assert RunConfig(data_item="energy", llm_endpoint="http://x").digest() == (
+            "c5eb4b9c97209071b196929795595e7442ae8a98ee83cba0d6ac094015d18be8"
+        )
+
     def test_resume_of_completed_run_is_noop(self, tmp_path):
         config, schema, evaluator, records = self.run_setup(tmp_path, "done")
         finished = evolve(config, schema, evaluator, records)
