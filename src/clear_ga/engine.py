@@ -233,13 +233,7 @@ class FitnessLedger:
         """Key with the lowest worst-of error; earliest-recorded wins ties."""
         if not self.entries:
             raise ValueError("ledger is empty")
-        best = None
-        best_error = math.inf
-        for key, entry in self.entries.items():
-            if entry.worst_error < best_error:
-                best = key
-                best_error = entry.worst_error
-        return best
+        return min(self.entries.items(), key=lambda item: item[1].worst_error)[0]
 
     @staticmethod
     def _entry_obj(key: str, e: LedgerEntry) -> dict:
@@ -385,10 +379,6 @@ def _rng_state_from_json(obj: list) -> tuple:
     return (version, tuple(internal), gauss_next)
 
 
-def _genotype_obj(key: str, genotype: Genotype) -> dict:
-    return {"key": key, "chromosomes": [list(ch) for ch in genotype.chromosomes]}
-
-
 def _fsync_directory(path: Path) -> None:
     """Make the entries of the directory holding ``path`` durable, so a file
     created, renamed or removed there stays so after a crash."""
@@ -480,7 +470,9 @@ class EvolutionRun:
             Member(random_genotype(schema, self.rng)) for _ in range(config.population_size)
         ]
         self.ledger = FitnessLedger()
-        self.genotypes_by_key: dict[str, Genotype] = {}
+        # Each key's first-seen genotype as the checkpoint stores it: chromosome
+        # lists in that genotype's order. Values are never mutated in place.
+        self.genotypes_by_key: dict[str, list[list[str]]] = {}
         self.log_rows: list[GenerationStats] = []
         # The keys the latest evaluation recorded, which the next commit saves.
         self._evaluated_keys: list[str] = []
@@ -508,8 +500,8 @@ class EvolutionRun:
             ],
             "ledger": [FitnessLedger._entry_obj(key, entries[key]) for key in ledger_keys],
             "genotypes": [
-                _genotype_obj(key, g)
-                for key, g in islice(self.genotypes_by_key.items(), genotypes_from, None)
+                {"key": key, "chromosomes": chromosomes}
+                for key, chromosomes in islice(self.genotypes_by_key.items(), genotypes_from, None)
             ],
             "rng_state": _rng_state_to_json(self.rng.getstate()),
             "log": [row.to_json_obj() for row in self.log_rows[log_from:]],
@@ -577,7 +569,8 @@ class EvolutionRun:
         replaces the fresh state. Refuses to continue if the stored digest
         does not match the stored config (tampering) or if the
         caller-supplied schema/dataset/landscape hashes differ from the ones
-        the run started with.
+        the run started with. The run adopts the document's genotype rows as
+        they are, so the caller must not mutate the document afterwards.
         """
         config = checkpoint_config(checkpoint)
         given = {"schema": schema_sha256, "dataset": dataset_sha256, "landscape": landscape_sha256}
@@ -599,9 +592,7 @@ class EvolutionRun:
                 for m in checkpoint["population"]
             ]
             run.ledger = FitnessLedger.from_json_obj(checkpoint["ledger"])
-            run.genotypes_by_key = {
-                g["key"]: Genotype(g["chromosomes"]) for g in checkpoint["genotypes"]
-            }
+            run.genotypes_by_key = {g["key"]: g["chromosomes"] for g in checkpoint["genotypes"]}
             run.log_rows = [GenerationStats.from_json_obj(row) for row in checkpoint["log"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
@@ -664,7 +655,8 @@ class EvolutionRun:
         )
         n = len(buildings)
         for i, (member, key) in enumerate(zip(self.population, keys)):
-            self.genotypes_by_key.setdefault(key, member.genotype)
+            if key not in self.genotypes_by_key:
+                self.genotypes_by_key[key] = [list(ch) for ch in member.genotype.chromosomes]
             # Summed in building order, so floats do not depend on completion order.
             self.ledger.record(key, aggregate_fitness(errors[i * n:(i + 1) * n]), self.generation)
         for member, key in zip(self.population, keys):
@@ -721,7 +713,7 @@ class EvolutionRun:
         """The run's best genotype and log so far."""
         best_key = self.ledger.best_key()
         return RunResult(
-            best_genotype=self.genotypes_by_key[best_key],
+            best_genotype=Genotype(self.genotypes_by_key[best_key]),
             best_recorded_error=self.ledger.worst(best_key),
             per_generation_log=list(self.log_rows),
             completed=completed,

@@ -8,6 +8,7 @@ vocabulary rather than guessing.
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Sequence, TypeVar
 
@@ -163,7 +164,8 @@ def parse_numeric(payload: str) -> ValueRange:
     A point value is returned as a degenerate range (start == end). Reversed
     spans are normalized rather than rejected. Negative numbers (signed with a
     hyphen, an en dash or a minus sign), and a comma between digits (a
-    thousands separator or a decimal comma), are rejected.
+    thousands separator or a decimal comma), are rejected, and so is a number
+    past the float range, which would read as infinity.
     """
     norm = _UNIT_TOKENS.sub(" ", payload.lower().translate(_DASHES))
     norm = " ".join(norm.split())
@@ -174,6 +176,8 @@ def parse_numeric(payload: str) -> ValueRange:
         raise ParseError(f"no number found in {payload!r}")
     start = float(m.group(1))
     end = float(m.group(2)) if m.group(2) is not None else start
+    if not (math.isfinite(start) and math.isfinite(end)):
+        raise ParseError(f"number past the float range in {payload!r}")
     if start > end:
         start, end = end, start
     if start < 0:

@@ -106,7 +106,7 @@ class Genotype:
     chromosomes: tuple[tuple[Cue, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "chromosomes", tuple(tuple(ch) for ch in self.chromosomes))
+        object.__setattr__(self, "chromosomes", tuple(map(tuple, self.chromosomes)))
 
     def cue_count(self) -> int:
         return sum(len(ch) for ch in self.chromosomes)

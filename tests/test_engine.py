@@ -15,6 +15,7 @@ from random import Random
 import pytest
 
 from clear_ga import engine
+from clear_ga.analysis import load_run_log
 from clear_ga.backends import (
     BackendHardFailure,
     EvaluationFailure,
@@ -135,6 +136,24 @@ class TestFitnessLedger:
                     k: (e.worst_error, e.evaluations, e.first_seen_generation)
                     for k, e in reference.entries.items()
                 }
+
+    def test_best_key_of_empty_ledger_rejected(self):
+        with pytest.raises(ValueError, match="ledger is empty"):
+            FitnessLedger().best_key()
+
+    def test_best_key_tie_goes_to_earliest_recorded(self):
+        ledger = FitnessLedger()
+        for key, error in [("c", 4.0), ("b", 2.0), ("a", 2.0), ("d", 2.0)]:
+            ledger.record(key, error, 0)
+        assert ledger.best_key() == "b"
+
+    def test_best_key_moves_when_worst_of_update_raises_it(self):
+        ledger = FitnessLedger()
+        ledger.record("a", 1.0, 0)
+        ledger.record("b", 2.0, 0)
+        assert ledger.best_key() == "a"
+        ledger.record("a", 5.0, 1)
+        assert ledger.best_key() == "b"
 
     def test_json_round_trip(self):
         ledger = FitnessLedger()
@@ -474,6 +493,14 @@ class WorseningEvaluator:
         return float(request.building.truth.energy_kwh_m2) + 10.0 * (request.eval_counter + 1)
 
 
+class CueCountEvaluator:
+    """Error falls with every cue, so the best genotypes hold several cues a
+    chromosome, in whatever order they were bred; zero is out of reach."""
+
+    def evaluate(self, request: EvaluationRequest):
+        return float(request.building.truth.energy_kwh_m2) + 13 - request.genotype.cue_count()
+
+
 class TestCheckpointWrites:
     """The checkpoint on disk equals the reference serialization: loaded, after
     every generation, and byte for byte at a pause and at the end."""
@@ -572,11 +599,46 @@ class TestCheckpointWrites:
         assert [canonical_key(m.genotype) for m in resumed.population] == [
             canonical_key(m.genotype) for m in run.population
         ]
-        for key, genotype in resumed.genotypes_by_key.items():
-            assert canonical_key(genotype) == key == canonical_key(run.genotypes_by_key[key])
+        for key, chromosomes in resumed.genotypes_by_key.items():
+            assert canonical_key(Genotype(chromosomes)) == key == canonical_key(
+                Genotype(run.genotypes_by_key[key])
+            )
         shuffled = Genotype((("c0_2", "c0_0"), (), ("c2_1",)))
         rebuilt = Genotype(tuple(tuple(ch) for ch in json.loads(json.dumps(shuffled.chromosomes))))
         assert canonical_key(rebuilt) == canonical_key(shuffled) == '[["c0_0","c0_2"],[],["c2_1"]]'
+
+    def test_resumed_best_genotype_keeps_first_seen_cue_order(self, tmp_path):
+        full, schema, records = self.make_run(tmp_path, "full", evaluator=CueCountEvaluator())
+        first_seen: dict[str, Genotype] = {}
+
+        def archive(stats, population):
+            for member in population:
+                first_seen.setdefault(canonical_key(member.genotype), member.genotype)
+
+        expected = full.run(on_generation=archive).best_genotype
+        assert expected == first_seen[canonical_key(expected)]
+        # An order the canonical key would lose, so the check below can fail.
+        assert expected.chromosomes != tuple(tuple(sorted(ch)) for ch in expected.chromosomes)
+
+        run, _, _ = self.make_run(tmp_path, "paused", evaluator=full.evaluator)
+        assert not run.run(stop_after_generation=4).completed
+        doc = load_checkpoint_file(run.config.checkpoint_path)
+        resumed = EvolutionRun.resume(doc, schema, run.evaluator, records).run()
+        assert resumed.completed
+        assert resumed.best_genotype == expected
+
+    @pytest.mark.parametrize("pause", [True, False])
+    def test_checkpoint_of_resumed_run_equals_loaded_document(self, tmp_path, pause):
+        run, schema, records = self.make_run(tmp_path, "run")
+        if pause:
+            run.run(stop_after_generation=4)
+        else:
+            with pytest.raises(Interrupt):
+                run.run(on_generation=interrupt_at(4))  # leaves four records after the snapshot
+        doc = load_checkpoint_file(run.config.checkpoint_path)
+        expected = copy.deepcopy(doc)
+        resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
+        assert resumed.checkpoint_obj() == expected
 
 
 class Interrupt(Exception):
@@ -849,6 +911,43 @@ class ScriptedModel:
         if kind == "flaky":
             return "### 1,200 kWh/m2 ###"
         return f"### {60 + digest[1]} kWh/m2 ###"
+
+
+OVER_RANGE = f"### {'9' * 400} kWh/m2 ###"
+
+
+class TestOverRangeAnswers:
+    """An answer past the float range is a parse failure: it is resent, and
+    at worst charged the failure penalty, never logged as an infinite error."""
+
+    def llm_run(self, tmp_path, answer):
+        config = make_config(
+            generations=3, retry_limit=1, log_path=str(tmp_path / "run.log.jsonl"),
+            checkpoint_path=str(tmp_path / "checkpoint.json"),
+        )
+        records = [build_record("b1"), build_record("b2", energy_kwh_m2=90.0)]
+        transport = RecordingTransport(answer)
+        result = evolve(config, build_schema(), LlmEvaluator(transport, retry_limit=1), records)
+        _, rows = load_run_log(config.log_path)
+        assert [row.to_json_obj() for row in rows] == [
+            row.to_json_obj() for row in result.per_generation_log
+        ]
+        assert "Infinity" not in Path(config.checkpoint_path).read_text(encoding="utf-8")
+        return result, len(transport.calls)
+
+    def test_over_range_answer_is_resent(self, tmp_path):
+        answers = iter([OVER_RANGE])
+        result, sends = self.llm_run(tmp_path, lambda prompt, images: next(answers, "### 120 ###"))
+        pairs = len(result.per_generation_log) * 8 * 2  # generations x members x buildings
+        assert sends == pairs + 1
+        # Every pair answered 120: b1 scores 0 and b2 scores 30.
+        assert {e for row in result.per_generation_log for e in row.errors} == {30.0}
+
+    def test_always_over_range_model_is_charged_the_penalty(self, tmp_path):
+        result, sends = self.llm_run(tmp_path, lambda prompt, images: OVER_RANGE)
+        penalty = 2 * failure_penalty(DataItem.ENERGY)
+        assert {e for row in result.per_generation_log for e in row.errors} == {penalty}
+        assert sends == len(result.per_generation_log) * 8 * 2 * 2  # two attempts a pair
 
 
 class TestPairDispatch:

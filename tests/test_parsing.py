@@ -190,6 +190,20 @@ class TestParseNumeric:
         with pytest.raises(ParseError):
             parse_numeric("quite a lot")
 
+    @pytest.mark.parametrize(
+        "payload",
+        ["9" * 400, f"{'9' * 400} kWh/m2", f"120-{'9' * 400}", f"{'9' * 400}-120"],
+        ids=["point", "point-with-unit", "span-end", "span-start"],
+    )
+    def test_number_past_the_float_range_rejected(self, payload):
+        # float() reads it as infinity, which no error function can score.
+        with pytest.raises(ParseError, match="float range"):
+            parse_numeric(payload)
+
+    def test_largest_finite_numbers_still_parse(self):
+        big = "9" * 308
+        assert parse_numeric(big) == ValueRange(float(big), float(big))
+
 
 class TestParseNumericSignsAndSeparators:
     @pytest.mark.parametrize(
