@@ -39,6 +39,14 @@ class Evaluator(Protocol):
 
     Implementations must tolerate concurrent calls; deterministic backends
     must be a pure function of (genotype key, building id, eval counter, seed).
+
+    An evaluator may also offer ``evaluate_split(genotype, buildings, item,
+    eval_counter) -> list[DataEstimate]``: the estimates ``evaluate`` gives for
+    each building, in order. The engine then scores each member's split in one
+    such call on the run's own thread, with no thread pool, so it must be safe
+    to call there and cheap enough not to need overlap. It cannot charge one
+    building a failure penalty, so an evaluator that raises
+    :class:`EvaluationFailure` should not offer it.
     """
 
     def evaluate(self, request: EvaluationRequest) -> DataEstimate: ...

@@ -14,7 +14,13 @@ expose the same noise stream through two encodings.
 The latent score is a function of the genotype's canonical key, building id
 and eval counter alone. Its noise-free part is computed once per key and kept
 on the landscape; each noise draw reseeds a per-thread generator instead of
-building one.
+building one. Scoring is written once, for a genotype on a list of buildings
+(:meth:`OracleEvaluator.evaluate_split`, :meth:`PlantedLandscape.latent_scores`,
+:meth:`PlantedLandscape.noises`): the key, the noise-free score, the item spec
+and the eval counter's part of the noise material are found once per call,
+and each building costs only its hash, reseed, draw and read-out. The
+one-building calls (``evaluate``, :func:`oracle_evaluate`, ``latent_score``,
+``noise``) are that code on a list of one.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from math import cos, log, sqrt, tau
 from pathlib import Path
+from typing import Sequence
 
 from ..dataset import BuildingRecord
 from ..fitness import DataEstimate
@@ -98,21 +105,30 @@ class PlantedLandscape:
     def total_benefit(self) -> float:
         return sum(p.benefit for p in self.planted)
 
-    def noise(self, genotype_key: str, building_id: str, eval_counter: int) -> float:
-        """The first ``random.gauss(0, noise_scale)`` draw of a generator seeded
-        with the first 8 bytes (big-endian) of the sha256 of
-        ``"{seed}|{building_id}|{eval_counter}|{genotype_key}"``."""
+    def noises(
+        self, genotype_key: str, building_ids: Sequence[str], eval_counter: int
+    ) -> list[float]:
+        """For each building id, the first ``random.gauss(0, noise_scale)`` draw
+        of a generator seeded with the first 8 bytes (big-endian) of the sha256
+        of ``"{seed}|{building_id}|{eval_counter}|{genotype_key}"``."""
         if self.noise_scale == 0:
-            return 0.0
-        material = f"{self.seed}|{building_id}|{eval_counter}|{genotype_key}"
-        digest = hashlib.sha256(material.encode("utf-8")).digest()
+            return [0.0] * len(building_ids)
+        head, tail = f"{self.seed}|", f"|{eval_counter}|{genotype_key}"
         stream = getattr(_streams, "random", None)
         if stream is None:
             stream = _streams.random = _random.Random()
-        stream.seed(int.from_bytes(digest[:8], "big"))
-        # random.gauss's first Box-Muller draw, operation for operation.
-        random = stream.random
-        return 0.0 + cos(random() * tau) * sqrt(-2.0 * log(1.0 - random())) * self.noise_scale
+        seed, random, scale = stream.seed, stream.random, self.noise_scale
+        draws = []
+        for building_id in building_ids:
+            digest = hashlib.sha256(f"{head}{building_id}{tail}".encode("utf-8")).digest()
+            seed(int.from_bytes(digest[:8], "big"))
+            # random.gauss's first Box-Muller draw, operation for operation.
+            draws.append(0.0 + cos(random() * tau) * sqrt(-2.0 * log(1.0 - random())) * scale)
+        return draws
+
+    def noise(self, genotype_key: str, building_id: str, eval_counter: int) -> float:
+        """The draw of :meth:`noises` for one building."""
+        return self.noises(genotype_key, (building_id,), eval_counter)[0]
 
     def noise_free_score(self, genotype: Genotype) -> float:
         """Base error, less the planted benefits, plus the distractor penalties.
@@ -132,13 +148,20 @@ class PlantedLandscape:
                     gain += benefit
         return self.base_error - gain + self.distractor_penalty * distractors
 
-    def latent_score(self, genotype: Genotype, building_id: str, eval_counter: int) -> float:
-        """Clamped-at-zero error the genotype earns on one building."""
+    def latent_scores(
+        self, genotype: Genotype, building_ids: Sequence[str], eval_counter: int
+    ) -> list[float]:
+        """Clamped-at-zero error the genotype earns on each building."""
         key = canonical_key(genotype)
         noise_free = self._noise_free.get(key)
         if noise_free is None:
             noise_free = self._noise_free[key] = self.noise_free_score(genotype)
-        return max(noise_free + self.noise(key, building_id, eval_counter), 0.0)
+        noises = self.noises(key, building_ids, eval_counter)
+        return [max(noise_free + noise, 0.0) for noise in noises]
+
+    def latent_score(self, genotype: Genotype, building_id: str, eval_counter: int) -> float:
+        """The score of :meth:`latent_scores` on one building."""
+        return self.latent_scores(genotype, (building_id,), eval_counter)[0]
 
     def describe(self) -> dict:
         return {
@@ -159,11 +182,7 @@ def oracle_evaluate(
     item: DataItem,
 ) -> DataEstimate:
     """Read the latent score out as an estimate of the item (``ItemSpec.oracle_readout``)."""
-    spec = item_spec(item)
-    actual = spec.truth_of(building.truth)
-    if actual is None:
-        raise ValueError(f"building {building.id!r} has no ground truth for {DataItem(item).value}")
-    return spec.oracle_readout(actual, landscape.latent_score(genotype, building.id, eval_counter))
+    return OracleEvaluator(landscape).evaluate_split(genotype, (building,), item, eval_counter)[0]
 
 
 class OracleEvaluator:
@@ -172,14 +191,31 @@ class OracleEvaluator:
     def __init__(self, landscape: PlantedLandscape):
         self.landscape = landscape
 
+    def evaluate_split(
+        self,
+        genotype: Genotype,
+        buildings: Sequence[BuildingRecord],
+        item: DataItem,
+        eval_counter: int,
+    ) -> list[DataEstimate]:
+        """The genotype's estimate of the item on each building, in order: each
+        building's latent score read out (``ItemSpec.oracle_readout``)."""
+        spec = item_spec(item)
+        truths = []
+        for building in buildings:
+            actual = spec.truth_of(building.truth)
+            if actual is None:
+                raise ValueError(
+                    f"building {building.id!r} has no ground truth for {DataItem(item).value}"
+                )
+            truths.append(actual)
+        scores = self.landscape.latent_scores(genotype, [b.id for b in buildings], eval_counter)
+        return list(map(spec.oracle_readout, truths, scores))
+
     def evaluate(self, request: EvaluationRequest) -> DataEstimate:
-        return oracle_evaluate(
-            request.genotype,
-            request.building,
-            self.landscape,
-            request.eval_counter,
-            request.data_item,
-        )
+        return self.evaluate_split(
+            request.genotype, (request.building,), request.data_item, request.eval_counter
+        )[0]
 
     def describe(self) -> dict:
         return self.landscape.describe()

@@ -3,15 +3,19 @@ elitism, reproduction, termination, and checkpoint/resume.
 
 Every member is re-evaluated every generation, elites included; the ledger
 keeps the worst error ever recorded per genotype key, which penalizes
-solutions that only look good under a lucky draw of estimator noise. The
-unit of evaluation is one (member, building) pair: above concurrency 1, one
-thread pool that lasts the whole :meth:`EvolutionRun.run` call keeps that
-many estimator calls in flight, and the first exception from any pair cancels
-the pairs not yet started. The loop is deterministic given the seed and a
+solutions that only look good under a lucky draw of estimator noise. An
+evaluator that offers ``evaluate_split`` (the oracle) is handed each member's
+whole training split in one call, member by member on the run's own thread,
+at any evaluation concurrency. For any other evaluator the unit of
+evaluation is one (member, building) pair: above concurrency 1, one thread
+pool that lasts the whole :meth:`EvolutionRun.run` call keeps that many
+estimator calls in flight, and the first exception from any pair cancels the
+pairs not yet started. The loop is deterministic given the seed and a
 deterministic evaluator: the random stream is consumed only by
 initialization and reproduction, never by evaluation, eval counters are
 assigned per member before dispatch, and each member's errors are summed in
-building order, so results are identical at any evaluation concurrency.
+building order, so results are identical at any evaluation concurrency and
+on either path.
 
 A checkpoint is one file, ``checkpoint.json``, in the snapshot-and-log design
 of Mohan et al. ("ARIES", TODS 1992). Its first line, the snapshot, is the
@@ -43,7 +47,7 @@ from contextlib import nullcontext
 from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from operator import itemgetter
 from pathlib import Path
 from random import Random
@@ -593,6 +597,14 @@ class EvolutionRun:
             ]
             run.ledger = FitnessLedger.from_json_obj(checkpoint["ledger"])
             run.genotypes_by_key = {g["key"]: g["chromosomes"] for g in checkpoint["genotypes"]}
+            # Every row holds one list per category; checked in bulk, as a
+            # resume may load thousands of rows.
+            rows, count = list(run.genotypes_by_key.values()), schema.category_count
+            if not (
+                set(map(type, rows)) <= {list} and set(map(len, rows)) <= {count}
+                and set(map(type, chain.from_iterable(rows))) <= {list}
+            ):
+                raise TypeError(f"a genotype's chromosomes are not {count} lists")
             run.log_rows = [GenerationStats.from_json_obj(row) for row in checkpoint["log"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
@@ -645,20 +657,37 @@ class EvolutionRun:
         # Pre-assigning counters keeps noisy-backend draws identical no matter
         # how evaluations interleave across worker threads.
         pending: Counter[str] = Counter()
-        requests = []
-        for member, key in zip(self.population, keys):
-            counter = self.ledger.evaluations(key) + pending[key]
+        counters = []
+        for key in keys:
+            counters.append(self.ledger.evaluations(key) + pending[key])
             pending[key] += 1
-            requests += [EvaluationRequest(member.genotype, b, item, counter) for b in buildings]
-        errors = _map_until_failure(
-            partial(evaluate_building, evaluator=self.evaluator), requests, executor
-        )
-        n = len(buildings)
-        for i, (member, key) in enumerate(zip(self.population, keys)):
+        evaluate_split = getattr(self.evaluator, "evaluate_split", None)
+        if evaluate_split is None:
+            requests = [
+                EvaluationRequest(member.genotype, b, item, counter)
+                for member, counter in zip(self.population, counters)
+                for b in buildings
+            ]
+            errors = _map_until_failure(
+                partial(evaluate_building, evaluator=self.evaluator), requests, executor
+            )
+            n = len(buildings)
+            member_errors = [errors[i * n:(i + 1) * n] for i in range(len(self.population))]
+        else:
+            member_errors = [
+                [
+                    building_error(item, estimate, b.truth)
+                    for estimate, b in zip(
+                        evaluate_split(member.genotype, buildings, item, counter), buildings
+                    )
+                ]
+                for member, counter in zip(self.population, counters)
+            ]
+        for member, key, errors in zip(self.population, keys, member_errors):
             if key not in self.genotypes_by_key:
                 self.genotypes_by_key[key] = [list(ch) for ch in member.genotype.chromosomes]
             # Summed in building order, so floats do not depend on completion order.
-            self.ledger.record(key, aggregate_fitness(errors[i * n:(i + 1) * n]), self.generation)
+            self.ledger.record(key, aggregate_fitness(errors), self.generation)
         for member, key in zip(self.population, keys):
             member.recorded_error = self.ledger.worst(key)
         self._evaluated_keys = keys
@@ -734,9 +763,11 @@ class EvolutionRun:
             raise ValueError(f"stop_after_generation must be >= 0, got {stop_after_generation}")
         self._start_log()
         concurrency = self.config.evaluation_concurrency
+        # One pool serves every generation's pairs; concurrency 1 and an
+        # evaluator that scores whole splits stay on this thread.
+        pooled = concurrency > 1 and not hasattr(self.evaluator, "evaluate_split")
         try:
-            # One pool serves every generation; concurrency 1 (the oracle) stays serial.
-            with ThreadPoolExecutor(concurrency) if concurrency > 1 else nullcontext() as executor:
+            with ThreadPoolExecutor(concurrency) if pooled else nullcontext() as executor:
                 if not self.log_rows:
                     self._step_evaluate(on_generation, executor, stop_after_generation, None)
                 while not self.finished:

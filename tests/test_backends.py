@@ -272,6 +272,59 @@ class TestOracleReadouts:
             oracle_evaluate(OPTIMUM, building, landscape(), 0, DataItem.ENERGY)
 
 
+# Truths that reach every read-out branch: ages to round, lighting near and at
+# both ends of the scale, every heating and windows class, and energies.
+SPLIT = [
+    build_record(f"b{i}", age=YearRange(year, year), lighting_pct=pct, heating=heating,
+                 windows=windows, energy_kwh_m2=energy)
+    for i, (year, pct, heating, windows, energy) in enumerate(zip(
+        (1850, 1931, 1975, 2001, 2019, 1700),
+        (0.0, 3.0, 50.0, 86.0, 98.0, 100.0),
+        itertools.cycle(HeatingClass),
+        itertools.cycle(WindowClass),
+        (35.0, 80.5, 120.0, 199.0, 260.0, 450.0),
+    ))
+]
+
+
+class TestSplitScoring:
+    """``OracleEvaluator.evaluate_split`` gives what ``evaluate`` gives for each building."""
+
+    @pytest.mark.parametrize("item", list(DataItem))
+    @pytest.mark.parametrize("noise", [0.0, 0.4])
+    @pytest.mark.parametrize("counter", [0, 3])
+    @pytest.mark.parametrize("base", [6.0, 60.0])
+    def test_split_equals_pairs(self, item, noise, counter, base):
+        land = PlantedLandscape(
+            planted=(PlantedCue(0, "c0_0", 3.0), PlantedCue(1, "c1_1", 3.0)),
+            distractor_penalty=1.0,
+            base_error=base,
+            noise_scale=noise,
+            seed=17,
+        )
+        schema = build_schema(category_sizes=(3, 3))
+        rng = Random(int(10 * (base + noise)) + counter)
+        genotypes = [OPTIMUM, Genotype(((), ())), Genotype((("c0_0", "c0_2"), ("c1_1",)))] + [
+            Genotype(tuple(
+                tuple(rng.sample(c.cues, rng.randint(0, len(c.cues)))) for c in schema.categories
+            ))
+            for _ in range(12)
+        ]
+        for genotype in genotypes:
+            split = OracleEvaluator(land).evaluate_split(genotype, SPLIT, item, counter)
+            pairs = [
+                OracleEvaluator(land).evaluate(EvaluationRequest(genotype, b, item, counter))
+                for b in SPLIT
+            ]
+            assert split == pairs
+            assert [type(e) for e in split] == [type(e) for e in pairs]
+
+    def test_missing_truth_in_a_split_rejected(self):
+        split = [build_record("b1"), build_record("b2", lighting_pct=None)]
+        with pytest.raises(ValueError, match="'b2' has no ground truth"):
+            OracleEvaluator(landscape()).evaluate_split(OPTIMUM, split, DataItem.LIGHTING, 0)
+
+
 class TestLlmEvaluator:
     def well_formed(self, answer: str):
         return RecordingTransport(lambda prompt, images: f"reasoning...\n### {answer} ###")

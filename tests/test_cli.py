@@ -670,6 +670,57 @@ class TestResumeCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+class PairsOnly:
+    """Delegates ``evaluate`` and ``describe`` alone, as a wrapping evaluator
+    does, so the run scores its oracle through (member, building) pairs."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def evaluate(self, request):
+        return self.inner.evaluate(request)
+
+    def describe(self) -> dict:
+        return self.inner.describe()
+
+
+class TestSplitScoring:
+    """An oracle run scores each member's split in one call on the run's thread;
+    wrapped to offer only ``evaluate``, it is scored pair by pair through the
+    pool, and writes the same files."""
+
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    @pytest.mark.parametrize("stop_after", [None, "2"])
+    def test_pair_path_writes_the_same_files(self, tmp_path, monkeypatch, mode, stop_after):
+        ws = make_workspace(tmp_path)
+        open_run = cli._open_run
+        outputs = {}
+        for path, wrap in (("split", None), ("pairs", PairsOnly)):
+            if wrap is not None:
+                def wrapped(config, schema):
+                    splits, evaluator, digests = open_run(config, schema)
+                    return splits, wrap(evaluator), digests
+
+                monkeypatch.setattr(cli, "_open_run", wrapped)
+            for concurrency in ("1", "3"):
+                out_dir = tmp_path / f"{path}{concurrency}"
+                args = run_args(ws, out_dir, "--mode", mode, "--concurrency", concurrency)
+                if stop_after is None:
+                    assert main(args) == 0
+                else:
+                    assert main([*args, "--stop-after", stop_after]) == 0
+                    assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 0
+                outputs[path, concurrency] = (
+                    (out_dir / "run.log.jsonl").read_bytes().split(b"\n", 1)[1],
+                    (out_dir / "best.json").read_bytes(),
+                    checkpoint_state(out_dir / "checkpoint.json"),
+                )
+        reference = outputs["split", "1"]
+        assert reference[0].count(b"\n") == 6
+        for key, output in outputs.items():
+            assert output == reference, key
+
+
 class TestAnalysisCommands:
     def test_ablate_writes_csv(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)

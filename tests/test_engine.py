@@ -26,6 +26,7 @@ from clear_ga.backends import (
     PlantedLandscape,
 )
 from clear_ga.engine import (
+    CheckpointError,
     ConfigMismatchError,
     EvolutionRun,
     FitnessLedger,
@@ -467,6 +468,21 @@ class TestCheckpointResume:
         with pytest.raises(Exception) as exc_info:
             EvolutionRun.resume({"format": "clear-ga/checkpoint/1"}, None, None, [])
         assert "corrupt" in str(exc_info.value) or "checkpoint" in str(exc_info.value)
+
+    def test_genotype_rows_that_are_not_chromosome_lists_refused(self, tmp_path):
+        config, schema, evaluator, records = self.run_setup(tmp_path, "rows")
+        evolve(config, schema, evaluator, records, stop_after_generation=2)
+        doc = load_checkpoint_file(config.checkpoint_path)
+        assert doc["genotypes"]
+        for row in doc["genotypes"]:
+            row["chromosomes"] = 5
+        with pytest.raises(CheckpointError, match="corrupt checkpoint document"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+        for rows in ([["c0_0"]], [["c0_0"], "c1_1"], [("c0_0",), []]):
+            doc = load_checkpoint_file(config.checkpoint_path)
+            doc["genotypes"][-1]["chromosomes"] = rows
+            with pytest.raises(CheckpointError, match="corrupt checkpoint document"):
+                EvolutionRun.resume(doc, schema, evaluator, records)
 
     def test_hard_failure_aborts_with_resumable_state(self, tmp_path):
         config, schema, evaluator, records = self.run_setup(tmp_path, "abort")
@@ -975,6 +991,30 @@ class TestPairDispatch:
         assert exc_info.value.checkpoint_path == config.checkpoint_path
         failed_at = evaluator.started.index("b0")
         assert len(evaluator.started) - failed_at - 1 <= config.evaluation_concurrency
+
+    def test_split_evaluator_is_scored_on_the_run_thread(self):
+        # An evaluator offering evaluate_split gets one call per member, on the
+        # thread that runs the loop, and no pool is made for it.
+        calls: list[int] = []
+
+        class SplitOnly(OracleEvaluator):
+            def evaluate_split(self, *args):
+                calls.append(threading.get_ident())
+                return super().evaluate_split(*args)
+
+            def evaluate(self, request):
+                raise AssertionError("scored pair by pair")
+
+        before = threading.active_count()
+        during: list[int] = []
+        config = make_config(generations=3, evaluation_concurrency=3)
+        records = [build_record(f"b{i}") for i in range(4)]
+        result = evolve(config, build_schema(), SplitOnly(make_landscape(noise=0.5)), records,
+                        lambda stats, population: during.append(threading.active_count()))
+        assert result.completed
+        assert set(calls) == {threading.get_ident()}
+        assert len(calls) == config.population_size * len(result.per_generation_log)
+        assert during == [before] * len(result.per_generation_log)
 
     @staticmethod
     def scripted_llm_run(work: Path, concurrency: int) -> tuple[list[str], int, Counter]:
