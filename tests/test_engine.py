@@ -967,7 +967,8 @@ class TestOverRangeAnswers:
 
 
 class TestPairDispatch:
-    """Evaluation runs one (member, building) pair per pool task, in one pool per run."""
+    """Evaluation runs one (member, building) pair per pool task, in one pool per run;
+    an evaluator that scores whole splits is called on the run's thread instead."""
 
     def test_pairs_of_one_member_run_in_parallel(self):
         # Two members and four buildings make eight pairs per generation; the
