@@ -41,6 +41,7 @@ import json
 import logging
 import math
 import os
+import sys
 from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, Executor, ThreadPoolExecutor, wait
 from contextlib import nullcontext
@@ -48,7 +49,6 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import partial
 from itertools import chain, islice
-from operator import itemgetter
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -63,6 +63,10 @@ from .schema import CueSchema, DataItem, Genotype, canonical_key, random_genotyp
 log = logging.getLogger(__name__)
 
 CHECKPOINT_FORMAT = "clear-ga/checkpoint/1"
+
+# ``json.dumps`` with its defaults, less the cycle check: the engine encodes
+# only trees it has just built, which hold no cycle, so the output is the same.
+_encode = json.JSONEncoder(check_circular=False).encode
 
 
 class Mode(str, Enum):
@@ -194,7 +198,7 @@ class RunConfig:
         return cls(**obj)
 
 
-@dataclass
+@dataclass(slots=True)
 class LedgerEntry:
     worst_error: float
     evaluations: int
@@ -208,20 +212,34 @@ class FitnessLedger:
     any order yields the same ledger; that property is what makes concurrent
     evaluation order-irrelevant. ``record`` itself is not thread-safe: the
     engine merges a generation's results serially once they are all in.
+
+    The best key is kept as ``record`` runs. Merging can only raise a key's
+    error, so only a new key with a strictly lower error can take over, and
+    only raising the best key itself calls for a scan of the ledger, made at
+    the next :meth:`best_key`. ``entries`` must change through ``record``
+    alone.
     """
 
     def __init__(self) -> None:
         self.entries: dict[str, LedgerEntry] = {}
+        # The key best_key returns; None when it is not known yet.
+        self._best: str | None = None
 
     def record(self, key: str, error: float, generation: int) -> LedgerEntry:
-        if error < 0:
-            raise ValueError("error must be >= 0")
-        entry = self.entries.get(key)
+        if not 0 <= error <= sys.float_info.max:  # NaN fails both comparisons
+            raise ValueError(f"error must be a finite number >= 0, got {error!r}")
+        entries = self.entries
+        entry = entries.get(key)
         if entry is None:
-            entry = LedgerEntry(worst_error=error, evaluations=1, first_seen_generation=generation)
-            self.entries[key] = entry
+            best = self._best
+            entry = entries[key] = LedgerEntry(error, 1, generation)
+            if len(entries) == 1 or best is not None and error < entries[best].worst_error:
+                self._best = key
         else:
-            entry.worst_error = max(entry.worst_error, error)
+            if error > entry.worst_error:
+                entry.worst_error = error
+                if key == self._best:
+                    self._best = None
             entry.evaluations += 1
             entry.first_seen_generation = min(entry.first_seen_generation, generation)
         return entry
@@ -235,13 +253,20 @@ class FitnessLedger:
 
     def best_key(self) -> str:
         """Key with the lowest worst-of error; earliest-recorded wins ties."""
-        if not self.entries:
-            raise ValueError("ledger is empty")
-        return min(self.entries.items(), key=lambda item: item[1].worst_error)[0]
+        if self._best is None:
+            if not self.entries:
+                raise ValueError("ledger is empty")
+            self._best = min(self.entries.items(), key=lambda item: item[1].worst_error)[0]
+        return self._best
 
     @staticmethod
     def _entry_obj(key: str, e: LedgerEntry) -> dict:
-        return {"key": key, **vars(e)}
+        return {
+            "key": key,
+            "worst_error": e.worst_error,
+            "evaluations": e.evaluations,
+            "first_seen_generation": e.first_seen_generation,
+        }
 
     def to_json_obj(self) -> list[dict]:
         return [self._entry_obj(key, e) for key, e in self.entries.items()]
@@ -249,9 +274,12 @@ class FitnessLedger:
     @classmethod
     def from_json_obj(cls, rows: list[dict]) -> "FitnessLedger":
         ledger = cls()
-        values = itemgetter(*(f.name for f in fields(LedgerEntry)))
-        for row in rows:
-            ledger.entries[row["key"]] = LedgerEntry(*values(row))
+        ledger.entries = {
+            row["key"]: LedgerEntry(
+                row["worst_error"], row["evaluations"], row["first_seen_generation"]
+            )
+            for row in rows
+        }
         return ledger
 
 
@@ -413,7 +441,7 @@ def write_file_durably(path: Path, data: bytes) -> None:
 def _append_line(path: Path, length: int, obj: dict) -> int:
     """Cut the file at ``path`` back to ``length`` bytes, so a torn last line
     goes, then append ``obj`` as one fsynced JSON line; returns the new length."""
-    data = (json.dumps(obj) + "\n").encode("utf-8")
+    data = (_encode(obj) + "\n").encode("utf-8")
     with path.open("ab") as fh:
         fh.truncate(length)
         fh.write(data)
@@ -551,7 +579,7 @@ class EvolutionRun:
             record = self._state(dict.fromkeys(self._evaluated_keys), genotypes, log_rows)
             length = _append_line(path, length, record)
         else:
-            data = (json.dumps(self.checkpoint_obj()) + "\n").encode("utf-8")
+            data = (_encode(self.checkpoint_obj()) + "\n").encode("utf-8")
             write_file_durably(path, data)
             length = len(data)
         self._committed = (path, length, len(self.genotypes_by_key), len(self.log_rows))
@@ -624,7 +652,7 @@ class EvolutionRun:
             "digest": self.config.digest(),
             "evaluator": describe() if callable(describe) else {},
         }
-        return json.dumps(record) + "\n"
+        return _encode(record) + "\n"
 
     def _start_log(self) -> None:
         """(Re)write the log header plus any rows already in memory.
@@ -640,14 +668,14 @@ class EvolutionRun:
         with path.open("w", encoding="utf-8") as fh:
             fh.write(self._config_log_line())
             for row in self.log_rows:
-                fh.write(json.dumps(row.to_json_obj()) + "\n")
+                fh.write(_encode(row.to_json_obj()) + "\n")
 
     def _append_log_row(self) -> None:
         """Append the newest of ``log_rows`` to the run log."""
         if not self.config.log_path:
             return
         with Path(self.config.log_path).open("a", encoding="utf-8") as fh:
-            fh.write(json.dumps(self.log_rows[-1].to_json_obj()) + "\n")
+            fh.write(_encode(self.log_rows[-1].to_json_obj()) + "\n")
 
     # -- the loop ----------------------------------------------------------
 

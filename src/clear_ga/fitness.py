@@ -7,6 +7,8 @@ pure and reentrant. Which error function scores which data item is set in
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from typing import Union
@@ -45,7 +47,10 @@ class ValueRange:
 
     @property
     def midpoint(self) -> float:
-        return (self.start + self.end) / 2.0
+        mid = (self.start + self.end) / 2.0
+        # The sum of two finite ends can overflow; halving them first cannot,
+        # but it would round subnormal ends, so it is the fallback only.
+        return self.start / 2.0 + self.end / 2.0 if math.isinf(mid) else mid
 
 
 class HeatingClass(str, Enum):
@@ -159,7 +164,11 @@ def uvalue_error(estimate_u: float, truth: WindowClass) -> float:
 
 
 def aggregate_fitness(per_building_errors: list[float]) -> float:
-    """Sum of per-building errors over the evaluation split; zero is perfect."""
+    """Sum of per-building errors over the evaluation split; zero is perfect.
+
+    A sum past the float range is held at the largest float, so a member whose
+    finite errors overflow ranks last without an infinite error.
+    """
     if not per_building_errors:
         raise ValueError("cannot aggregate an empty list of building errors")
-    return float(sum(per_building_errors))
+    return min(float(sum(per_building_errors)), sys.float_info.max)

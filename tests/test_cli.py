@@ -19,7 +19,8 @@ from clear_ga.backends import (
     TransportError,
 )
 from clear_ga.cli import main
-from clear_ga.engine import EvolutionRun, load_checkpoint_file
+from clear_ga.engine import EvolutionRun, RunConfig, load_checkpoint_file
+from clear_ga.schema import load_schema_file
 
 from conftest import write_manifest
 
@@ -719,6 +720,84 @@ class TestSplitScoring:
         assert reference[0].count(b"\n") == 6
         for key, output in outputs.items():
             assert output == reference, key
+
+
+def sha256_of(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+class TestCheckpointBytePins:
+    """The bytes a run writes are pinned: ``checkpoint.json`` after every
+    generation's commit (the snapshot line and each record line) and the final
+    ``run.log.jsonl``, uninterrupted and paused after generations 2 and 3. The
+    run works in its own directory with relative paths, so every byte,
+    config lines included, is the same wherever it runs."""
+
+    FIXED_LOG = "e613533f5bfa94bae65413a544b683f88db9bf265e1cc8edc133310110bcff36"
+    VARIABLE_LOG = "2102e84f70229e978e77fc74bd6246079f0f2a053900e4f21a45e2e18d7bb7fa"
+    # Generation 0 commits the first snapshot and generation 5 the final one;
+    # the generations between append record lines, but the paused run rewrites
+    # its snapshot whole at its pauses after generations 2 and 3. So its files
+    # differ from generation 2 on and meet the uninterrupted run's at the end.
+    PINS = {
+        ("fixed", False): [
+            "534450ed83b5f3f29d2f69c074eede5534407af37a1bea1b96779cea36f5d28e",
+            "dc9614e6d98dd25d3a0f46acd18f01988d129048fd8d72d1d284157f041c6df2",
+            "274fc06130de46772109d433ce6f45752c6a14970638606b79ff8ab1ebb33f59",
+            "cf95b0c3576cb31894df5750d3e07d0b1ac22045a78c1d1949d8ea57f2b36dff",
+            "608c7525c094fa73f63562a6c620996b02616552d2d70372b2f7f0a8300cc5a1",
+            "b40b34dd8452b9a8d7867a6218e24f71bc9e96172eb7fe261302bbcb85215e9b",
+        ],
+        ("fixed", True): [
+            "534450ed83b5f3f29d2f69c074eede5534407af37a1bea1b96779cea36f5d28e",
+            "dc9614e6d98dd25d3a0f46acd18f01988d129048fd8d72d1d284157f041c6df2",
+            "847d58816ec6053efd478a319a89796695edd6342226f45294c663d2d7676651",
+            "08c51e10a734659a5cdf0dcad7f1e46be0d91ed8a01f2d829e4f9341bd63b67d",
+            "6f3e45b8939bacae4c87de435ab5bb00d6fabe4fb47221b62f6a3982b7589525",
+            "b40b34dd8452b9a8d7867a6218e24f71bc9e96172eb7fe261302bbcb85215e9b",
+        ],
+        ("variable", False): [
+            "faaaa075f6db7eda43cb4ac42510ae807b023bdbe34fb6a1ce1eb600b663fcac",
+            "c81ece3ac031585b93bc00376790b44010173d8b8b7cdc8dfc9c75357d3fcf27",
+            "e6476619920935e5d2ce05266f6a4ebca9a5980786bbb006ea29e79de945e6cd",
+            "b4103c5b05dfd2ce229905958d9bb1369a0e3e38d538f3785a5a86de2ba707dd",
+            "6717cfb2aae58f081466a8980e583060860ebcdec3dc248b5f59146b3accbf56",
+            "03233f8ca44013ee82d1d36ca974b58a66b6383fc4d9f37535d8348bad65361f",
+        ],
+        ("variable", True): [
+            "faaaa075f6db7eda43cb4ac42510ae807b023bdbe34fb6a1ce1eb600b663fcac",
+            "c81ece3ac031585b93bc00376790b44010173d8b8b7cdc8dfc9c75357d3fcf27",
+            "d5839b358bc93639890307cfbcded709d6da6f301996da45c7d3c3f86509c46f",
+            "621c7a4d60357e66a10833e97d31d8317705b78abba7ea6179a19e3a98f363fc",
+            "fb4efb9219b205a854401c85ff017fedc1ef252695eaa70819cfe2eaf9e05c0f",
+            "03233f8ca44013ee82d1d36ca974b58a66b6383fc4d9f37535d8348bad65361f",
+        ],
+    }
+
+    @pytest.mark.parametrize("mode", ["fixed", "variable"])
+    @pytest.mark.parametrize("paused", [False, True], ids=["uninterrupted", "paused"])
+    def test_written_bytes_are_pinned(self, tmp_path, monkeypatch, mode, paused):
+        monkeypatch.chdir(tmp_path)
+        ws = make_workspace(Path("."))
+        commits = []
+        write_checkpoint = EvolutionRun.write_checkpoint
+
+        def hashed_write(run, journal=False):
+            write_checkpoint(run, journal)
+            commits.append(sha256_of(Path(run.config.checkpoint_path)))
+
+        monkeypatch.setattr(EvolutionRun, "write_checkpoint", hashed_write)
+        config = RunConfig(
+            data_item="energy", mode=mode, seed=3, population_size=8, generations=5,
+            schema_path=ws["schema"], dataset_path=ws["dataset"], landscape_path=ws["landscape"],
+        )
+        cli._run_one(config, load_schema_file(ws["schema"]), Path("out"), 2 if paused else None)
+        if paused:
+            assert main(["resume", "--checkpoint", "out/checkpoint.json", "--stop-after", "3"]) == 0
+            assert main(["resume", "--checkpoint", "out/checkpoint.json"]) == 0
+        assert commits == self.PINS[mode, paused]
+        log = self.FIXED_LOG if mode == "fixed" else self.VARIABLE_LOG
+        assert sha256_of(Path("out/run.log.jsonl")) == log
 
 
 class TestAnalysisCommands:

@@ -164,6 +164,81 @@ class TestFitnessLedger:
         assert again.to_json_obj() == ledger.to_json_obj()
 
 
+def scanned_best_key(ledger: FitnessLedger) -> str:
+    """The best key by a scan of the whole ledger: the lowest worst-of error,
+    the earliest-recorded key among ties."""
+    return min(ledger.entries.items(), key=lambda item: item[1].worst_error)[0]
+
+
+class TestIncrementalBestKey:
+    """``best_key`` is kept as ``record`` runs, and always names the key a scan
+    of the whole ledger would."""
+
+    @staticmethod
+    def random_records(rng: Random, ledger: FitnessLedger, count: int):
+        """Records that re-hit and raise the best key, re-hit other keys and add
+        new ones; errors are small integers, so ties are common."""
+        for step in range(count):
+            roll = rng.random()
+            if ledger.entries and roll < 0.3:
+                key = scanned_best_key(ledger)
+            elif ledger.entries and roll < 0.6:
+                key = rng.choice(list(ledger.entries))
+            else:
+                key = f"k{rng.randrange(10**6)}"
+            yield key, float(rng.randint(0, 6)), step // 5
+
+    def test_equals_a_full_scan_after_every_record(self):
+        rng = Random(21)
+        for _ in range(200):
+            ledger, unread = FitnessLedger(), FitnessLedger()
+            for key, error, generation in self.random_records(rng, ledger, rng.randint(1, 60)):
+                ledger.record(key, error, generation)
+                unread.record(key, error, generation)
+                assert ledger.best_key() == scanned_best_key(ledger)
+            # A ledger never asked in between ends on the same key.
+            assert unread.best_key() == ledger.best_key()
+
+    def test_equals_a_full_scan_after_a_json_round_trip(self):
+        rng = Random(22)
+        for _ in range(100):
+            ledger = FitnessLedger()
+            for record in self.random_records(rng, ledger, rng.randint(1, 30)):
+                ledger.record(*record)
+            again = FitnessLedger.from_json_obj(ledger.to_json_obj())
+            assert again.best_key() == ledger.best_key()
+            for key, error, generation in self.random_records(rng, again, 30):
+                again.record(key, error, generation)
+                assert again.best_key() == scanned_best_key(again)
+
+    def test_equals_a_full_scan_in_a_run_resumed_mid_way(self, tmp_path):
+        config = make_config(
+            generations=12, seed=5, checkpoint_path=str(tmp_path / "checkpoint.json")
+        )
+        schema = build_schema(category_sizes=(3, 3))
+        evaluator = OracleEvaluator(make_landscape(noise=0.9, seed=4, base=8.0))
+        records = [build_record(), build_record("b2")]
+        evolve(config, schema, evaluator, records, stop_after_generation=5)
+        run = EvolutionRun.resume(
+            load_checkpoint_file(config.checkpoint_path), schema, evaluator, records
+        )
+        seen = []
+
+        def check(stats, population):
+            best = scanned_best_key(run.ledger)
+            assert run.ledger.best_key() == best
+            assert stats.best_ever_error == run.ledger.entries[best].worst_error
+            seen.append(stats.generation)
+
+        assert run.run(on_generation=check).completed
+        assert seen == list(range(6, 13))
+        # The entries keep the attributes that readers of a run's ledger use.
+        entries = list(run.ledger.entries.values())
+        assert sum(e.evaluations for e in entries) == config.population_size * 13
+        assert min(e.first_seen_generation for e in entries) == 0
+        assert min(e.worst_error for e in entries) == run.result().best_recorded_error
+
+
 class TestSelection:
     def members(self, errors):
         return [Member(Genotype((((f"g{i}",),))), recorded_error=e) for i, e in enumerate(errors)]
@@ -964,6 +1039,42 @@ class TestOverRangeAnswers:
         penalty = 2 * failure_penalty(DataItem.ENERGY)
         assert {e for row in result.per_generation_log for e in row.errors} == {penalty}
         assert sends == len(result.per_generation_log) * 8 * 2 * 2  # two attempts a pair
+
+
+NINES = "9" * 308
+
+
+class TestOverflowingErrors:
+    """Answers that parse, each with a finite building error, whose sum over a
+    member's buildings passes the float range: the member's error is held at
+    the largest float, and nothing infinite reaches the log or the checkpoint."""
+
+    @pytest.mark.parametrize(
+        "item, answer",
+        [(DataItem.ENERGY, NINES), (DataItem.WINDOWS_UVALUE, f"{NINES}-{'8' * 308}")],
+        ids=["energy", "uvalue-range"],
+    )
+    def test_member_error_is_held_at_the_largest_float(self, tmp_path, item, answer):
+        config = make_config(
+            data_item=item, generations=2, log_path=str(tmp_path / "run.log.jsonl"),
+            checkpoint_path=str(tmp_path / "checkpoint.json"),
+        )
+        records = [build_record("b1"), build_record("b2", energy_kwh_m2=90.0)]
+        transport = RecordingTransport(lambda prompt, images: f"### {answer} ###")
+        result = evolve(config, build_schema(item), LlmEvaluator(transport), records)
+        assert {e for row in result.per_generation_log for e in row.errors} == {sys.float_info.max}
+        assert result.best_recorded_error == sys.float_info.max
+        log_rows = Path(config.log_path).read_text(encoding="utf-8").splitlines()[1:]
+        assert [json.loads(row) for row in log_rows] == [
+            row.to_json_obj() for row in result.per_generation_log
+        ]
+        for path in (config.log_path, config.checkpoint_path):
+            assert "Infinity" not in Path(path).read_text(encoding="utf-8")
+
+    def test_ledger_refuses_an_error_that_is_not_finite(self):
+        for error in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="finite"):
+                FitnessLedger().record("k", error, 0)
 
 
 class TestPairDispatch:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 from random import Random
 
 import pytest
@@ -22,7 +23,7 @@ from clear_ga.fitness import (
     uvalue_error,
     windows_error,
 )
-from clear_ga.items import ITEMS, building_error, failure_penalty
+from clear_ga.items import ITEMS, building_error, failure_penalty, parse_estimate
 from clear_ga.schema import DataItem
 
 H = HeatingClass
@@ -207,6 +208,21 @@ class TestBuildingError:
             building_error(DataItem.ENERGY, 100.0, GroundTruth(heating=H.UNDERFLOOR))
 
 
+class TestMidpoint:
+    def test_midpoint_is_the_mean_of_the_ends(self):
+        assert ValueRange(2.0, 3.0).midpoint == 2.5
+        rng = Random(7)
+        for _ in range(200):
+            start, end = sorted(rng.uniform(0, 500) for _ in range(2))
+            assert ValueRange(start, end).midpoint == (start + end) / 2.0
+
+    def test_midpoint_of_ends_near_the_float_range_is_finite(self):
+        start, end = float("8" * 308), float("9" * 308)
+        assert ValueRange(start, end).midpoint == start / 2.0 + end / 2.0
+        uvalue = parse_estimate(DataItem.WINDOWS_UVALUE, f"{'9' * 308}-{'8' * 308}", 2025)
+        assert start < uvalue < end
+
+
 class TestAggregateAndPenalty:
     def test_sum(self):
         assert aggregate_fitness([0, 3, 5]) == 8
@@ -227,6 +243,15 @@ class TestAggregateAndPenalty:
         shuffled = list(values)
         rng.shuffle(shuffled)
         assert aggregate_fitness(values) == pytest.approx(aggregate_fitness(shuffled))
+
+    def test_sum_past_the_float_range_is_held_at_the_largest_float(self):
+        # Two energy answers of 308 nines: each error is finite, their sum is not.
+        answer = parse_estimate(DataItem.ENERGY, "9" * 308, 2025)
+        error = building_error(DataItem.ENERGY, answer, GroundTruth(energy_kwh_m2=120.0))
+        assert error < sys.float_info.max
+        assert aggregate_fitness([error, error]) == sys.float_info.max
+        assert aggregate_fitness([float("inf"), 1.0]) == sys.float_info.max
+        assert aggregate_fitness([sys.float_info.max, 0.0]) == sys.float_info.max
 
     def test_penalty_table(self):
         assert failure_penalty(DataItem.BUILDING_AGE) == 1024
