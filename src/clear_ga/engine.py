@@ -32,6 +32,12 @@ counts. It is written by reopening the file at that length, cutting off a
 torn last line, and appending; no handle is held between commits.
 :func:`load_checkpoint_file` replays the complete records onto the snapshot,
 and a run resumed from the same path appends after them.
+
+Every line the engine writes, snapshot, record and run-log line alike, holds
+the bytes ``json.dumps`` writes with its defaults: one encoder writes them all,
+and it skips only the cycle check, as each line encodes a tree built for it.
+The ledger keeps its best key as it records, so a generation's best-ever error
+costs no scan of the ledger.
 """
 
 from __future__ import annotations
