@@ -18,11 +18,13 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from .backends.base import EvaluationFailure, EvaluationRequest, Evaluator
+from .backends.base import EvaluationFailure, Evaluator
 from .dataset import BuildingRecord
 from .engine import GenerationStats, evaluate_genotype
-from .fitness import HeatingClass, ValueRange, WindowClass, YearRange
-from .items import ITEMS
+from .fitness import (
+    DataEstimate, HeatingClass, ValueRange, WindowClass, YearRange, aggregate_fitness,
+)
+from .items import ITEMS, building_error
 from .schema import CueSchema, DataItem, Genotype, validate_genotype
 
 log = logging.getLogger(__name__)
@@ -56,6 +58,13 @@ def _sqrt_of_ratio(numerator: int, denominator: int) -> float:
     return float(root << shift) if shift >= 0 else root / (1 << -shift)
 
 
+def _over_common_denominator(values: Sequence[float]) -> tuple[list[int], int]:
+    """Integer numerators and one denominator, each value exactly their ratio."""
+    ratios = [value.as_integer_ratio() for value in values]
+    denominator = math.lcm(*(d for _, d in ratios))
+    return [n * (denominator // d) for n, d in ratios], denominator
+
+
 def pstdev(values: Sequence[float]) -> float:
     """Population standard deviation, correctly rounded from its exact value.
 
@@ -66,32 +75,36 @@ def pstdev(values: Sequence[float]) -> float:
     if not values:
         raise ValueError("pstdev of an empty sequence")
     try:
-        ratios = [value.as_integer_ratio() for value in values]
+        scaled, denominator = _over_common_denominator(values)
     except (OverflowError, ValueError):
         raise ValueError("pstdev of a non-finite value") from None
-    denominator = math.lcm(*(d for _, d in ratios))
-    scaled = [n * (denominator // d) for n, d in ratios]
     k = len(scaled)
     total = sum(scaled)
     spread = k * sum(map(operator.mul, scaled, scaled)) - total * total
     return _sqrt_of_ratio(spread, (k * denominator) ** 2)
 
 
-def cv(values: Sequence[float]) -> float:
-    """Coefficient of variation: population standard deviation over mean.
+def mean(values: Sequence[float]) -> float:
+    """``math.fsum(values) / len(values)``, or, where that sum passes the float
+    range, the exact mean correctly rounded, which is finite when the values are."""
+    try:
+        return math.fsum(values) / len(values)
+    except OverflowError:
+        scaled, denominator = _over_common_denominator(values)
+        return sum(scaled) / (len(scaled) * denominator)  # int / int rounds correctly
 
-    The standard deviation is correctly rounded and the mean is
-    ``math.fsum(values) / len(values)``. Undefined (and refused) when the mean
-    is zero or a value is not finite.
+
+def cv(values: Sequence[float]) -> float:
+    """Coefficient of variation: population standard deviation over :func:`mean`.
+
+    The standard deviation is correctly rounded. Undefined (and refused) when
+    the mean is zero or a value is not finite.
     """
-    if not values:
-        raise ValueError("cv of an empty sequence")
-    mean = math.fsum(values) / len(values)
-    if not math.isfinite(mean):
-        raise ValueError("cv of a non-finite value")
-    if mean == 0:
+    spread = pstdev(values)  # refuses an empty sequence and a non-finite value
+    average = mean(values)
+    if average == 0:
         raise ValueError("cv undefined: mean is zero")
-    return pstdev(values) / mean
+    return spread / average
 
 
 @dataclass
@@ -118,6 +131,20 @@ def _without_cue(genotype: Genotype, index: int, position: int) -> Genotype:
     return Genotype(tuple(tuple(ch) for ch in chromosomes))
 
 
+def _split_error(
+    estimates: list[DataEstimate | EvaluationFailure],
+    records: Sequence[BuildingRecord],
+    item: DataItem,
+) -> float | EvaluationFailure:
+    """The summed building error of one job's estimates, or its first failure."""
+    for estimate in estimates:
+        if isinstance(estimate, EvaluationFailure):
+            return estimate
+    return aggregate_fitness(
+        [building_error(item, estimate, r.truth) for estimate, r in zip(estimates, records)]
+    )
+
+
 def ablate(
     genotype: Genotype,
     schema: CueSchema,
@@ -127,8 +154,9 @@ def ablate(
 ) -> AblationReport:
     """Remove each cue in turn and record the error change against the full genotype.
 
-    The summary mean and (population) standard deviation cover successful
-    rows only; rows whose evaluation permanently fails are marked and counted.
+    The full genotype is scored first, and its failure raised before any
+    variant is sent. The summary mean and (population) standard deviation
+    cover successful rows only; failed rows are marked and counted.
     """
     item = DataItem(item)
     validate_genotype(genotype, schema)
@@ -136,28 +164,31 @@ def ablate(
         raise ValueError("cannot ablate an empty genotype")
     if not records:
         raise ValueError("evaluation split is empty")
-    base_error = evaluate_genotype(genotype, records, item, evaluator)
+    [base] = evaluate_genotype([(genotype, 0)], records, item, evaluator)
+    base_error = _split_error(base, records, item)
+    if isinstance(base_error, EvaluationFailure):
+        raise base_error
+    cues = [
+        (cue, schema.categories[index].name, _without_cue(genotype, index, position))
+        for index, chromosome in enumerate(genotype.chromosomes)
+        for position, cue in enumerate(chromosome)
+    ]
+    results = evaluate_genotype([(variant, 0) for *_, variant in cues], records, item, evaluator)
     rows: list[AblationRow] = []
-    for index, chromosome in enumerate(genotype.chromosomes):
-        for position, cue in enumerate(chromosome):
-            variant = _without_cue(genotype, index, position)
-            category = schema.categories[index].name
-            try:
-                new_error = evaluate_genotype(variant, records, item, evaluator)
-            except EvaluationFailure as exc:
-                log.warning("ablation row for cue %r failed: %s", cue, exc)
-                rows.append(AblationRow(cue=cue, category=category, new_error=None,
-                                        delta=None, failed=True))
-                continue
-            rows.append(
-                AblationRow(cue=cue, category=category, new_error=new_error,
-                            delta=new_error - base_error)
-            )
+    for (cue, category, _), estimates in zip(cues, results):
+        new_error = _split_error(estimates, records, item)
+        if isinstance(new_error, EvaluationFailure):
+            log.warning("ablation row for cue %r failed: %s", cue, new_error)
+            rows.append(AblationRow(cue=cue, category=category, new_error=None,
+                                    delta=None, failed=True))
+        else:
+            rows.append(AblationRow(cue=cue, category=category, new_error=new_error,
+                                    delta=new_error - base_error))
     successful = [r.new_error for r in rows if not r.failed]
     return AblationReport(
         base_error=base_error,
         rows=rows,
-        mean_new_error=math.fsum(successful) / len(successful) if successful else None,
+        mean_new_error=mean(successful) if successful else None,
         stddev=pstdev(successful) if successful else None,
         failed_rows=len(rows) - len(successful),
     )
@@ -213,14 +244,10 @@ def consistency_probe(
     genotype = _single_cue_genotype(schema, category_index, cue)
     values: list[float] = []
     responses: list[str] = []
-    for counter in range(n):
-        request = EvaluationRequest(
-            genotype=genotype, building=building, data_item=item, eval_counter=counter
-        )
-        try:
-            estimate = evaluator.evaluate(request)
-        except EvaluationFailure as exc:
-            log.warning("probe sample %d failed: %s", counter, exc)
+    jobs = [(genotype, counter) for counter in range(n)]
+    for counter, [estimate] in enumerate(evaluate_genotype(jobs, [building], item, evaluator)):
+        if isinstance(estimate, EvaluationFailure):
+            log.warning("probe sample %d failed: %s", counter, estimate)
             continue
         values.append(spec.coded_value(estimate, spec.truth_of(building.truth)))
         responses.append(_render_response(estimate))
@@ -253,11 +280,11 @@ def _error_fields_problem(row: GenerationStats) -> str | None:
     if not set(map(type, errors)) <= {int, float}:
         return "errors must be numbers"
     try:
-        total = math.fsum(errors)
+        finite = math.isfinite(math.fsum(errors))
     except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
-        total = math.inf
-    if not math.isfinite(total) or min(errors) < 0:
-        return "errors must be finite and >= 0, with a finite sum"
+        finite = all(error <= sys.float_info.max for error in errors)  # NaN fails
+    if not finite or min(errors) < 0:
+        return "errors must be finite and >= 0"
     for name in ("best_error", "best_ever_error"):
         value = getattr(row, name)
         # a JSON number, not a bool, within the float range
@@ -316,7 +343,7 @@ def run_series(rows: list[GenerationStats]) -> list[dict]:
                 "generation": row.generation,
                 "best_error": row.best_error,
                 "best_ever_error": row.best_ever_error,
-                "mean_error": math.fsum(row.errors) / len(row.errors),
+                "mean_error": mean(row.errors),
                 "fitness_cv": fitness_cv,
                 "mean_cue_count": row.mean_cue_count,
                 "chromosome_mean_cue_counts": list(row.chromosome_mean_cue_counts),

@@ -17,7 +17,6 @@ from .oracle import (
     landscape_from_json_obj,
     landscape_to_json_obj,
     load_landscape_file,
-    oracle_evaluate,
 )
 from .schema_gen import SchemaGenerationError, generate_schema
 
@@ -41,5 +40,4 @@ __all__ = [
     "landscape_from_json_obj",
     "landscape_to_json_obj",
     "load_landscape_file",
-    "oracle_evaluate",
 ]

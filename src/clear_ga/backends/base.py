@@ -42,11 +42,11 @@ class Evaluator(Protocol):
 
     An evaluator may also offer ``evaluate_split(genotype, buildings, item,
     eval_counter) -> list[DataEstimate]``: the estimates ``evaluate`` gives for
-    each building, in order. The engine then scores each member's split in one
-    such call on the run's own thread, with no thread pool, so it must be safe
-    to call there and cheap enough not to need overlap. It cannot charge one
-    building a failure penalty, so an evaluator that raises
-    :class:`EvaluationFailure` should not offer it.
+    each building, in order. :func:`clear_ga.engine.evaluate_genotype`, which
+    scores every run, ablation and probe, then makes one such call per
+    genotype on its caller's thread, with no thread pool, so it must be cheap
+    enough not to need overlap. It cannot fail one building alone, so an
+    evaluator that raises :class:`EvaluationFailure` should not offer it.
     """
 
     def evaluate(self, request: EvaluationRequest) -> DataEstimate: ...

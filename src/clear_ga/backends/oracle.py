@@ -19,8 +19,7 @@ building one. Scoring is written once, for a genotype on a list of buildings
 :meth:`PlantedLandscape.noises`): the key, the noise-free score, the item spec
 and the eval counter's part of the noise material are found once per call,
 and each building costs only its hash, reseed, draw and read-out. The
-one-building calls (``evaluate``, :func:`oracle_evaluate`, ``latent_score``,
-``noise``) are that code on a list of one.
+one-building calls, ``evaluate`` and ``noise``, are that code on a list of one.
 """
 
 from __future__ import annotations
@@ -159,10 +158,6 @@ class PlantedLandscape:
         noises = self.noises(key, building_ids, eval_counter)
         return [max(noise_free + noise, 0.0) for noise in noises]
 
-    def latent_score(self, genotype: Genotype, building_id: str, eval_counter: int) -> float:
-        """The score of :meth:`latent_scores` on one building."""
-        return self.latent_scores(genotype, (building_id,), eval_counter)[0]
-
     def describe(self) -> dict:
         return {
             "backend": "oracle",
@@ -172,17 +167,6 @@ class PlantedLandscape:
             "noise_scale": self.noise_scale,
             "planted_cues": len(self.planted),
         }
-
-
-def oracle_evaluate(
-    genotype: Genotype,
-    building: BuildingRecord,
-    landscape: PlantedLandscape,
-    eval_counter: int,
-    item: DataItem,
-) -> DataEstimate:
-    """Read the latent score out as an estimate of the item (``ItemSpec.oracle_readout``)."""
-    return OracleEvaluator(landscape).evaluate_split(genotype, (building,), item, eval_counter)[0]
 
 
 class OracleEvaluator:

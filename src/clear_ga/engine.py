@@ -3,15 +3,13 @@ elitism, reproduction, termination, and checkpoint/resume.
 
 Every member is re-evaluated every generation, elites included; the ledger
 keeps the worst error ever recorded per genotype key, which penalizes
-solutions that only look good under a lucky draw of estimator noise. An
-evaluator that offers ``evaluate_split`` (the oracle) is handed each member's
-whole training split in one call, member by member on the run's own thread,
-at any evaluation concurrency. For any other evaluator the unit of
-evaluation is one (member, building) pair: above concurrency 1, one thread
-pool that lasts the whole :meth:`EvolutionRun.run` call keeps that many
-estimator calls in flight, and the first exception from any pair cancels the
-pairs not yet started. The loop is deterministic given the seed and a
-deterministic evaluator: the random stream is consumed only by
+solutions that only look good under a lucky draw of estimator noise.
+:func:`evaluate_genotype` scores runs, ablations and probes alike. An
+evaluator that offers ``evaluate_split`` (the oracle) gets one call per
+genotype on the caller's thread; any other, one call per (genotype, building)
+pair, over the run's thread pool above concurrency 1, where a hard failure
+cancels the pairs not yet started. The loop is deterministic given the seed
+and a deterministic evaluator: the random stream is consumed only by
 initialization and reproduction, never by evaluation, eval counters are
 assigned per member before dispatch, and each member's errors are summed in
 building order, so results are identical at any evaluation concurrency and
@@ -61,7 +59,7 @@ from typing import Callable, Iterable, Sequence
 
 from .backends.base import BackendHardFailure, EvaluationFailure, EvaluationRequest, Evaluator
 from .dataset import BuildingRecord, require_truth
-from .fitness import aggregate_fitness
+from .fitness import DataEstimate, aggregate_fitness
 from .genome import crossover_fixed, crossover_variable, mutate_fixed, mutate_variable
 from .items import building_error, failure_penalty
 from .schema import CueSchema, DataItem, Genotype, canonical_key, random_genotype
@@ -325,31 +323,31 @@ class RunResult:
     completed: bool
 
 
-def evaluate_building(request: EvaluationRequest, evaluator: Evaluator) -> float:
-    """Error of one estimate for one building; a permanent failure charges the
-    item's worst-case penalty, so a run keeps going."""
+def _estimate(evaluator: Evaluator, request: EvaluationRequest) -> DataEstimate | EvaluationFailure:
     try:
-        estimate = evaluator.evaluate(request)
-        return building_error(request.data_item, estimate, request.building.truth)
-    except EvaluationFailure:
-        log.warning(
-            "building %s: estimate unavailable, charging failure penalty", request.building.id
-        )
-        return failure_penalty(request.data_item)
+        return evaluator.evaluate(request)
+    except EvaluationFailure as exc:
+        return exc
 
 
 def evaluate_genotype(
-    genotype: Genotype,
-    records: Sequence[BuildingRecord],
+    jobs: Sequence[tuple[Genotype, int]],
+    buildings: Sequence[BuildingRecord],
     item: DataItem,
     evaluator: Evaluator,
-) -> float:
-    """Sum of per-building errors for one genotype over a split, each estimated
-    at eval counter 0; a permanent failure propagates as :class:`EvaluationFailure`."""
-    requests = (EvaluationRequest(genotype, building, item) for building in records)
-    return aggregate_fitness(
-        [building_error(r.data_item, evaluator.evaluate(r), r.building.truth) for r in requests]
-    )
+    executor: Executor | None = None,
+) -> list[list[DataEstimate | EvaluationFailure]]:
+    """Each (genotype, eval counter) job's estimates on ``buildings``, in order,
+    with a permanently failed pair's :class:`EvaluationFailure` in its place:
+    from one ``evaluate_split`` call per job where the evaluator offers it,
+    else pair by pair, over ``executor`` if given (see :func:`_map_until_failure`)."""
+    evaluate_split = getattr(evaluator, "evaluate_split", None)
+    if evaluate_split is not None:
+        return [evaluate_split(genotype, buildings, item, counter) for genotype, counter in jobs]
+    requests = [EvaluationRequest(g, b, item, counter) for g, counter in jobs for b in buildings]
+    estimates = _map_until_failure(partial(_estimate, evaluator), requests, executor)
+    n = len(buildings)
+    return [estimates[i * n:(i + 1) * n] for i in range(len(jobs))]
 
 
 def _map_until_failure(fn: Callable, items: list, executor: Executor | None) -> list:
@@ -691,33 +689,21 @@ class EvolutionRun:
         # Pre-assigning counters keeps noisy-backend draws identical no matter
         # how evaluations interleave across worker threads.
         pending: Counter[str] = Counter()
-        counters = []
-        for key in keys:
-            counters.append(self.ledger.evaluations(key) + pending[key])
+        jobs = []
+        for member, key in zip(self.population, keys):
+            jobs.append((member.genotype, self.ledger.evaluations(key) + pending[key]))
             pending[key] += 1
-        evaluate_split = getattr(self.evaluator, "evaluate_split", None)
-        if evaluate_split is None:
-            requests = [
-                EvaluationRequest(member.genotype, b, item, counter)
-                for member, counter in zip(self.population, counters)
-                for b in buildings
-            ]
-            errors = _map_until_failure(
-                partial(evaluate_building, evaluator=self.evaluator), requests, executor
-            )
-            n = len(buildings)
-            member_errors = [errors[i * n:(i + 1) * n] for i in range(len(self.population))]
-        else:
-            member_errors = [
-                [
-                    building_error(item, estimate, b.truth)
-                    for estimate, b in zip(
-                        evaluate_split(member.genotype, buildings, item, counter), buildings
+        results = evaluate_genotype(jobs, buildings, item, self.evaluator, executor)
+        for member, key, estimates in zip(self.population, keys, results):
+            errors = []
+            for estimate, building in zip(estimates, buildings):
+                if isinstance(estimate, EvaluationFailure):
+                    log.warning(
+                        "building %s: estimate unavailable, charging failure penalty", building.id
                     )
-                ]
-                for member, counter in zip(self.population, counters)
-            ]
-        for member, key, errors in zip(self.population, keys, member_errors):
+                    errors.append(failure_penalty(item))
+                else:
+                    errors.append(building_error(item, estimate, building.truth))
             if key not in self.genotypes_by_key:
                 self.genotypes_by_key[key] = [list(ch) for ch in member.genotype.chromosomes]
             # Summed in building order, so floats do not depend on completion order.
@@ -797,11 +783,10 @@ class EvolutionRun:
             raise ValueError(f"stop_after_generation must be >= 0, got {stop_after_generation}")
         self._start_log()
         concurrency = self.config.evaluation_concurrency
-        # One pool serves every generation's pairs; concurrency 1 and an
-        # evaluator that scores whole splits stay on this thread.
-        pooled = concurrency > 1 and not hasattr(self.evaluator, "evaluate_split")
+        # One pool serves every generation's pairs. It starts no thread until a
+        # pair is submitted, and an evaluator that scores whole splits submits none.
         try:
-            with ThreadPoolExecutor(concurrency) if pooled else nullcontext() as executor:
+            with ThreadPoolExecutor(concurrency) if concurrency > 1 else nullcontext() as executor:
                 if not self.log_rows:
                     self._step_evaluate(on_generation, executor, stop_after_generation, None)
                 while not self.finished:

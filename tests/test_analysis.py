@@ -283,6 +283,43 @@ class TestAblate:
         assert failed[0].cue == "c0_0"
         assert all(row.new_error is not None for row in report.rows if not row.failed)
 
+    def test_failed_base_sends_no_variant(self):
+        genotype = Genotype((("c0_0", "c0_1"), ("c1_1",)))
+        asked = []
+
+        class FailsOnB1:
+            def evaluate(self, request):
+                asked.append((request.genotype, request.building.id))
+                if request.building.id == "b1":
+                    raise EvaluationFailure("no estimate for b1")
+                return 100.0
+
+        records = [build_record(f"b{i}") for i in range(3)]
+        with pytest.raises(EvaluationFailure, match="no estimate for b1"):
+            ablate(genotype, build_schema(category_sizes=(3, 3)), FailsOnB1(), records,
+                   DataItem.ENERGY)
+        assert asked == [(genotype, "b0"), (genotype, "b1"), (genotype, "b2")]
+
+    def test_failed_variant_still_sends_its_other_buildings(self):
+        schema = build_schema(category_sizes=(3, 3))
+        inner = OracleEvaluator(self.landscape())
+        asked = []
+
+        class FailsOnB0:
+            def evaluate(self, request):
+                asked.append((request.genotype.chromosomes, request.building.id))
+                if request.genotype.chromosomes[0] == ("c0_1",) and request.building.id == "b0":
+                    raise EvaluationFailure("boom")
+                return inner.evaluate(request)
+
+        genotype = Genotype((("c0_0", "c0_1"), ("c1_1",)))
+        records = [build_record(f"b{i}") for i in range(3)]
+        report = ablate(genotype, schema, FailsOnB0(), records, DataItem.ENERGY)
+        assert [row.failed for row in report.rows] == [True, False, False]
+        variant = (("c0_1",), ("c1_1",))
+        assert [b for chromosomes, b in asked if chromosomes == variant] == ["b0", "b1", "b2"]
+        assert len(asked) == 4 * len(records)
+
     def test_empty_genotype_rejected(self):
         schema = build_schema(category_sizes=(3, 3))
         with pytest.raises(ValueError, match="empty genotype"):
@@ -346,7 +383,6 @@ class TestRunLogReports:
             ("errors", "[1.0, -0.5]"),
             ("errors", "[]"),
             ("errors", "3.0"),
-            ("errors", "[1e308, 1e308]"),
             ("errors", "[1, 10" + "0" * 400 + "]"),
             ("best_error", "-Infinity"),
             ("best_error", '"1.0"'),
@@ -379,6 +415,24 @@ class TestRunLogReports:
         path.write_text(json.dumps(row) + "\n", encoding="utf-8")
         _, rows = load_run_log(path)
         assert run_series(rows)[0]["mean_error"] == 2.5 / 3
+
+    @pytest.mark.parametrize(
+        "errors", [[1e308, 1e308], [sys.float_info.max, sys.float_info.max, 1.0]],
+        ids=["two-1e308", "two-largest-and-one"],
+    )
+    def test_errors_summing_past_the_float_range_accepted(self, tmp_path, errors):
+        # Every error is finite, so the row's mean is too: the exact mean, rounded once.
+        path = tmp_path / "held.jsonl"
+        row = {
+            "generation": 0, "errors": errors, "best_error": 1.0, "best_ever_error": 1.0,
+            "mean_cue_count": 1.0, "chromosome_mean_cue_counts": [1.0],
+            "parent_pool_size": None, "perfect": False, "type": "generation",
+        }
+        path.write_text(json.dumps(row) + "\n", encoding="utf-8")
+        _, rows = load_run_log(path)
+        mean = float(sum(map(Fraction, errors)) / len(errors))
+        assert run_series(rows)[0]["mean_error"] == mean
+        assert run_series(rows)[0]["fitness_cv"] == cv(errors) == pstdev(errors) / mean
 
     def test_comparison_series_for_matched_runs(self, tmp_path):
         log_a = write_run_log(tmp_path, "variable.jsonl", mode=Mode.VARIABLE)

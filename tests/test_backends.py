@@ -21,7 +21,6 @@ from clear_ga.backends import (
     generate_schema,
     landscape_from_json_obj,
     landscape_to_json_obj,
-    oracle_evaluate,
 )
 from clear_ga.backends.llm import AuthenticationError, TransportError
 from clear_ga.fitness import HeatingClass, WindowClass, YearRange
@@ -51,6 +50,11 @@ def request(genotype: Genotype, item: DataItem = DataItem.ENERGY, counter: int =
 
 
 OPTIMUM = Genotype((("c0_0",), ("c1_1",)))
+
+
+def oracle_estimate(land, genotype, building, item, counter):
+    """What the oracle evaluator reads out for one building."""
+    return OracleEvaluator(land).evaluate(EvaluationRequest(genotype, building, item, counter))
 
 
 class TestLandscapeValidation:
@@ -141,7 +145,7 @@ class TestOracleScores:
         assert canonical_key(first) == canonical_key(second)
         in_key_order = 20.0 - (0.0 + 2.51 + 2.991 + 2.899)
         # A landscape each, so neither score comes from the other's memo.
-        scores = [fresh_landscape().latent_score(g, "b1", 0) for g in (first, second)]
+        scores = [fresh_landscape().latent_scores(g, ["b1"], 0)[0] for g in (first, second)]
         assert scores == [in_key_order, in_key_order]
 
     def test_zero_noise_argmin_is_exactly_the_planted_set(self):
@@ -152,7 +156,7 @@ class TestOracleScores:
         for first in powerset(schema.categories[0].cues):
             for second in powerset(schema.categories[1].cues):
                 g = Genotype((tuple(first), tuple(second)))
-                scores[(first, second)] = land.latent_score(g, building.id, 0)
+                scores[(first, second)] = land.latent_scores(g, [building.id], 0)[0]
         best = min(scores, key=scores.get)
         assert best == (("c0_0",), ("c1_1",))
         assert sum(1 for s in scores.values() if s == scores[best]) == 1
@@ -167,16 +171,16 @@ class TestOracleScores:
                 for c in schema.categories
             ]
             g = Genotype(tuple(tuple(ch) for ch in chromosomes))
-            base = land.latent_score(g, "b1", 0)
+            base = land.latent_scores(g, ["b1"], 0)[0]
             for index in range(2):
                 for cue in schema.categories[index].cues:
                     if cue in chromosomes[index]:
                         continue
                     grown = [list(ch) for ch in chromosomes]
                     grown[index].append(cue)
-                    new = land.latent_score(
-                        Genotype(tuple(tuple(ch) for ch in grown)), "b1", 0
-                    )
+                    new = land.latent_scores(
+                        Genotype(tuple(tuple(ch) for ch in grown)), ["b1"], 0
+                    )[0]
                     if (index, cue) in land.benefits:
                         assert new <= base
                     else:
@@ -192,14 +196,14 @@ def powerset(items):
 
 class TestOracleReadouts:
     def test_energy_estimate_reproduces_score(self):
-        estimate = oracle_evaluate(
-            Genotype((("c0_0",), ())), build_record(), landscape(), 0, DataItem.ENERGY
+        estimate = oracle_estimate(
+            landscape(), Genotype((("c0_0",), ())), build_record(), DataItem.ENERGY, 0
         )
         assert estimate == 123.0  # truth 120 + missing benefit 3
 
     def test_lighting_estimate_reproduces_score(self):
         truth = build_record(lighting_pct=86.0)
-        estimate = oracle_evaluate(Genotype((("c0_0",), ())), truth, landscape(), 0, DataItem.LIGHTING)
+        estimate = oracle_estimate(landscape(), Genotype((("c0_0",), ())), truth, DataItem.LIGHTING, 0)
         assert building_error(DataItem.LIGHTING, estimate, truth.truth) == 3.0
 
     @pytest.mark.parametrize("truth_pct", [0.0, 30.0, 50.0, 86.0, 100.0])
@@ -215,22 +219,22 @@ class TestOracleReadouts:
                 base_error=float(score),
                 noise_scale=0.0,
             )
-            estimate = oracle_evaluate(no_cues, building, land, 0, DataItem.LIGHTING)
+            estimate = oracle_estimate(land, no_cues, building, DataItem.LIGHTING, 0)
             error = building_error(DataItem.LIGHTING, estimate, building.truth)
             assert error == min(score, max(truth_pct, 100 - truth_pct)), score
 
     def test_age_estimate_rounds_to_whole_years(self):
         building = build_record(age=YearRange(2000, 2000))
-        estimate = oracle_evaluate(
-            Genotype((("c0_0",), ())), building, landscape(), 0, DataItem.BUILDING_AGE
+        estimate = oracle_estimate(
+            landscape(), Genotype((("c0_0",), ())), building, DataItem.BUILDING_AGE, 0
         )
         assert estimate == YearRange(2003, 2003)
         assert building_error(DataItem.BUILDING_AGE, estimate, building.truth) == 3
 
     def test_uvalue_estimate_is_target_plus_score(self):
         building = build_record(windows=WindowClass.DOUBLE)
-        estimate = oracle_evaluate(
-            Genotype((("c0_0",), ())), building, landscape(), 0, DataItem.WINDOWS_UVALUE
+        estimate = oracle_estimate(
+            landscape(), Genotype((("c0_0",), ())), building, DataItem.WINDOWS_UVALUE, 0
         )
         assert estimate == pytest.approx(5.0)  # 2.0 target + 3.0 score
 
@@ -238,30 +242,30 @@ class TestOracleReadouts:
         building = build_record(windows=WindowClass.SINGLE)
         land = landscape()
         # score 0 at the optimum -> truth class
-        assert oracle_evaluate(OPTIMUM, building, land, 0, DataItem.WINDOWS) is WindowClass.SINGLE
+        assert oracle_estimate(land, OPTIMUM, building, DataItem.WINDOWS, 0) is WindowClass.SINGLE
         # one distractor -> score 1 -> adjacent class
         g = Genotype((("c0_0", "c0_2"), ("c1_1",)))
-        assert oracle_evaluate(g, building, land, 0, DataItem.WINDOWS) is WindowClass.DOUBLE
+        assert oracle_estimate(land, g, building, DataItem.WINDOWS, 0) is WindowClass.DOUBLE
         # missing benefit -> score 3 -> furthest class
         g = Genotype((("c0_0",), ()))
-        assert oracle_evaluate(g, building, land, 0, DataItem.WINDOWS) is WindowClass.HIGH_EFFICIENCY
+        assert oracle_estimate(land, g, building, DataItem.WINDOWS, 0) is WindowClass.HIGH_EFFICIENCY
 
     def test_heating_row_without_middle_step_falls_back_to_truth(self):
         building = build_record(heating=HeatingClass.WATER_RADIATORS)
         land = landscape()
         g = Genotype((("c0_0", "c0_2"), ("c1_1",)))  # score 1; no distance-1 neighbour
-        assert oracle_evaluate(g, building, land, 0, DataItem.HEATING) is HeatingClass.WATER_RADIATORS
+        assert oracle_estimate(land, g, building, DataItem.HEATING, 0) is HeatingClass.WATER_RADIATORS
         g = Genotype((("c0_0",), ()))  # score 3 -> distance-2 class
-        estimate = oracle_evaluate(g, building, land, 0, DataItem.HEATING)
+        estimate = oracle_estimate(land, g, building, DataItem.HEATING, 0)
         assert building_error(DataItem.HEATING, estimate, building.truth) == 2
 
     def test_same_latent_stream_for_both_window_readouts(self):
         land = landscape(noise=1.0, seed=11)
         building = build_record(windows=WindowClass.DOUBLE)
         for counter in range(5):
-            uvalue = oracle_evaluate(OPTIMUM, building, land, counter, DataItem.WINDOWS_UVALUE)
+            uvalue = oracle_estimate(land, OPTIMUM, building, DataItem.WINDOWS_UVALUE, counter)
             latent = uvalue - 2.0
-            categorical = oracle_evaluate(OPTIMUM, building, land, counter, DataItem.WINDOWS)
+            categorical = oracle_estimate(land, OPTIMUM, building, DataItem.WINDOWS, counter)
             expected_distance = 0 if latent < 1 else (1 if latent < 2 else 2)
             achievable = {0: 0, 1: 1, 2: 1}[expected_distance]  # double has no distance-2 class
             assert building_error(DataItem.WINDOWS, categorical, building.truth) == achievable
@@ -269,7 +273,7 @@ class TestOracleReadouts:
     def test_missing_truth_rejected(self):
         building = build_record(energy_kwh_m2=None)
         with pytest.raises(ValueError, match="no ground truth"):
-            oracle_evaluate(OPTIMUM, building, landscape(), 0, DataItem.ENERGY)
+            oracle_estimate(landscape(), OPTIMUM, building, DataItem.ENERGY, 0)
 
 
 # Truths that reach every read-out branch: ages to round, lighting near and at

@@ -20,7 +20,7 @@ from clear_ga.backends import (
 )
 from clear_ga.cli import main
 from clear_ga.engine import EvolutionRun, RunConfig, load_checkpoint_file
-from clear_ga.schema import load_schema_file
+from clear_ga.schema import DataItem, load_schema_file
 
 from conftest import write_manifest
 
@@ -943,13 +943,18 @@ class TestAnalysisCommands:
 
     def test_every_command_evaluates_the_schemas_item(self, tmp_path, monkeypatch):
         items = []
-        evaluate = OracleEvaluator.evaluate
+        evaluate, evaluate_split = OracleEvaluator.evaluate, OracleEvaluator.evaluate_split
 
         def recording(self, request):
             items.append(request.data_item.value)
             return evaluate(self, request)
 
+        def recording_split(self, genotype, buildings, item, eval_counter):
+            items.append(DataItem(item).value)
+            return evaluate_split(self, genotype, buildings, item, eval_counter)
+
         monkeypatch.setattr(OracleEvaluator, "evaluate", recording)
+        monkeypatch.setattr(OracleEvaluator, "evaluate_split", recording_split)
         ws = make_workspace(tmp_path, item="heating")
         out_dir = tmp_path / "out"
         inputs = ["--schema", ws["schema"], "--dataset", ws["dataset"],
@@ -1018,6 +1023,56 @@ class TestAnalysisCommands:
             "test.csv": "ae88510270b9cca9eef8d43b88550ac85556449e186904d766d99c75200226b3",
             "train.csv": "27631369180c46aafbb4b308df26ee46aa08f58ca6648e15ffbbc92e4e233626",
             "probe.json": "8c3069c24b458490efb9a5164034359f0b1ef8d2c349decb818695aef175c85a",
+        }
+
+    def test_ablate_and_probe_output_over_the_pair_path_is_pinned(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        # A scripted model answers each ablation pair from its prompt alone: the
+        # variant without c2_0 gets no usable answer in region1 or region4.
+        # Probe answers follow the probe's send count; sends 1, 2, 5 and 6 are
+        # unusable, so with one retry samples 1 and 4 fail.
+        monkeypatch.setenv("CLEAR_LLM_API_KEY", "test-key")
+        probe_sends = []
+
+        def scripted(self, prompt, images):
+            if "c1_2" in prompt or "c2_0" in prompt:  # every ablated genotype has one
+                if "c2_0" not in prompt and ("region1" in prompt or "region4" in prompt):
+                    return "no answer"
+                return f"### {60 + hashlib.sha256(prompt.encode('utf-8')).digest()[0]} ###"
+            probe_sends.append(prompt)
+            index = len(probe_sends) - 1
+            return "no answer" if index % 4 in (1, 2) else f"### {140 + index} ###"
+
+        monkeypatch.setattr(HttpTransport, "send", scripted)
+        ws = make_workspace(tmp_path)
+        entries = json.loads(Path(ws["dataset"]).read_text(encoding="utf-8"))
+        for i, entry in enumerate(entries):
+            entry["region"] = f"region{i}"
+        write_manifest(Path(ws["dataset"]), entries)
+        genotype = tmp_path / "best.json"
+        genotype.write_text(json.dumps({
+            "data_item": "energy", "seed": 3,
+            "chromosomes": [["c0_1", "c0_2"], ["c1_2"], ["c2_0"]],
+        }), encoding="utf-8")
+        inputs = ["--schema", ws["schema"], "--dataset", ws["dataset"],
+                  "--backend", "llm", "--retry-limit", "1"]
+        for split in ("test", "train"):
+            assert main(["ablate", "--genotype", str(genotype), *inputs, "--split", split,
+                         "--out", str(tmp_path / f"{split}.csv")]) == 0
+        assert main(["probe", *inputs, "--cue", "c0_1", "--building", "b2", "--n", "6",
+                     "--out", str(tmp_path / "probe.json")]) == 0
+        out = capsys.readouterr().out
+        assert out.count("evaluation failed") == 1 and "  - c2_0 [cat2]: evaluation failed" in out
+        assert "cue 'c0_1' on building b2 (4 samples)" in out
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("test.csv", "train.csv", "probe.json")
+        }
+        assert digests == {
+            "test.csv": "10e72e66da73f069aabbeb77cd5357c4fca580fc6ad177eef55a3d4eb85ee290",
+            "train.csv": "6d393438162b523e37e569a8b93c93b482f320d86e043572065b7166e7fe81db",
+            "probe.json": "10967f6257448408fee79f87d0863284a6e98265501779c6603680536e0e0b1d",
         }
 
     def test_report_single_and_comparison(self, tmp_path, capsys):

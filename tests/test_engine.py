@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import csv
 import hashlib
 import json
 import sys
@@ -20,11 +21,13 @@ from clear_ga.backends import (
     BackendHardFailure,
     EvaluationFailure,
     EvaluationRequest,
+    FunctionTransport,
     LlmEvaluator,
     OracleEvaluator,
     PlantedCue,
     PlantedLandscape,
 )
+from clear_ga.cli import main
 from clear_ga.engine import (
     CheckpointError,
     ConfigMismatchError,
@@ -34,7 +37,6 @@ from clear_ga.engine import (
     Mode,
     RunAborted,
     RunConfig,
-    evaluate_building,
     evaluate_genotype,
     evolve,
     load_checkpoint_file,
@@ -313,24 +315,78 @@ class TestNextGeneration:
                 member.recorded_error = rng.random()
 
 
-class TestEvaluateGenotype:
-    def test_penalty_applied_on_permanent_failure(self):
-        class FailingEvaluator:
-            def evaluate(self, request):
-                raise EvaluationFailure("nope")
+class FailsOnBuilding(PerfectEvaluator):
+    """Exact everywhere but on one building, where every estimate fails."""
 
-        g = Genotype((("c0_0",), ("c1_1",)))
-        request = EvaluationRequest(g, build_record(), DataItem.ENERGY)
-        assert evaluate_building(request, FailingEvaluator()) == failure_penalty(DataItem.ENERGY)
+    def __init__(self, building_id: str):
+        self.building_id = building_id
+
+    def evaluate(self, request: EvaluationRequest):
+        if request.building.id == self.building_id:
+            raise EvaluationFailure(f"no estimate for {self.building_id}")
+        return super().evaluate(request)
+
+
+class TestEvaluateGenotype:
+    def test_penalty_applied_on_permanent_failure(self, caplog):
+        # A failed pair costs its member the penalty in a run, with one warning
+        # per failed pair, logged on the run's thread in building order.
+        config = make_config(generations=0, evaluation_concurrency=3)
+        records = [build_record("b0"), build_record("b1"), build_record("b2")]
+        with caplog.at_level("WARNING", logger="clear_ga.engine"):
+            result = evolve(config, build_schema(), FailsOnBuilding("b1"), records)
+        penalty = failure_penalty(DataItem.ENERGY)
+        assert result.per_generation_log[0].errors == [penalty] * config.population_size
+        assert [r.getMessage() for r in caplog.records] == [
+            "building b1: estimate unavailable, charging failure penalty"
+        ] * config.population_size
+        assert {r.thread for r in caplog.records} == {threading.get_ident()}
 
     def test_raise_mode_propagates(self):
-        class FailingEvaluator:
-            def evaluate(self, request):
-                raise EvaluationFailure("nope")
-
+        # evaluate_genotype hands a failed pair's exception back in the
+        # pair's place, and estimates every other pair.
         g = Genotype((("c0_0",), ("c1_1",)))
-        with pytest.raises(EvaluationFailure):
-            evaluate_genotype(g, [build_record()], DataItem.ENERGY, FailingEvaluator())
+        records = [build_record("b0"), build_record("b1"), build_record("b2")]
+        [estimates] = evaluate_genotype([(g, 0)], records, DataItem.ENERGY, FailsOnBuilding("b1"))
+        assert estimates[0] == estimates[2] == 120.0
+        assert isinstance(estimates[1], EvaluationFailure)
+        assert str(estimates[1]) == "no estimate for b1"
+
+
+class TestTracerContract:
+    """A wrapper set on ``engine.evaluate_genotype``, as the benchmark's tracer
+    sets it, is called once per evaluated generation, and every estimator send
+    of the run happens inside that call."""
+
+    @pytest.mark.parametrize("backend", ["oracle", "llm"])
+    def test_one_wrapped_call_per_generation(self, monkeypatch, backend):
+        calls, inside, sends_outside = [], [0], []
+        score = engine.evaluate_genotype
+
+        def traced(jobs, *args, **kwargs):
+            calls.append(len(jobs))
+            inside[0] += 1
+            try:
+                return score(jobs, *args, **kwargs)
+            finally:
+                inside[0] -= 1
+
+        def answer(prompt, images):
+            if not inside[0]:
+                sends_outside.append(prompt)
+            return f"### {100 + len(prompt) % 7} ###"
+
+        monkeypatch.setattr(engine, "evaluate_genotype", traced)
+        config = make_config(generations=4, evaluation_concurrency=3)
+        if backend == "oracle":
+            evaluator = OracleEvaluator(make_landscape(noise=0.5))
+        else:
+            evaluator = LlmEvaluator(FunctionTransport(answer))
+        records = [build_record(f"b{i}", region=f"region{i}") for i in range(3)]
+        result = evolve(config, build_schema(), evaluator, records)
+        assert len(result.per_generation_log) == config.generations + 1
+        assert calls == [config.population_size] * len(result.per_generation_log)
+        assert sends_outside == []
 
 
 class TestEvolve:
@@ -1070,6 +1126,18 @@ class TestOverflowingErrors:
         ]
         for path in (config.log_path, config.checkpoint_path):
             assert "Infinity" not in Path(path).read_text(encoding="utf-8")
+
+    def test_report_reads_a_log_of_held_errors(self, tmp_path, capsys):
+        log_path = tmp_path / "run.log.jsonl"
+        config = make_config(generations=1, log_path=str(log_path))
+        records = [build_record("b1"), build_record("b2", energy_kwh_m2=90.0)]
+        transport = RecordingTransport(lambda prompt, images: f"### {NINES} ###")
+        evolve(config, build_schema(), LlmEvaluator(transport), records)
+        assert main(["report", "--log", str(log_path), "--out-dir", str(tmp_path)]) == 0
+        with (tmp_path / "energy_variable_s1_series.csv").open(encoding="utf-8") as fh:
+            series = list(csv.DictReader(fh))
+        assert [row["mean_error"] for row in series] == [repr(sys.float_info.max)] * 2
+        assert [row["fitness_cv"] for row in series] == ["0.0"] * 2
 
     def test_ledger_refuses_an_error_that_is_not_finite(self):
         for error in (float("inf"), float("nan")):

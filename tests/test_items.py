@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import clear_ga
-from clear_ga.backends import PlantedCue, PlantedLandscape, oracle_evaluate
+from clear_ga.backends import EvaluationRequest, OracleEvaluator, PlantedCue, PlantedLandscape
 from clear_ga.fitness import GroundTruth
 from clear_ga.items import ITEMS, ItemSpec, building_error
 from clear_ga.schema import DataItem, Genotype
@@ -51,6 +51,7 @@ def test_oracle_estimate_at_score_zero_is_exact(item):
         noise_scale=0.0,
     )
     building = build_record()
-    estimate = oracle_evaluate(Genotype((("c0_0",),)), building, landscape, 0, item)
+    request = EvaluationRequest(Genotype((("c0_0",),)), building, item)
+    estimate = OracleEvaluator(landscape).evaluate(request)
     assert isinstance(estimate, ITEMS[item].estimate_types)
     assert building_error(item, estimate, building.truth) == 0

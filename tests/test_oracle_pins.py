@@ -120,7 +120,7 @@ def test_scoring_leaves_the_landscape_unchanged():
             tuple(rng.sample(c.cues, rng.randint(0, len(c.cues)))) for c in schema.categories
         ))
         for i in range(3):
-            land.latent_score(genotype, f"b{i}", counter)
+            land.latent_scores(genotype, [f"b{i}"], counter)
     fresh = landscape_from_json_obj(landscape_to_json_obj(noisy_landscape()))
     assert land == fresh
     assert hash(land) == hash(fresh)
