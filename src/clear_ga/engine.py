@@ -24,8 +24,8 @@ record line after it, holding only what changed, so a commit costs one small
 append instead of a rewrite that grows with the ledger. One rename replaces
 the snapshot and its records together, so the records in the file always
 extend the snapshot they follow. The run's commit mark records the path and
-length it last committed, or loaded, and how many genotypes and log rows the
-file then holds; a record carries the genotypes and log rows past those
+length it last committed, or loaded, and how many ledger keys and log rows
+the file then holds; a record carries the genotypes and log rows past those
 counts. It is written by reopening the file at that length, cutting off a
 torn last line, and appending; no handle is held between commits.
 :func:`load_checkpoint_file` replays the complete records onto the snapshot,
@@ -34,8 +34,8 @@ and a run resumed from the same path appends after them.
 Every line the engine writes, snapshot, record and run-log line alike, holds
 the bytes ``json.dumps`` writes with its defaults: one encoder writes them all,
 and it skips only the cycle check, as each line encodes a tree built for it.
-The ledger keeps its best key as it records, so a generation's best-ever error
-costs no scan of the ledger.
+The ledger is the run's one table of genotype keys, with each key's first-seen
+genotype; it keeps its best key as it records, so no best-ever error scans it.
 """
 
 from __future__ import annotations
@@ -204,13 +204,16 @@ class RunConfig:
 
 @dataclass(slots=True)
 class LedgerEntry:
+    """A key's worst-of record, and its first-seen genotype as chromosome lists."""
+
     worst_error: float
     evaluations: int
     first_seen_generation: int
+    chromosomes: list[list[str]]  # never mutated in place
 
 
 class FitnessLedger:
-    """Worst-of fitness cache keyed by canonical genotype key.
+    """Worst-of fitness cache and first-seen genotype per canonical genotype key.
 
     ``record`` merges with max, so applying the same multiset of records in
     any order yields the same ledger; that property is what makes concurrent
@@ -229,14 +232,15 @@ class FitnessLedger:
         # The key best_key returns; None when it is not known yet.
         self._best: str | None = None
 
-    def record(self, key: str, error: float, generation: int) -> LedgerEntry:
+    def record(self, key: str, error: float, generation: int, genotype: Genotype) -> LedgerEntry:
         if not 0 <= error <= sys.float_info.max:  # NaN fails both comparisons
             raise ValueError(f"error must be a finite number >= 0, got {error!r}")
         entries = self.entries
         entry = entries.get(key)
         if entry is None:
             best = self._best
-            entry = entries[key] = LedgerEntry(error, 1, generation)
+            chromosomes = [list(ch) for ch in genotype.chromosomes]
+            entry = entries[key] = LedgerEntry(error, 1, generation, chromosomes)
             if len(entries) == 1 or best is not None and error < entries[best].worst_error:
                 self._best = key
         else:
@@ -272,18 +276,32 @@ class FitnessLedger:
             "first_seen_generation": e.first_seen_generation,
         }
 
-    def to_json_obj(self) -> list[dict]:
-        return [self._entry_obj(key, e) for key, e in self.entries.items()]
+    def to_json_obj(self, keys: Iterable[str] | None = None, genotypes_from: int = 0) -> tuple:
+        """Format 1's ledger rows of ``keys``, or of all, and its genotype rows from an index."""
+        entries, genotypes = self.entries, islice(self.entries.items(), genotypes_from, None)
+        rows = [self._entry_obj(key, entries[key]) for key in (entries if keys is None else keys)]
+        return rows, [{"key": key, "chromosomes": e.chromosomes} for key, e in genotypes]
 
     @classmethod
-    def from_json_obj(cls, rows: list[dict]) -> "FitnessLedger":
+    def from_json_obj(cls, rows: list, genotypes: list, categories: int) -> "FitnessLedger":
+        """The ledger ``to_json_obj`` wrote, its two lists joined by position and
+        checked in bulk: ValueError unless they name the same keys in order,
+        TypeError unless each genotype is ``categories`` lists, which it adopts."""
+        chromosomes = [g["chromosomes"] for g in genotypes]
+        if not (
+            set(map(type, chromosomes)) <= {list} and set(map(len, chromosomes)) <= {categories}
+            and set(map(type, chain.from_iterable(chromosomes))) <= {list}
+        ):
+            raise TypeError(f"a genotype's chromosomes are not {categories} lists")
         ledger = cls()
-        ledger.entries = {
+        ledger.entries = entries = {
             row["key"]: LedgerEntry(
-                row["worst_error"], row["evaluations"], row["first_seen_generation"]
+                row["worst_error"], row["evaluations"], row["first_seen_generation"], genotype
             )
-            for row in rows
+            for row, genotype in zip(rows, chromosomes)
         }
+        if len(entries) != len(rows) or list(entries) != [g["key"] for g in genotypes]:
+            raise ValueError("ledger and genotype rows do not name the same keys in order")
         return ledger
 
 
@@ -506,14 +524,11 @@ class EvolutionRun:
             Member(random_genotype(schema, self.rng)) for _ in range(config.population_size)
         ]
         self.ledger = FitnessLedger()
-        # Each key's first-seen genotype as the checkpoint stores it: chromosome
-        # lists in that genotype's order. Values are never mutated in place.
-        self.genotypes_by_key: dict[str, list[list[str]]] = {}
         self.log_rows: list[GenerationStats] = []
         # The keys the latest evaluation recorded, which the next commit saves.
         self._evaluated_keys: list[str] = []
-        # (path, length, genotypes, log rows): the checkpoint file this run last
-        # committed to or was loaded from, and how many bytes, genotypes and log
+        # (path, length, ledger keys, log rows): the checkpoint file this run
+        # last committed to or was loaded from, and how many bytes, keys and log
         # rows it holds; the next record goes there while it holds those bytes.
         self._committed: tuple[Path, int, int, int] | None = None
 
@@ -522,7 +537,7 @@ class EvolutionRun:
     def _state(self, ledger_keys: Iterable[str], genotypes_from: int, log_from: int) -> dict:
         """The run state, with the ledger entries of ``ledger_keys``, and the
         genotypes and log rows from those indices on."""
-        entries = self.ledger.entries
+        ledger, genotypes = self.ledger.to_json_obj(ledger_keys, genotypes_from)
         return {
             "config": self.config.to_json_obj(),
             "generation": self.generation,
@@ -534,11 +549,8 @@ class EvolutionRun:
                 }
                 for m in self.population
             ],
-            "ledger": [FitnessLedger._entry_obj(key, entries[key]) for key in ledger_keys],
-            "genotypes": [
-                {"key": key, "chromosomes": chromosomes}
-                for key, chromosomes in islice(self.genotypes_by_key.items(), genotypes_from, None)
-            ],
+            "ledger": ledger,
+            "genotypes": genotypes,
             "rng_state": _rng_state_to_json(self.rng.getstate()),
             "log": [row.to_json_obj() for row in self.log_rows[log_from:]],
         }
@@ -586,7 +598,7 @@ class EvolutionRun:
             data = (_encode(self.checkpoint_obj()) + "\n").encode("utf-8")
             write_file_durably(path, data)
             length = len(data)
-        self._committed = (path, length, len(self.genotypes_by_key), len(self.log_rows))
+        self._committed = (path, length, len(self.ledger.entries), len(self.log_rows))
 
     @classmethod
     def resume(
@@ -627,22 +639,15 @@ class EvolutionRun:
                 Member(Genotype(m["chromosomes"]), m["recorded_error"])
                 for m in checkpoint["population"]
             ]
-            run.ledger = FitnessLedger.from_json_obj(checkpoint["ledger"])
-            run.genotypes_by_key = {g["key"]: g["chromosomes"] for g in checkpoint["genotypes"]}
-            # Every row holds one list per category; checked in bulk, as a
-            # resume may load thousands of rows.
-            rows, count = list(run.genotypes_by_key.values()), schema.category_count
-            if not (
-                set(map(type, rows)) <= {list} and set(map(len, rows)) <= {count}
-                and set(map(type, chain.from_iterable(rows))) <= {list}
-            ):
-                raise TypeError(f"a genotype's chromosomes are not {count} lists")
+            run.ledger = FitnessLedger.from_json_obj(
+                checkpoint["ledger"], checkpoint["genotypes"], schema.category_count
+            )
             run.log_rows = [GenerationStats.from_json_obj(row) for row in checkpoint["log"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
         if isinstance(checkpoint, CheckpointDocument):
             run._committed = (
-                checkpoint.path, checkpoint.length, len(run.genotypes_by_key), len(run.log_rows)
+                checkpoint.path, checkpoint.length, len(run.ledger.entries), len(run.log_rows)
             )
         return run
 
@@ -704,10 +709,8 @@ class EvolutionRun:
                     errors.append(failure_penalty(item))
                 else:
                     errors.append(building_error(item, estimate, building.truth))
-            if key not in self.genotypes_by_key:
-                self.genotypes_by_key[key] = [list(ch) for ch in member.genotype.chromosomes]
             # Summed in building order, so floats do not depend on completion order.
-            self.ledger.record(key, aggregate_fitness(errors), self.generation)
+            self.ledger.record(key, aggregate_fitness(errors), self.generation, member.genotype)
         for member, key in zip(self.population, keys):
             member.recorded_error = self.ledger.worst(key)
         self._evaluated_keys = keys
@@ -762,7 +765,7 @@ class EvolutionRun:
         """The run's best genotype and log so far."""
         best_key = self.ledger.best_key()
         return RunResult(
-            best_genotype=Genotype(self.genotypes_by_key[best_key]),
+            best_genotype=Genotype(self.ledger.entries[best_key].chromosomes),
             best_recorded_error=self.ledger.worst(best_key),
             per_generation_log=list(self.log_rows),
             completed=completed,

@@ -162,6 +162,7 @@ def test_02_operator_closure_and_bounds():
 def test_03_worst_of_ledger_order_independence():
     """1,000 random record sequences: identical ledgers under 20 permutations each."""
     rng = Random(3003)
+    genotype = Genotype((("c0_0",),))  # kept under every key; the ledger rows are compared
     for _ in range(1000):
         records = [
             (f"k{rng.randint(0, 6)}", round(rng.uniform(0, 9), 3), rng.randint(0, 5))
@@ -170,18 +171,18 @@ def test_03_worst_of_ledger_order_independence():
         reference = FitnessLedger()
         worst_seen: dict[str, float] = {}
         for key, error, generation in records:
-            entry = reference.record(key, error, generation)
+            entry = reference.record(key, error, generation, genotype)
             assert entry.worst_error >= worst_seen.get(key, 0.0)
             worst_seen[key] = entry.worst_error
-        reference_state = reference.to_json_obj()
+        reference_state = reference.to_json_obj()[0]
         reference_state.sort(key=lambda r: r["key"])
         for _ in range(20):
             shuffled = list(records)
             rng.shuffle(shuffled)
             ledger = FitnessLedger()
             for key, error, generation in shuffled:
-                ledger.record(key, error, generation)
-            state = ledger.to_json_obj()
+                ledger.record(key, error, generation, genotype)
+            state = ledger.to_json_obj()[0]
             state.sort(key=lambda r: r["key"])
             assert state == reference_state
 

@@ -94,27 +94,32 @@ class FlakyEvaluator:
         return self.inner.evaluate(request)
 
 
+# The genotype the ledger tests record under every key: they test the worst-of
+# merge and the best key, not the genotypes kept beside them.
+ONE = Genotype((("c0_0",),))
+
+
 class TestFitnessLedger:
     def test_first_observation(self):
         ledger = FitnessLedger()
-        entry = ledger.record("k", 5.0, generation=0)
+        entry = ledger.record("k", 5.0, generation=0, genotype=ONE)
         assert entry.worst_error == 5.0 and entry.evaluations == 1
         assert entry.first_seen_generation == 0
 
     def test_better_score_does_not_lower_worst(self):
         ledger = FitnessLedger()
-        ledger.record("k", 5.0, 0)
-        entry = ledger.record("k", 3.0, 1)
+        ledger.record("k", 5.0, 0, ONE)
+        entry = ledger.record("k", 3.0, 1, ONE)
         assert entry.worst_error == 5.0 and entry.evaluations == 2
 
     def test_worse_score_raises_worst(self):
         ledger = FitnessLedger()
-        ledger.record("k", 5.0, 0)
-        assert ledger.record("k", 9.0, 1).worst_error == 9.0
+        ledger.record("k", 5.0, 0, ONE)
+        assert ledger.record("k", 9.0, 1, ONE).worst_error == 9.0
 
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError):
-            FitnessLedger().record("k", -1.0, 0)
+            FitnessLedger().record("k", -1.0, 0, ONE)
 
     def test_order_independence(self):
         rng = Random(7)
@@ -125,13 +130,13 @@ class TestFitnessLedger:
             ]
             reference = FitnessLedger()
             for key, error, generation in records:
-                reference.record(key, error, generation)
+                reference.record(key, error, generation, ONE)
             for _ in range(10):
                 shuffled = list(records)
                 rng.shuffle(shuffled)
                 ledger = FitnessLedger()
                 for key, error, generation in shuffled:
-                    ledger.record(key, error, generation)
+                    ledger.record(key, error, generation, ONE)
                 assert {
                     k: (e.worst_error, e.evaluations, e.first_seen_generation)
                     for k, e in ledger.entries.items()
@@ -147,22 +152,22 @@ class TestFitnessLedger:
     def test_best_key_tie_goes_to_earliest_recorded(self):
         ledger = FitnessLedger()
         for key, error in [("c", 4.0), ("b", 2.0), ("a", 2.0), ("d", 2.0)]:
-            ledger.record(key, error, 0)
+            ledger.record(key, error, 0, ONE)
         assert ledger.best_key() == "b"
 
     def test_best_key_moves_when_worst_of_update_raises_it(self):
         ledger = FitnessLedger()
-        ledger.record("a", 1.0, 0)
-        ledger.record("b", 2.0, 0)
+        ledger.record("a", 1.0, 0, ONE)
+        ledger.record("b", 2.0, 0, ONE)
         assert ledger.best_key() == "a"
-        ledger.record("a", 5.0, 1)
+        ledger.record("a", 5.0, 1, ONE)
         assert ledger.best_key() == "b"
 
     def test_json_round_trip(self):
         ledger = FitnessLedger()
-        ledger.record("a", 2.0, 0)
-        ledger.record("b", 4.0, 1)
-        again = FitnessLedger.from_json_obj(ledger.to_json_obj())
+        ledger.record("a", 2.0, 0, ONE)
+        ledger.record("b", 4.0, 1, ONE)
+        again = FitnessLedger.from_json_obj(*ledger.to_json_obj(), 1)
         assert again.to_json_obj() == ledger.to_json_obj()
 
 
@@ -195,8 +200,8 @@ class TestIncrementalBestKey:
         for _ in range(200):
             ledger, unread = FitnessLedger(), FitnessLedger()
             for key, error, generation in self.random_records(rng, ledger, rng.randint(1, 60)):
-                ledger.record(key, error, generation)
-                unread.record(key, error, generation)
+                ledger.record(key, error, generation, ONE)
+                unread.record(key, error, generation, ONE)
                 assert ledger.best_key() == scanned_best_key(ledger)
             # A ledger never asked in between ends on the same key.
             assert unread.best_key() == ledger.best_key()
@@ -206,11 +211,11 @@ class TestIncrementalBestKey:
         for _ in range(100):
             ledger = FitnessLedger()
             for record in self.random_records(rng, ledger, rng.randint(1, 30)):
-                ledger.record(*record)
-            again = FitnessLedger.from_json_obj(ledger.to_json_obj())
+                ledger.record(*record, ONE)
+            again = FitnessLedger.from_json_obj(*ledger.to_json_obj(), 1)
             assert again.best_key() == ledger.best_key()
             for key, error, generation in self.random_records(rng, again, 30):
-                again.record(key, error, generation)
+                again.record(key, error, generation, ONE)
                 assert again.best_key() == scanned_best_key(again)
 
     def test_equals_a_full_scan_in_a_run_resumed_mid_way(self, tmp_path):
@@ -746,9 +751,9 @@ class TestCheckpointWrites:
         assert [canonical_key(m.genotype) for m in resumed.population] == [
             canonical_key(m.genotype) for m in run.population
         ]
-        for key, chromosomes in resumed.genotypes_by_key.items():
-            assert canonical_key(Genotype(chromosomes)) == key == canonical_key(
-                Genotype(run.genotypes_by_key[key])
+        for key, entry in resumed.ledger.entries.items():
+            assert canonical_key(Genotype(entry.chromosomes)) == key == canonical_key(
+                Genotype(run.ledger.entries[key].chromosomes)
             )
         shuffled = Genotype((("c0_2", "c0_0"), (), ("c2_1",)))
         rebuilt = Genotype(tuple(tuple(ch) for ch in json.loads(json.dumps(shuffled.chromosomes))))
@@ -1142,7 +1147,7 @@ class TestOverflowingErrors:
     def test_ledger_refuses_an_error_that_is_not_finite(self):
         for error in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="finite"):
-                FitnessLedger().record("k", error, 0)
+                FitnessLedger().record("k", error, 0, ONE)
 
 
 class TestPairDispatch:
