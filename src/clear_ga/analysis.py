@@ -272,27 +272,6 @@ def consistency_probe(
 # --- run-log reports ----------------------------------------------------------
 
 
-def _error_fields_problem(row: GenerationStats) -> str | None:
-    """Why a logged row's errors cannot be reported on, or None if they can."""
-    errors = row.errors
-    if not isinstance(errors, list) or not errors:
-        return "errors must be a non-empty list"
-    if not set(map(type, errors)) <= {int, float}:
-        return "errors must be numbers"
-    try:
-        finite = math.isfinite(math.fsum(errors))
-    except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
-        finite = all(error <= sys.float_info.max for error in errors)  # NaN fails
-    if not finite or min(errors) < 0:
-        return "errors must be finite and >= 0"
-    for name in ("best_error", "best_ever_error"):
-        value = getattr(row, name)
-        # a JSON number, not a bool, within the float range
-        if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
-            return f"{name} {value!r} is not a finite number"
-    return None
-
-
 def load_run_log(path: str | Path) -> tuple[dict | None, list[GenerationStats]]:
     """Read a JSONL run log; returns (config record or None, generation rows)."""
     path = Path(path)
@@ -311,18 +290,14 @@ def load_run_log(path: str | Path) -> tuple[dict | None, list[GenerationStats]]:
             obj = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ReportError(f"{path}:{number}: invalid JSON: {exc.msg}") from None
-        kind = obj.get("type")
+        kind = obj.get("type") if isinstance(obj, dict) else None
         if kind == "config":
             config = obj
         elif kind == "generation":
             try:
-                row = GenerationStats.from_json_obj(obj)
-            except TypeError as exc:
+                rows.append(GenerationStats.from_json_obj(obj))
+            except (TypeError, ValueError) as exc:
                 raise ReportError(f"{path}:{number}: bad generation record: {exc}") from None
-            problem = _error_fields_problem(row)
-            if problem:
-                raise ReportError(f"{path}:{number}: bad generation record: {problem}")
-            rows.append(row)
         else:
             raise ReportError(f"{path}:{number}: unknown record type {kind!r}")
     if not rows:

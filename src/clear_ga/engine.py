@@ -29,7 +29,9 @@ the file then holds; a record carries the genotypes and log rows past those
 counts. It is written by reopening the file at that length, cutting off a
 torn last line, and appending; no handle is held between commits.
 :func:`load_checkpoint_file` replays the complete records onto the snapshot,
-and a run resumed from the same path appends after them.
+and a run resumed from the same path appends after them. A resume refuses a
+document no run writes: ledger and genotype rows that do not join, ledger
+values ``record`` would not keep, and log rows ``report`` would not read.
 
 Every line the engine writes, snapshot, record and run-log line alike, holds
 the bytes ``json.dumps`` writes with its defaults: one encoder writes them all,
@@ -53,6 +55,7 @@ from dataclasses import asdict, dataclass, fields
 from enum import Enum
 from functools import partial
 from itertools import chain, islice
+from operator import eq, itemgetter
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -285,21 +288,33 @@ class FitnessLedger:
     @classmethod
     def from_json_obj(cls, rows: list, genotypes: list, categories: int) -> "FitnessLedger":
         """The ledger ``to_json_obj`` wrote, its two lists joined by position and
-        checked in bulk: ValueError unless they name the same keys in order,
-        TypeError unless each genotype is ``categories`` lists, which it adopts."""
+        checked in bulk: ValueError unless they name the same keys in order and
+        hold only values ``record`` keeps, TypeError unless each genotype is
+        ``categories`` lists, which it adopts."""
         chromosomes = [g["chromosomes"] for g in genotypes]
         if not (
             set(map(type, chromosomes)) <= {list} and set(map(len, chromosomes)) <= {categories}
             and set(map(type, chain.from_iterable(chromosomes))) <= {list}
         ):
             raise TypeError(f"a genotype's chromosomes are not {categories} lists")
+        worst, evaluations, first_seen = (
+            list(map(itemgetter(name), rows))
+            for name in ("worst_error", "evaluations", "first_seen_generation")
+        )
+        # The values record keeps, a column at a time: a bool is no number, and
+        # NaN is the one value unequal to itself.
+        if not (
+            set(map(type, worst)) <= {int, float} and all(map(eq, worst, worst))
+            and min(worst, default=0) >= 0 and max(worst, default=0) <= sys.float_info.max
+        ):
+            raise ValueError("a ledger worst_error is not a finite number >= 0")
+        for name, column, least in (("evaluations", evaluations, 1),
+                                    ("first_seen_generation", first_seen, 0)):
+            if not (set(map(type, column)) <= {int} and min(column, default=least) >= least):
+                raise ValueError(f"a ledger {name} is not an integer >= {least}")
         ledger = cls()
-        ledger.entries = entries = {
-            row["key"]: LedgerEntry(
-                row["worst_error"], row["evaluations"], row["first_seen_generation"], genotype
-            )
-            for row, genotype in zip(rows, chromosomes)
-        }
+        adopted = map(LedgerEntry, worst, evaluations, first_seen, chromosomes)
+        ledger.entries = entries = dict(zip(map(itemgetter("key"), rows), adopted))
         if len(entries) != len(rows) or list(entries) != [g["key"] for g in genotypes]:
             raise ValueError("ledger and genotype rows do not name the same keys in order")
         return ledger
@@ -329,8 +344,31 @@ class GenerationStats:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GenerationStats":
-        fields = {k: v for k, v in obj.items() if k != "type"}
-        return cls(**fields)
+        """The logged row ``obj``; raises TypeError for a row that is not an
+        object of these fields and ValueError for values no run writes, the
+        rows that neither ``report`` nor ``resume`` can read."""
+        if not isinstance(obj, dict):
+            raise TypeError(f"{obj!r} is not an object")
+        row = cls(**{k: v for k, v in obj.items() if k != "type"})
+        errors = row.errors
+        if not isinstance(errors, list) or not errors:
+            raise ValueError("errors must be a non-empty list")
+        if not set(map(type, errors)) <= {int, float}:
+            raise ValueError("errors must be numbers")
+        try:
+            finite = math.isfinite(math.fsum(errors))
+        except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
+            finite = all(error <= sys.float_info.max for error in errors)  # NaN fails
+        if not finite or min(errors) < 0:
+            raise ValueError("errors must be finite and >= 0")
+        for name in ("best_error", "best_ever_error"):
+            value = getattr(row, name)
+            # a JSON number, not a bool, within the float range
+            if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
+                raise ValueError(f"{name} {value!r} is not a finite number")
+        if type(row.perfect) is not bool:
+            raise ValueError(f"perfect {row.perfect!r} is not a bool")
+        return row
 
 
 @dataclass
@@ -617,8 +655,11 @@ class EvolutionRun:
         replaces the fresh state. Refuses to continue if the stored digest
         does not match the stored config (tampering) or if the
         caller-supplied schema/dataset/landscape hashes differ from the ones
-        the run started with. The run adopts the document's genotype rows as
-        they are, so the caller must not mutate the document afterwards.
+        the run started with, and raises :class:`CheckpointError` for rows no
+        run writes (see :meth:`FitnessLedger.from_json_obj` and
+        :meth:`GenerationStats.from_json_obj`). The run adopts the document's
+        genotype rows as they are, so the caller must not mutate the document
+        afterwards.
         """
         config = checkpoint_config(checkpoint)
         given = {"schema": schema_sha256, "dataset": dataset_sha256, "landscape": landscape_sha256}
@@ -635,6 +676,8 @@ class EvolutionRun:
         try:
             run.rng.setstate(_rng_state_from_json(checkpoint["rng_state"]))
             run.generation = checkpoint["generation"]
+            if type(run.generation) is not int or run.generation < 0:
+                raise ValueError(f"generation {run.generation!r} is not an integer >= 0")
             run.population = [
                 Member(Genotype(m["chromosomes"]), m["recorded_error"])
                 for m in checkpoint["population"]

@@ -671,6 +671,20 @@ class TestResumeCommand:
         assert capsys.readouterr().err.startswith("error: ")
 
 
+    def test_checkpoint_without_the_best_keys_genotype_is_config_error(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir, "--stop-after", "2")) == 0
+        path = out_dir / "checkpoint.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        best = min(doc["ledger"], key=lambda row: row["worst_error"])["key"]
+        doc["genotypes"] = [row for row in doc["genotypes"] if row["key"] != best]
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt checkpoint document: ledger and genotype rows")
+
 class PairsOnly:
     """Delegates ``evaluate`` and ``describe`` alone, as a wrapping evaluator
     does, so the run scores its oracle through (member, building) pairs."""
@@ -1159,6 +1173,14 @@ class TestAnalysisCommands:
         bad = tmp_path / "bad.jsonl"
         bad.write_text("nonsense\n", encoding="utf-8")
         assert main(["report", "--log", str(bad)]) == 2
+
+    @pytest.mark.parametrize("line", ["[1]", "5", '"generation"', "null"])
+    def test_report_on_a_line_that_is_not_an_object_names_the_line(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps({"type": "config", "config": {}}) + "\n" + line + "\n",
+                       encoding="utf-8")
+        assert main(["report", "--log", str(bad)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {bad}:2: unknown record type None")
 
     def test_report_on_an_infinite_error_names_the_line(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)

@@ -620,6 +620,92 @@ class TestCheckpointResume:
             with pytest.raises(CheckpointError, match="corrupt checkpoint document"):
                 EvolutionRun.resume(doc, schema, evaluator, records)
 
+    def paused_document(self, tmp_path, name):
+        """A 10-generation run paused after generation 3, and its checkpoint as loaded."""
+        config, schema, evaluator, records = self.run_setup(tmp_path, name)
+        evolve(config, schema, evaluator, records, stop_after_generation=3)
+        return load_checkpoint_file(config.checkpoint_path), schema, evaluator, records
+
+    @staticmethod
+    def drop_best_genotype(doc):
+        best = min(doc["ledger"], key=lambda row: row["worst_error"])["key"]
+        doc["genotypes"] = [row for row in doc["genotypes"] if row["key"] != best]
+
+    @staticmethod
+    def swap_two_genotypes(doc):
+        rows = doc["genotypes"]
+        rows[0], rows[-1] = rows[-1], rows[0]
+
+    @staticmethod
+    def rename_a_genotype(doc):
+        doc["genotypes"][1]["key"] = '[["c0_0"],["c1_2"],["renamed"]]'
+
+    @pytest.mark.parametrize("damage", ["drop_best_genotype", "swap_two_genotypes",
+                                        "rename_a_genotype"])
+    def test_genotype_rows_that_do_not_join_the_ledger_refused(self, tmp_path, damage):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, damage)
+        assert len(doc["genotypes"]) == len(doc["ledger"]) > 2
+        getattr(self, damage)(doc)
+        with pytest.raises(CheckpointError, match="corrupt checkpoint document: ledger and genotype"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [
+            ("worst_error", "5"),
+            ("worst_error", True),
+            ("worst_error", -1.0),
+            ("worst_error", float("nan")),
+            ("worst_error", float("inf")),
+            pytest.param("worst_error", 10**400, id="worst_error-10**400"),
+            ("evaluations", 1.5),
+            ("evaluations", 0),
+            ("evaluations", True),
+            ("first_seen_generation", -1),
+            ("first_seen_generation", 2.0),
+            ("first_seen_generation", None),
+        ],
+    )
+    def test_ledger_values_record_cannot_keep_refused(self, tmp_path, column, value):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, "column")
+        doc["ledger"][len(doc["ledger"]) // 2][column] = value
+        with pytest.raises(CheckpointError, match=f"corrupt checkpoint document: a ledger {column}"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    @pytest.mark.parametrize("value", ["3", 3.0, -1, True, None])
+    def test_generation_that_is_not_a_count_refused(self, tmp_path, value):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, "generation")
+        doc["generation"] = value
+        with pytest.raises(CheckpointError, match="corrupt checkpoint document: generation"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    @pytest.mark.parametrize(
+        "field, value, problem",
+        [
+            ("errors", ["x"], "errors must be numbers"),
+            ("errors", [], "errors must be a non-empty list"),
+            ("errors", [1.0, float("inf")], "errors must be finite"),
+            ("best_ever_error", "1.0", "best_ever_error '1.0' is not a finite number"),
+            ("perfect", "no", "perfect 'no' is not a bool"),
+            ("perfect", 0, "perfect 0 is not a bool"),
+        ],
+    )
+    def test_log_rows_report_cannot_read_refused(self, tmp_path, field, value, problem):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, "row")
+        doc["log"][-1][field] = value
+        with pytest.raises(CheckpointError, match=f"corrupt checkpoint document: {problem}"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+        # report refuses the same row, in the same words.
+        with pytest.raises(ValueError, match=problem):
+            engine.GenerationStats.from_json_obj(doc["log"][-1])
+
+    @pytest.mark.parametrize("row", [5, [1], None])
+    def test_log_row_that_is_not_an_object_refused(self, tmp_path, row):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, "object")
+        doc["log"][-1] = row
+        with pytest.raises(CheckpointError, match="corrupt checkpoint document: .* not an object"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
     def test_hard_failure_aborts_with_resumable_state(self, tmp_path):
         config, schema, evaluator, records = self.run_setup(tmp_path, "abort")
         population = config.population_size
