@@ -349,7 +349,9 @@ class GenerationStats:
         rows that neither ``report`` nor ``resume`` can read."""
         if not isinstance(obj, dict):
             raise TypeError(f"{obj!r} is not an object")
-        row = cls(**{k: v for k, v in obj.items() if k != "type"})
+        fields = dict(obj)
+        fields.pop("type", None)
+        row = cls(**fields)
         errors = row.errors
         if not isinstance(errors, list) or not errors:
             raise ValueError("errors must be a non-empty list")
