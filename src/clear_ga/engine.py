@@ -565,8 +565,6 @@ class EvolutionRun:
         ]
         self.ledger = FitnessLedger()
         self.log_rows: list[GenerationStats] = []
-        # The keys the latest evaluation recorded, which the next commit saves.
-        self._evaluated_keys: list[str] = []
         # (path, length, ledger keys, log rows): the checkpoint file this run
         # last committed to or was loaded from, and how many bytes, keys and log
         # rows it holds; the next record goes there while it holds those bytes.
@@ -632,7 +630,8 @@ class EvolutionRun:
         path = Path(self.config.checkpoint_path)
         if journal and self._holds_commit(path):
             _, length, genotypes, log_rows = self._committed
-            record = self._state(dict.fromkeys(self._evaluated_keys), genotypes, log_rows)
+            keys = dict.fromkeys(canonical_key(m.genotype) for m in self.population)
+            record = self._state(keys, genotypes, log_rows)
             length = _append_line(path, length, record)
         else:
             data = (_encode(self.checkpoint_obj()) + "\n").encode("utf-8")
@@ -677,17 +676,24 @@ class EvolutionRun:
         run = cls(config, schema, evaluator, training)
         try:
             run.rng.setstate(_rng_state_from_json(checkpoint["rng_state"]))
-            run.generation = checkpoint["generation"]
-            if type(run.generation) is not int or run.generation < 0:
-                raise ValueError(f"generation {run.generation!r} is not an integer >= 0")
-            run.population = [
-                Member(Genotype(m["chromosomes"]), m["recorded_error"])
-                for m in checkpoint["population"]
-            ]
+            run.population = [Member(Genotype(m["chromosomes"])) for m in checkpoint["population"]]
             run.ledger = FitnessLedger.from_json_obj(
                 checkpoint["ledger"], checkpoint["genotypes"], schema.category_count
             )
             run.log_rows = [GenerationStats.from_json_obj(row) for row in checkpoint["log"]]
+            # The log gives the generation and the ledger the members' errors.
+            if [row.generation for row in run.log_rows] != list(range(len(run.log_rows))):
+                raise ValueError("log rows are not numbered 0, 1, ... in order")
+            run.generation, stored = max(len(run.log_rows) - 1, 0), checkpoint["generation"]
+            if type(stored) is not int or stored != run.generation:
+                raise ValueError(f"generation {stored!r} is not the log's last, {run.generation}")
+            if run.log_rows:
+                if any(canonical_key(m.genotype) not in run.ledger.entries for m in run.population):
+                    raise ValueError("a member's genotype key is not in the ledger")
+                run._take_errors()
+            errors = [m["recorded_error"] for m in checkpoint["population"]]
+            if errors != [m.recorded_error for m in run.population]:
+                raise ValueError("a member's recorded_error is not its key's worst in the ledger")
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
         if isinstance(checkpoint, CheckpointDocument):
@@ -756,9 +762,12 @@ class EvolutionRun:
                     errors.append(building_error(item, estimate, building.truth))
             # Summed in building order, so floats do not depend on completion order.
             self.ledger.record(key, aggregate_fitness(errors), self.generation, member.genotype)
-        for member, key in zip(self.population, keys):
-            member.recorded_error = self.ledger.worst(key)
-        self._evaluated_keys = keys
+        self._take_errors()
+
+    def _take_errors(self) -> None:
+        """Set each member's recorded error to its key's worst-of error in the ledger."""
+        for member in self.population:
+            member.recorded_error = self.ledger.worst(canonical_key(member.genotype))
 
     def _collect_stats(self, pool_size: int | None) -> GenerationStats:
         errors = [m.recorded_error for m in self.population]

@@ -679,6 +679,73 @@ class TestCheckpointResume:
         with pytest.raises(CheckpointError, match="corrupt checkpoint document: generation"):
             EvolutionRun.resume(doc, schema, evaluator, records)
 
+    @pytest.mark.parametrize("value", [5, 1])
+    def test_generation_the_log_does_not_end_at_refused(self, tmp_path, value):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, "ahead")
+        assert [row["generation"] for row in doc["log"]] == [0, 1, 2, 3]
+        doc["generation"] = value
+        with pytest.raises(CheckpointError,
+                           match=f"corrupt checkpoint document: generation {value} is not"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    @staticmethod
+    def relabel_the_last_row(log):
+        log[-1]["generation"] = 7
+
+    @staticmethod
+    def drop_a_middle_row(log):
+        del log[2]
+
+    @staticmethod
+    def swap_two_rows(log):
+        log[1], log[2] = log[2], log[1]
+
+    @staticmethod
+    def start_at_one(log):
+        for row in log:
+            row["generation"] += 1
+
+    @pytest.mark.parametrize("damage", ["relabel_the_last_row", "drop_a_middle_row",
+                                        "swap_two_rows", "start_at_one"])
+    def test_log_rows_not_numbered_in_order_refused(self, tmp_path, damage):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, damage)
+        getattr(self, damage)(doc["log"])
+        with pytest.raises(CheckpointError,
+                           match="corrupt checkpoint document: log rows are not numbered"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    @staticmethod
+    def ledger_worst(doc, member):
+        key = canonical_key(Genotype(member["chromosomes"]))
+        return next(row["worst_error"] for row in doc["ledger"] if row["key"] == key)
+
+    @pytest.mark.parametrize("value", ["5", 0.0, None, float("nan")])
+    def test_recorded_error_other_than_the_ledgers_refused(self, tmp_path, value):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, "error")
+        member = doc["population"][len(doc["population"]) // 2]
+        assert member["recorded_error"] == self.ledger_worst(doc, member) > 0.0
+        member["recorded_error"] = value
+        with pytest.raises(CheckpointError,
+                           match="corrupt checkpoint document: a member's recorded_error"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    def test_member_whose_key_the_ledger_lacks_refused(self, tmp_path):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, "unrecorded")
+        keys = {row["key"] for row in doc["ledger"]}
+        # Every cue subset of each of the two three-cue categories.
+        firsts, seconds = (
+            [[cue for bit, cue in enumerate(category.cues) if mask >> bit & 1] for mask in range(8)]
+            for category in schema.categories
+        )
+        unrecorded = next(
+            [first, second] for first in firsts for second in seconds
+            if canonical_key(Genotype([first, second])) not in keys
+        )
+        doc["population"][-1] = {"chromosomes": unrecorded, "recorded_error": 1.0}
+        with pytest.raises(CheckpointError, match="corrupt checkpoint document: a member's "
+                                                  "genotype key is not in the ledger"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
     @pytest.mark.parametrize(
         "field, value, problem",
         [
