@@ -65,7 +65,7 @@ from .dataset import BuildingRecord, require_truth
 from .fitness import DataEstimate, aggregate_fitness
 from .genome import crossover_fixed, crossover_variable, mutate_fixed, mutate_variable
 from .items import building_error, failure_penalty
-from .schema import CueSchema, DataItem, Genotype, canonical_key, random_genotype
+from .schema import CueSchema, DataItem, Genotype, canonical_key, random_genotype, validate_genotype
 
 log = logging.getLogger(__name__)
 
@@ -156,6 +156,8 @@ class RunConfig:
             raise ValueError("evaluation_concurrency must be >= 1")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
+        if not 0 <= self.llm_min_interval <= sys.float_info.max:  # NaN fails both comparisons
+            raise ValueError("llm_min_interval must be a finite number >= 0")
         if self.backend not in ("oracle", "llm"):
             raise ValueError(f"backend must be 'oracle' or 'llm', got {self.backend!r}")
 
@@ -370,6 +372,8 @@ class GenerationStats:
                 raise ValueError(f"{name} {value!r} is not a finite number")
         if type(row.perfect) is not bool:
             raise ValueError(f"perfect {row.perfect!r} is not a bool")
+        if type(row.generation) is not int or row.generation < 0:
+            raise ValueError(f"generation {row.generation!r} is not an integer >= 0")
         return row
 
 
@@ -677,6 +681,11 @@ class EvolutionRun:
         try:
             run.rng.setstate(_rng_state_from_json(checkpoint["rng_state"]))
             run.population = [Member(Genotype(m["chromosomes"])) for m in checkpoint["population"]]
+            if len(run.population) != config.population_size:
+                raise ValueError(f"population has {len(run.population)} members, not "
+                                 f"population_size {config.population_size}")
+            for member in run.population:
+                validate_genotype(member.genotype, schema, config.mode.value)
             run.ledger = FitnessLedger.from_json_obj(
                 checkpoint["ledger"], checkpoint["genotypes"], schema.category_count
             )

@@ -329,6 +329,22 @@ class TestRunCommand:
         assert main(args) == 2
 
 
+    @pytest.mark.parametrize("interval", ["inf", "nan", "-1"])
+    def test_min_interval_that_is_not_a_finite_count_of_seconds_is_config_error(
+        self, tmp_path, monkeypatch, capsys, interval
+    ):
+        monkeypatch.setenv("CLEAR_LLM_API_KEY", "test-key")
+        sent = []
+        monkeypatch.setattr(HttpTransport, "send", lambda self, prompt, images: sent.append(prompt))
+        ws = make_workspace(tmp_path)
+        args = run_args(ws, tmp_path / "x", f"--min-interval={interval}")
+        args[args.index("--backend") + 1] = "llm"
+        assert main(args) == 2
+        assert "llm_min_interval must be a finite number >= 0" in capsys.readouterr().err
+        assert sent == []
+        assert not (tmp_path / "x").exists()
+
+
 class _Answer120(BaseHTTPRequestHandler):
     """Chat-completions stub that records each request's prompt and answers ``###120###``."""
 
@@ -670,6 +686,25 @@ class TestResumeCommand:
         assert main(["resume", "--checkpoint", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+
+    def test_checkpoint_min_interval_that_is_not_a_finite_count_is_config_error(
+        self, tmp_path, capsys
+    ):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir, "--stop-after", "2")) == 0
+        path = out_dir / "checkpoint.json"
+        # The interval is outside the digest, so only the range check refuses it.
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc["config"]["llm_min_interval"] = -1.0
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        written = path.read_bytes()
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: corrupt checkpoint document: llm_min_interval must be a finite number >= 0"
+        )
+        assert path.read_bytes() == written
 
     def test_checkpoint_without_the_best_keys_genotype_is_config_error(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
@@ -1181,6 +1216,23 @@ class TestAnalysisCommands:
                        encoding="utf-8")
         assert main(["report", "--log", str(bad)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {bad}:2: unknown record type None")
+
+    def test_report_on_a_generation_that_is_not_an_integer_names_the_line(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir)) == 0
+        log_path = out_dir / "run.log.jsonl"
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[-1])
+        row["generation"] = float(row["generation"])
+        lines[-1] = json.dumps(row)
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert main(["report", "--log", str(log_path)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {log_path}:{len(lines)}: bad generation record: "
+            f"generation {row['generation']!r} is not an integer >= 0"
+        )
 
     def test_report_on_an_infinite_error_names_the_line(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)

@@ -746,6 +746,52 @@ class TestCheckpointResume:
                                                   "genotype key is not in the ledger"):
             EvolutionRun.resume(doc, schema, evaluator, records)
 
+    @staticmethod
+    def add_a_cue_the_schema_lacks(population):
+        population[0]["chromosomes"][1].append("zzz")
+
+    @staticmethod
+    def drop_a_chromosome(population):
+        population[0]["chromosomes"].pop()
+
+    @staticmethod
+    def keep_three_members(population):
+        del population[3:]
+
+    @pytest.mark.parametrize(
+        "damage, problem",
+        [
+            ("add_a_cue_the_schema_lacks", "chromosome 1: cue 'zzz' not in category 'cat1'"),
+            ("drop_a_chromosome", "genotype has 1 chromosomes, schema has 2 categories"),
+            ("keep_three_members", "population has 3 members, not population_size 8"),
+        ],
+        ids=["add_a_cue_the_schema_lacks", "drop_a_chromosome", "keep_three_members"],
+    )
+    def test_population_no_run_writes_refused(self, tmp_path, damage, problem):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, damage)
+        getattr(self, damage)(doc["population"])
+        with pytest.raises(CheckpointError, match=f"corrupt checkpoint document: {problem}"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    def test_fixed_mode_member_of_two_cues_refused(self, tmp_path):
+        config, schema, evaluator, records = self.run_setup(tmp_path, "fixed", mode=Mode.FIXED)
+        evolve(config, schema, evaluator, records, stop_after_generation=3)
+        doc = load_checkpoint_file(config.checkpoint_path)
+        doc["population"][0]["chromosomes"][0] = ["c0_0", "c0_1"]
+        with pytest.raises(CheckpointError, match="corrupt checkpoint document: chromosome 0: "
+                                                  "fixed-length genotype must hold exactly 1 cue"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    @pytest.mark.parametrize("value", [3.0, "3", -1, True, None])
+    def test_log_row_generation_that_is_not_a_count_refused(self, tmp_path, value):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, "row-generation")
+        doc["log"][-1]["generation"] = value
+        problem = f"generation {value!r} is not an integer >= 0"
+        with pytest.raises(CheckpointError, match=f"corrupt checkpoint document: {problem}"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+        with pytest.raises(ValueError, match=problem):
+            engine.GenerationStats.from_json_obj(doc["log"][-1])
+
     @pytest.mark.parametrize(
         "field, value, problem",
         [
