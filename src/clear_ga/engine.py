@@ -26,12 +26,17 @@ the snapshot and its records together, so the records in the file always
 extend the snapshot they follow. The run's commit mark records the path and
 length it last committed, or loaded, and how many ledger keys and log rows
 the file then holds; a record carries the genotypes and log rows past those
-counts. It is written by reopening the file at that length, cutting off a
-torn last line, and appending; no handle is held between commits.
+counts, and the ledger rows of the population's keys. It is written by
+reopening the file at that length, cutting off a torn last line, and
+appending; no handle is held between commits.
 :func:`load_checkpoint_file` replays the complete records onto the snapshot,
-and a run resumed from the same path appends after them. A resume refuses a
-document no run writes: ledger and genotype rows that do not join, ledger
-values ``record`` would not keep, and log rows ``report`` would not read.
+and a run resumed from the same path appends after them. The ledger is the
+one source of the members' errors and the log of the generation: a resume
+reads the document's copies of them only to refuse a document whose copies
+disagree. It refuses any other document no run writes too: ledger and
+genotype rows that do not join, ledger values ``record`` would not keep, log
+rows ``report`` would not read, and a population the config and schema rule
+out.
 
 Every line the engine writes, snapshot, record and run-log line alike, holds
 the bytes ``json.dumps`` writes with its defaults: one encoder writes them all,
@@ -624,8 +629,9 @@ class EvolutionRun:
         is appended to the checkpoint file, if it is the file this run last
         committed to or was loaded from and still holds that. The record holds
         the config, since a resumed run may write to other paths or at another
-        concurrency than its snapshot names, and the ledger entries the latest
-        evaluation recorded, in the order it recorded them. Otherwise the
+        concurrency than its snapshot names, and the ledger entries of the
+        population's keys in member order: a journaled commit directly follows
+        an evaluation, so those are the entries it recorded. Otherwise the
         snapshot replaces the file whole. :meth:`run` passes ``journal`` for
         every generation but a pause and the last.
         """
@@ -657,14 +663,20 @@ class EvolutionRun:
         """Rebuild run state from a checkpoint document.
 
         The run is built as a fresh one is, then the checkpointed state
-        replaces the fresh state. Refuses to continue if the stored digest
-        does not match the stored config (tampering) or if the
-        caller-supplied schema/dataset/landscape hashes differ from the ones
-        the run started with, and raises :class:`CheckpointError` for rows no
-        run writes (see :meth:`FitnessLedger.from_json_obj` and
-        :meth:`GenerationStats.from_json_obj`). The run adopts the document's
-        genotype rows as they are, so the caller must not mutate the document
-        afterwards.
+        replaces the fresh state. Members are built from their chromosomes;
+        the generation is the last log row's, or 0 for an empty log, and each
+        member's error is its key's worst-of error in the ledger once the log
+        has a row. Refuses to continue if the stored digest does not match the
+        stored config (tampering) or if the caller-supplied
+        schema/dataset/landscape hashes differ from the ones the run started
+        with, and raises :class:`CheckpointError` for rows no run writes (see
+        :meth:`FitnessLedger.from_json_obj` and
+        :meth:`GenerationStats.from_json_obj`), for log rows not numbered 0, 1,
+        ... in order, for a stored ``generation`` or member ``recorded_error``
+        other than the derived one, for a member key the ledger lacks, and for
+        a population whose size or genotypes the config and schema rule out.
+        The run adopts the document's genotype rows as they are, so the caller
+        must not mutate the document afterwards.
         """
         config = checkpoint_config(checkpoint)
         given = {"schema": schema_sha256, "dataset": dataset_sha256, "landscape": landscape_sha256}
