@@ -17,6 +17,7 @@ import hashlib
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from random import Random
 from typing import Iterable
@@ -69,6 +70,11 @@ class CueCategory:
             if cleaned in seen:
                 raise SchemaError(f"category {self.name!r}: duplicate cue {cleaned!r}")
             seen.add(cleaned)
+
+    @cached_property
+    def cue_set(self) -> frozenset[Cue]:
+        """The cues as a set, built once: every resume checks each member against it."""
+        return frozenset(self.cues)
 
 
 @dataclass(frozen=True)
@@ -129,7 +135,7 @@ def validate_genotype(genotype: Genotype, schema: CueSchema, mode: str | None = 
             f"schema has {schema.category_count} categories"
         )
     for index, (chromosome, category) in enumerate(zip(genotype.chromosomes, schema.categories)):
-        allowed = set(category.cues)
+        allowed = category.cue_set
         seen: set[str] = set()
         for cue in chromosome:
             if cue not in allowed:
@@ -146,6 +152,13 @@ def random_genotype(schema: CueSchema, rng: Random) -> Genotype:
     return Genotype(tuple((rng.choice(category.cues),) for category in schema.categories))
 
 
+# ``json.dumps`` with these settings, less its per-call encoder construction
+# and cycle check: a key encodes a list of lists built for it.
+_encode_key = json.JSONEncoder(
+    ensure_ascii=False, separators=(",", ":"), check_circular=False
+).encode
+
+
 def canonical_key(genotype: Genotype) -> str:
     """Stable identity of a genotype for fitness caching.
 
@@ -158,11 +171,7 @@ def canonical_key(genotype: Genotype) -> str:
     """
     key = genotype.__dict__.get("_canonical_key")
     if key is None:
-        key = json.dumps(
-            [sorted(chromosome) for chromosome in genotype.chromosomes],
-            ensure_ascii=False,
-            separators=(",", ":"),
-        )
+        key = _encode_key([sorted(chromosome) for chromosome in genotype.chromosomes])
         object.__setattr__(genotype, "_canonical_key", key)
     return key
 
