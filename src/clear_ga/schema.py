@@ -73,7 +73,7 @@ class CueCategory:
 
     @cached_property
     def cue_set(self) -> frozenset[Cue]:
-        """The cues as a set, built once: every resume checks each member against it."""
+        """The cues as a set, built on first use; validate_genotype checks cues against it."""
         return frozenset(self.cues)
 
 
