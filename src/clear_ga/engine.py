@@ -473,15 +473,6 @@ def next_generation(
     return elites + offspring, len(pool)
 
 
-def _rng_state_to_json(state: tuple) -> list:
-    version, internal, gauss_next = state
-    return [version, list(internal), gauss_next]
-
-def _rng_state_from_json(obj: list) -> tuple:
-    version, internal, gauss_next = obj
-    return (version, tuple(internal), gauss_next)
-
-
 def _fsync_directory(path: Path) -> None:
     """Make the entries of the directory holding ``path`` durable, so a file
     created, renamed or removed there stays so after a crash."""
@@ -545,28 +536,20 @@ def checkpoint_config(checkpoint: dict) -> RunConfig:
 
 OnGeneration = Callable[[GenerationStats, list[Member]], None]
 
+# Why resume refuses a stored copy of each field EvolutionRun._restated derives.
+_RESTATED_REFUSALS = (
+    "generation {copy!r} is not the log's last, {derived}",
+    "evaluated {copy!r} is not whether the log has a row, {derived}",
+    "a member's recorded_error is not its key's worst in the ledger",
+)
+
 
 class EvolutionRun:
     """State of one run; construct fresh or via :meth:`resume`, then call :meth:`run`."""
 
-    def __init__(
-        self,
-        config: RunConfig,
-        schema: CueSchema,
-        evaluator: Evaluator,
-        training: Sequence[BuildingRecord],
-    ):
-        if schema.data_item is not config.data_item:
-            raise ValueError(
-                f"schema is for {schema.data_item.value!r}, run wants {config.data_item.value!r}"
-            )
-        if not training:
-            raise ValueError("training split is empty")
-        require_truth(list(training), config.data_item)
-        self.config = config
-        self.schema = schema
-        self.evaluator = evaluator
-        self.training = list(training)
+    def __init__(self, config: RunConfig, schema: CueSchema, evaluator: Evaluator,
+                 training: Sequence[BuildingRecord]):
+        self._take_inputs(config, schema, evaluator, training)
         self.rng = Random(config.seed)
         self.generation = 0
         self.population = [
@@ -579,28 +562,46 @@ class EvolutionRun:
         # rows it holds; the next record goes there while it holds those bytes.
         self._committed: tuple[Path, int, int, int] | None = None
 
+    def _take_inputs(self, config: RunConfig, schema: CueSchema, evaluator: Evaluator,
+                     training: Sequence[BuildingRecord]) -> None:
+        """Check and keep the run's inputs, for a fresh run and a resumed one alike."""
+        if schema.data_item is not config.data_item:
+            raise ValueError(
+                f"schema is for {schema.data_item.value!r}, run wants {config.data_item.value!r}"
+            )
+        self.training = list(training)
+        if not self.training:
+            raise ValueError("training split is empty")
+        require_truth(self.training, config.data_item)
+        self.config, self.schema, self.evaluator = config, schema, evaluator
+
     # -- persistence -----------------------------------------------------
 
     def _state(self, ledger_keys: Iterable[str], genotypes_from: int, log_from: int) -> dict:
         """The run state, with the ledger entries of ``ledger_keys``, and the
         genotypes and log rows from those indices on."""
         ledger, genotypes = self.ledger.to_json_obj(ledger_keys, genotypes_from)
+        generation, evaluated, errors = self._restated()
+        version, internal, gauss_next = self.rng.getstate()
         return {
             "config": self.config.to_json_obj(),
-            "generation": self.generation,
-            "evaluated": bool(self.log_rows),
+            "generation": generation,
+            "evaluated": evaluated,
             "population": [
-                {
-                    "chromosomes": [list(ch) for ch in m.genotype.chromosomes],
-                    "recorded_error": m.recorded_error,
-                }
-                for m in self.population
+                {"chromosomes": list(map(list, m.genotype.chromosomes)), "recorded_error": error}
+                for m, error in zip(self.population, errors)
             ],
             "ledger": ledger,
             "genotypes": genotypes,
-            "rng_state": _rng_state_to_json(self.rng.getstate()),
+            "rng_state": [version, list(internal), gauss_next],
             "log": [row.to_json_obj() for row in self.log_rows[log_from:]],
         }
+
+    def _restated(self) -> tuple[int, bool, list[float | None]]:
+        """The fields a checkpoint restates: the last log row's generation, or 0
+        for an empty log, whether the log has a row, and the members' errors."""
+        rows, errors = self.log_rows, [m.recorded_error for m in self.population]
+        return rows[-1].generation if rows else 0, bool(rows), errors
 
     def checkpoint_obj(self) -> dict:
         """Snapshot between generations; resuming from it reproduces the run exactly."""
@@ -662,21 +663,21 @@ class EvolutionRun:
     ) -> "EvolutionRun":
         """Rebuild run state from a checkpoint document.
 
-        The run is built as a fresh one is, then the checkpointed state
-        replaces the fresh state. Members are built from their chromosomes;
-        the generation is the last log row's, or 0 for an empty log, and each
-        member's error is its key's worst-of error in the ledger once the log
-        has a row. Refuses to continue if the stored digest does not match the
+        The inputs are checked and kept as a fresh run's are, and every field of
+        the state is the document's: members are built from their chromosomes,
+        each member's error is its key's worst-of error in the ledger once the
+        log has a row, and the generation is the last log row's, or 0 for an
+        empty log. Refuses to continue if the stored digest does not match the
         stored config (tampering) or if the caller-supplied
         schema/dataset/landscape hashes differ from the ones the run started
         with, and raises :class:`CheckpointError` for rows no run writes (see
         :meth:`FitnessLedger.from_json_obj` and
         :meth:`GenerationStats.from_json_obj`), for log rows not numbered 0, 1,
-        ... in order, for a stored ``generation`` or member ``recorded_error``
-        other than the derived one, for a member key the ledger lacks, and for
-        a population whose size or genotypes the config and schema rule out.
-        The run adopts the document's genotype rows as they are, so the caller
-        must not mutate the document afterwards.
+        ... in order, for a stored copy of a field :meth:`_restated` derives
+        that does not encode to the derived one, for a member key the ledger
+        lacks, and for a population whose size or genotypes the config and
+        schema rule out. The run adopts the document's genotype rows as they
+        are, so the caller must not mutate the document afterwards.
         """
         config = checkpoint_config(checkpoint)
         given = {"schema": schema_sha256, "dataset": dataset_sha256, "landscape": landscape_sha256}
@@ -684,14 +685,12 @@ class EvolutionRun:
             stored = getattr(config, f"{name}_sha256")
             if digest and stored and digest != stored:
                 raise ConfigMismatchError(f"{name} file differs from the checkpointed run")
-        if schema.data_item is not config.data_item:
-            raise ConfigMismatchError(
-                f"schema is for {schema.data_item.value!r}, checkpoint wants "
-                f"{config.data_item.value!r}"
-            )
-        run = cls(config, schema, evaluator, training)
+        run = cls.__new__(cls)
+        run._take_inputs(config, schema, evaluator, training)
         try:
-            run.rng.setstate(_rng_state_from_json(checkpoint["rng_state"]))
+            version, internal, gauss_next = checkpoint["rng_state"]
+            run.rng = Random.__new__(Random)  # not seeded: setstate sets its whole state
+            run.rng.setstate((version, tuple(internal), gauss_next))
             run.population = [Member(Genotype(m["chromosomes"])) for m in checkpoint["population"]]
             if len(run.population) != config.population_size:
                 raise ValueError(f"population has {len(run.population)} members, not "
@@ -702,25 +701,25 @@ class EvolutionRun:
                 checkpoint["ledger"], checkpoint["genotypes"], schema.category_count
             )
             run.log_rows = [GenerationStats.from_json_obj(row) for row in checkpoint["log"]]
-            # The log gives the generation and the ledger the members' errors.
             if [row.generation for row in run.log_rows] != list(range(len(run.log_rows))):
                 raise ValueError("log rows are not numbered 0, 1, ... in order")
-            run.generation, stored = max(len(run.log_rows) - 1, 0), checkpoint["generation"]
-            if type(stored) is not int or stored != run.generation:
-                raise ValueError(f"generation {stored!r} is not the log's last, {run.generation}")
             if run.log_rows:
                 if any(canonical_key(m.genotype) not in run.ledger.entries for m in run.population):
                     raise ValueError("a member's genotype key is not in the ledger")
                 run._take_errors()
             errors = [m["recorded_error"] for m in checkpoint["population"]]
-            if errors != [m.recorded_error for m in run.population]:
-                raise ValueError("a member's recorded_error is not its key's worst in the ledger")
+            derived = run._restated()
+            stored = (checkpoint["generation"], checkpoint["evaluated"], errors)
+            for refusal, copy, value in zip(_RESTATED_REFUSALS, stored, derived):
+                if _encode(copy) != _encode(value):
+                    raise ValueError(refusal.format(copy=copy, derived=value))
+            run.generation = derived[0]
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
-        if isinstance(checkpoint, CheckpointDocument):
-            run._committed = (
-                checkpoint.path, checkpoint.length, len(run.ledger.entries), len(run.log_rows)
-            )
+        run._committed = (
+            (checkpoint.path, checkpoint.length, len(run.ledger.entries), len(run.log_rows))
+            if isinstance(checkpoint, CheckpointDocument) else None
+        )
         return run
 
     # -- run log ----------------------------------------------------------
