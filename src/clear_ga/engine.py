@@ -714,6 +714,12 @@ class EvolutionRun:
                 if _encode(copy) != _encode(value):
                     raise ValueError(refusal.format(copy=copy, derived=value))
             run.generation = derived[0]
+            if run.log_rows:
+                pool = parent_pool_size(config.population_size, config.parent_fraction)
+                row = run._collect_stats(pool if run.generation else None).to_json_obj()
+                if _encode(row) != _encode(checkpoint["log"][-1]):
+                    raise ValueError("the last log row is not the one the members, ledger "
+                                     "and config give")
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
         run._committed = (

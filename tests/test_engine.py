@@ -729,6 +729,49 @@ class TestCheckpointResume:
                            match="corrupt checkpoint document: a member's recorded_error"):
             EvolutionRun.resume(doc, schema, evaluator, records)
 
+    @pytest.mark.parametrize("value", ["no", False, 1])
+    def test_evaluated_other_than_whether_the_log_has_a_row_refused(self, tmp_path, value):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, "evaluated")
+        assert doc["evaluated"] is True and doc["log"]
+        doc["evaluated"] = value
+        with pytest.raises(CheckpointError, match=f"corrupt checkpoint document: evaluated "
+                                                  f"{value!r} is not whether the log has a row"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    @staticmethod
+    def score_every_member_99(row):
+        row["errors"] = [99.0] * 8
+
+    @staticmethod
+    def claim_a_best_ever_of_one_half(row):
+        row["best_ever_error"] = 0.5
+
+    @staticmethod
+    def drop_the_parent_pool_size(row):
+        row["parent_pool_size"] = None
+
+    @pytest.mark.parametrize("damage", ["score_every_member_99", "claim_a_best_ever_of_one_half",
+                                        "drop_the_parent_pool_size"])
+    def test_last_log_row_other_than_the_state_gives_refused(self, tmp_path, damage):
+        doc, schema, evaluator, records = self.paused_document(tmp_path, damage)
+        row = doc["log"][-1]
+        assert len(row["errors"]) == 8 and row["best_ever_error"] != 0.5
+        assert row["parent_pool_size"] == 3
+        getattr(self, damage)(row)
+        with pytest.raises(CheckpointError, match="corrupt checkpoint document: the last log row "
+                                                  "is not the one the members, ledger and config"):
+            EvolutionRun.resume(doc, schema, evaluator, records)
+
+    @pytest.mark.parametrize("pause", [0, 1, 4, None])
+    def test_last_log_row_of_a_paused_or_finished_run_resumes(self, tmp_path, pause):
+        config, schema, evaluator, records = self.run_setup(tmp_path, f"pause{pause}")
+        result = evolve(config, schema, evaluator, records, stop_after_generation=pause)
+        doc = load_checkpoint_file(config.checkpoint_path)
+        generation = result.per_generation_log[-1].generation
+        assert generation == (6 if pause is None else pause)  # the run turns perfect at 6
+        assert doc["log"][-1]["parent_pool_size"] == (3 if generation else None)
+        assert EvolutionRun.resume(doc, schema, evaluator, records).generation == generation
+
     def test_member_whose_key_the_ledger_lacks_refused(self, tmp_path):
         doc, schema, evaluator, records = self.paused_document(tmp_path, "unrecorded")
         keys = {row["key"] for row in doc["ledger"]}
