@@ -401,6 +401,54 @@ class TestResumeCommand:
         assert (out_dir / "run.log.jsonl").read_bytes() == reference
         assert (out_dir / "best.json").read_bytes() == best_reference
 
+    def test_resume_draws_no_random_genotype(self, tmp_path, monkeypatch):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir)) == 0
+        names = ("run.log.jsonl", "best.json", "checkpoint.json")
+        reference = [(out_dir / name).read_bytes() for name in names]
+        assert main(run_args(ws, out_dir, "--stop-after", "2")) == 0
+
+        def refuse_to_draw(*args):
+            raise AssertionError("resume drew a random genotype")
+
+        monkeypatch.setattr("clear_ga.engine.random_genotype", refuse_to_draw)
+        assert main(["resume", "--checkpoint", str(out_dir / "checkpoint.json")]) == 0
+        assert [(out_dir / name).read_bytes() for name in names] == reference
+
+    @staticmethod
+    def score_every_member_99(doc):
+        doc["log"][-1]["errors"] = [99.0] * 8
+
+    @staticmethod
+    def claim_a_best_ever_of_one_half(doc):
+        doc["log"][-1]["best_ever_error"] = 0.5
+
+    @staticmethod
+    def say_it_was_not_evaluated(doc):
+        doc["evaluated"] = "no"
+
+    @pytest.mark.parametrize("damage", ["score_every_member_99", "claim_a_best_ever_of_one_half",
+                                        "say_it_was_not_evaluated"])
+    def test_restated_field_other_than_the_state_gives_is_config_error(
+        self, tmp_path, capsys, damage
+    ):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir, "--stop-after", "2")) == 0
+        path = out_dir / "checkpoint.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        getattr(self, damage)(doc)
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        (out_dir / "run.log.jsonl").unlink()
+        (out_dir / "best.json").unlink(missing_ok=True)
+        written = path.read_bytes()
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: corrupt checkpoint document: ")
+        assert path.read_bytes() == written
+        assert sorted(p.name for p in out_dir.iterdir()) == ["checkpoint.json"]
+
     def test_negative_stop_after_is_config_error_and_writes_nothing(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
         out_dir = tmp_path / "out"
