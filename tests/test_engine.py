@@ -762,16 +762,6 @@ class TestCheckpointResume:
                                                   "is not the one the members, ledger and config"):
             EvolutionRun.resume(doc, schema, evaluator, records)
 
-    @pytest.mark.parametrize("pause", [0, 1, 4, None])
-    def test_last_log_row_of_a_paused_or_finished_run_resumes(self, tmp_path, pause):
-        config, schema, evaluator, records = self.run_setup(tmp_path, f"pause{pause}")
-        result = evolve(config, schema, evaluator, records, stop_after_generation=pause)
-        doc = load_checkpoint_file(config.checkpoint_path)
-        generation = result.per_generation_log[-1].generation
-        assert generation == (6 if pause is None else pause)  # the run turns perfect at 6
-        assert doc["log"][-1]["parent_pool_size"] == (3 if generation else None)
-        assert EvolutionRun.resume(doc, schema, evaluator, records).generation == generation
-
     def test_member_whose_key_the_ledger_lacks_refused(self, tmp_path):
         doc, schema, evaluator, records = self.paused_document(tmp_path, "unrecorded")
         keys = {row["key"] for row in doc["ledger"]}
