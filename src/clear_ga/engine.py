@@ -312,7 +312,8 @@ class FitnessLedger:
         # NaN is the one value unequal to itself.
         if not (
             set(map(type, worst)) <= {int, float} and all(map(eq, worst, worst))
-            and min(worst, default=0) >= 0 and max(worst, default=0) <= sys.float_info.max
+            and (lowest := min(worst, default=0)) >= 0
+            and max(worst, default=0) <= sys.float_info.max
         ):
             raise ValueError("a ledger worst_error is not a finite number >= 0")
         for name, column, least in (("evaluations", evaluations, 1),
@@ -324,6 +325,8 @@ class FitnessLedger:
         ledger.entries = entries = dict(zip(map(itemgetter("key"), rows), adopted))
         if len(entries) != len(rows) or list(entries) != [g["key"] for g in genotypes]:
             raise ValueError("ledger and genotype rows do not name the same keys in order")
+        # The key best_key would scan for: the first of the least error.
+        ledger._best = rows[worst.index(lowest)]["key"] if rows else None
         return ledger
 
 
@@ -799,8 +802,8 @@ class EvolutionRun:
         errors = [m.recorded_error for m in self.population]
         counts = [m.genotype.cue_count() for m in self.population]
         per_chromosome = [
-            sum(len(m.genotype.chromosomes[i]) for m in self.population) / len(self.population)
-            for i in range(self.schema.category_count)
+            sum(map(len, column)) / len(self.population)
+            for column in zip(*(m.genotype.chromosomes for m in self.population))
         ]
         best = min(errors)
         return GenerationStats(

@@ -115,7 +115,7 @@ class Genotype:
         object.__setattr__(self, "chromosomes", tuple(map(tuple, self.chromosomes)))
 
     def cue_count(self) -> int:
-        return sum(len(ch) for ch in self.chromosomes)
+        return sum(map(len, self.chromosomes))
 
     def iter_cues(self) -> Iterable[tuple[int, Cue]]:
         for index, chromosome in enumerate(self.chromosomes):
