@@ -30,13 +30,17 @@ counts, and the ledger rows of the population's keys. It is written by
 reopening the file at that length, cutting off a torn last line, and
 appending; no handle is held between commits.
 :func:`load_checkpoint_file` replays the complete records onto the snapshot,
-and a run resumed from the same path appends after them. The ledger is the
-one source of the members' errors and the log of the generation: a resume
-reads the document's copies of them only to refuse a document whose copies
-disagree. It refuses any other document no run writes too: ledger and
-genotype rows that do not join, ledger values ``record`` would not keep, log
-rows ``report`` would not read, and a population the config and schema rule
-out.
+and a run resumed from the same path appends after them. A fresh run and a
+resumed one take and check their inputs in one method; a resumed run draws
+nothing, as its state is the document's. The ledger is the one source of the
+members' errors and the log of the generation and of ``evaluated``: each of
+these restated fields is derived once, by one method the writer and the
+resume share, and a resume reads the document's copies only to refuse a
+document whose copies do not encode to the same JSON text; it derives the
+last log row again and refuses a stored one that differs the same way. It
+refuses any other document no run writes too: ledger and genotype rows that
+do not join, ledger values ``record`` would not keep, log rows ``report``
+would not read, and a population the config and schema rule out.
 
 Every line the engine writes, snapshot, record and run-log line alike, holds
 the bytes ``json.dumps`` writes with its defaults: one encoder writes them all,
@@ -666,21 +670,26 @@ class EvolutionRun:
     ) -> "EvolutionRun":
         """Rebuild run state from a checkpoint document.
 
-        The inputs are checked and kept as a fresh run's are, and every field of
-        the state is the document's: members are built from their chromosomes,
-        each member's error is its key's worst-of error in the ledger once the
-        log has a row, and the generation is the last log row's, or 0 for an
-        empty log. Refuses to continue if the stored digest does not match the
-        stored config (tampering) or if the caller-supplied
-        schema/dataset/landscape hashes differ from the ones the run started
-        with, and raises :class:`CheckpointError` for rows no run writes (see
-        :meth:`FitnessLedger.from_json_obj` and
-        :meth:`GenerationStats.from_json_obj`), for log rows not numbered 0, 1,
-        ... in order, for a stored copy of a field :meth:`_restated` derives
-        that does not encode to the derived one, for a member key the ledger
-        lacks, and for a population whose size or genotypes the config and
-        schema rule out. The run adopts the document's genotype rows as they
-        are, so the caller must not mutate the document afterwards.
+        The inputs are taken once, by the method a fresh run takes them with,
+        and no fresh state is drawn: every field of the state is the
+        document's. Members are built from their chromosomes, each member's
+        error is its key's worst-of error in the ledger once the log has a
+        row, and the generation is the last log row's, or 0 for an empty log.
+        Each field the document restates, ``generation``, ``evaluated`` and
+        each member's ``recorded_error``, is derived once, by
+        :meth:`_restated`, which the writer uses too. Refuses to continue if
+        the stored digest does not match the stored config (tampering) or if
+        the caller-supplied schema/dataset/landscape hashes differ from the
+        ones the run started with, and raises :class:`CheckpointError` for
+        rows no run writes (see :meth:`FitnessLedger.from_json_obj` and
+        :meth:`GenerationStats.from_json_obj`), for log rows not numbered 0,
+        1, ... in order, for a stored copy of a restated field that does not
+        encode to the derived one, for a last log row other than the one the
+        members, ledger and config give, for a member key the ledger lacks,
+        and for a population whose size or genotypes the config and schema
+        rule out. A schema for another data item is the constructor's
+        ValueError. The run adopts the document's genotype rows as they are,
+        so the caller must not mutate the document afterwards.
         """
         config = checkpoint_config(checkpoint)
         given = {"schema": schema_sha256, "dataset": dataset_sha256, "landscape": landscape_sha256}
