@@ -27,7 +27,6 @@ from __future__ import annotations
 import _random
 import hashlib
 import json
-import sys
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -38,7 +37,7 @@ from typing import Sequence
 from ..dataset import BuildingRecord
 from ..fitness import DataEstimate
 from ..items import item_spec
-from ..schema import DataItem, Genotype, canonical_key
+from ..schema import DataItem, Genotype, canonical_key, checked
 from .base import EvaluationRequest
 
 # One generator per thread, reseeded for every draw: its state carries nothing
@@ -224,42 +223,26 @@ def landscape_digest(landscape: PlantedLandscape) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _checked(value, name: str, kind: str):
-    """``value`` if it is a JSON ``kind``: ``"integer"``, ``"string"``, or
-    ``"number"``, which must be a finite float and is returned as one. A bool
-    is neither an integer nor a number."""
-    if kind == "string":
-        ok = type(value) is str
-    elif kind == "integer":
-        ok = type(value) is int
-    else:  # NaN fails the comparison; an integer past the float range fails it exactly
-        ok = type(value) in (int, float) and abs(value) <= sys.float_info.max
-    if not ok:
-        raise TypeError(f"{name} {value!r} is not a {'finite ' * (kind == 'number')}JSON {kind}")
-    return float(value) if kind == "number" else value
-
-
 def landscape_from_json_obj(obj: object) -> PlantedLandscape:
     if not isinstance(obj, dict):
         raise ValueError("landscape document must be a JSON object")
     try:
         planted = tuple(
             PlantedCue(
-                category=_checked(p["category"], f"planted[{i}].category", "integer"),
-                cue=_checked(p["cue"], f"planted[{i}].cue", "string"),
-                benefit=_checked(p["benefit"], f"planted[{i}].benefit", "number"),
+                category=checked(p["category"], f"planted[{i}].category", "int"),
+                cue=checked(p["cue"], f"planted[{i}].cue", "str"),
+                benefit=float(checked(p["benefit"], f"planted[{i}].benefit", "finite float")),
             )
             for i, p in enumerate(obj.get("planted", []))
         )
-        return PlantedLandscape(
-            planted=planted,
-            distractor_penalty=_checked(obj["distractor_penalty"], "distractor_penalty", "number"),
-            base_error=_checked(obj["base_error"], "base_error", "number"),
-            noise_scale=_checked(obj.get("noise_scale", 0.0), "noise_scale", "number"),
-            seed=_checked(obj.get("seed", 0), "seed", "integer"),
-        )
-    except (KeyError, TypeError) as exc:
+        penalty = float(checked(obj["distractor_penalty"], "distractor_penalty", "finite float"))
+        base = float(checked(obj["base_error"], "base_error", "finite float"))
+        noise = float(checked(obj.get("noise_scale", 0.0), "noise_scale", "finite float"))
+        seed = checked(obj.get("seed", 0), "seed", "int")
+    except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"invalid landscape document: {exc}") from None
+    # Outside the try: a landscape's own rules refuse in their own words.
+    return PlantedLandscape(planted, penalty, base, noise, seed)
 
 
 def load_landscape_file(path: str | Path) -> PlantedLandscape:

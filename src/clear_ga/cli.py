@@ -46,6 +46,7 @@ from .schema import (
     DataItem,
     Genotype,
     SchemaError,
+    checked,
     load_schema_file,
     render_cue_list,
     save_schema,
@@ -362,10 +363,8 @@ def cmd_run(args) -> int:
     schema_path = settings.get("schema_path")
     if not schema_path or not settings.get("dataset_path"):
         raise UsageError("--schema and --dataset are required")
-    if not isinstance(schema_path, str):
-        raise DatasetError(f"schema_path {schema_path!r} is not a JSON string or null")
     # The schema names the data item; EvolutionRun refuses a file that names another.
-    schema = load_schema_file(schema_path)
+    schema = load_schema_file(checked(schema_path, "schema_path", "str | None"))
     seeds = None if args.seeds is None else _parse_seeds(args.seeds)
     config = _merged_config(args, {"data_item": schema.data_item, **values})
     if seeds is None and "seed" not in settings and config.backend == "oracle":
@@ -419,11 +418,8 @@ def _load_best_genotype(path: str, item: DataItem) -> tuple[Genotype, dict]:
         genotype = Genotype(tuple(tuple(ch) for ch in doc["chromosomes"]))
         if doc.get("data_item", item.value) != item.value:
             raise ValueError(f"data_item {doc['data_item']!r} is not the schema's {item.value!r}")
-        settings = {k: doc[k] for k in ("seed", "train_fraction") if k in doc}
-        kinds = (("seed", (int,), "integer"), ("train_fraction", (int, float), "number"))
-        for name, types, noun in kinds:
-            if type(settings.get(name, 0)) not in types:  # a bool is refused too
-                raise TypeError(f"{name} {settings[name]!r} is not a JSON {noun}")
+        settings = {name: checked(doc[name], name, kind) for name, kind
+                    in (("seed", "int"), ("train_fraction", "float")) if name in doc}
     except (KeyError, TypeError, ValueError) as exc:  # ValueError covers JSONDecodeError
         raise DatasetError(f"bad genotype file {path}: {exc}") from None
     return genotype, settings

@@ -70,10 +70,6 @@ def _parse_class(value: object, aliases: dict, where: str):
     raise DatasetError(f"{where}: unrecognized value {value!r}")
 
 
-def _is_number(value: object) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
 def _parse_truth(raw: object, where: str, current_year: int) -> GroundTruth:
     if not isinstance(raw, dict):
         raise DatasetError(f"{where}: truth must be an object")
@@ -87,7 +83,7 @@ def _parse_truth(raw: object, where: str, current_year: int) -> GroundTruth:
             raise DatasetError(f"{where}.age: {exc}") from None
     lighting = raw.get("lighting_pct")
     if lighting is not None:
-        if not _is_number(lighting) or not 0 <= lighting <= 100:
+        if type(lighting) not in (int, float) or not 0 <= lighting <= 100:  # a bool is no number
             raise DatasetError(f"{where}.lighting_pct: must be a number in 0..100")
         lighting = float(lighting)
     heating = raw.get("heating")
@@ -98,7 +94,7 @@ def _parse_truth(raw: object, where: str, current_year: int) -> GroundTruth:
         windows = _parse_class(windows, _WINDOW_ALIASES, f"{where}.windows")
     energy = raw.get("energy_kwh_m2")
     if energy is not None:
-        if not _is_number(energy) or not 0 < energy < math.inf:
+        if type(energy) not in (int, float) or not 0 < energy < math.inf:
             raise DatasetError(f"{where}.energy_kwh_m2: must be a positive finite number")
         energy = float(energy)
     return GroundTruth(

@@ -74,7 +74,8 @@ from .dataset import BuildingRecord, require_truth
 from .fitness import DataEstimate, aggregate_fitness
 from .genome import crossover_fixed, crossover_variable, mutate_fixed, mutate_variable
 from .items import building_error, failure_penalty
-from .schema import CueSchema, DataItem, Genotype, canonical_key, random_genotype, validate_genotype
+from .schema import (CueSchema, DataItem, Genotype, canonical_key, checked, random_genotype,
+                     validate_genotype)
 
 log = logging.getLogger(__name__)
 
@@ -135,22 +136,11 @@ class RunConfig:
     dataset_sha256: str = ""
     landscape_sha256: str = ""
 
-    # The JSON types each annotation takes, and their name; a bool is no number.
-    _JSON_TYPES = {
-        "int": ((int,), "integer"),
-        "float": ((int, float), "number"),
-        "str": ((str,), "string"),
-        "str | None": ((str, type(None)), "string or null"),
-    }
-
     def __post_init__(self) -> None:
         self.data_item = DataItem(self.data_item)
         self.mode = Mode(self.mode)
-        for field in fields(self):
-            types, noun = self._JSON_TYPES.get(field.type, (None, ""))
-            value = getattr(self, field.name)
-            if types and type(value) not in types:
-                raise ValueError(f"{field.name} {value!r} is not a JSON {noun}")
+        for field in fields(self)[2:]:  # past data_item and mode, each annotation is a JSON kind
+            checked(getattr(self, field.name), field.name, field.type)
         if self.population_size < 2:
             raise ValueError("population_size must be >= 2")
         if not 0 < self.parent_fraction <= 1:
@@ -214,6 +204,20 @@ class RunConfig:
         if unknown:
             raise CheckpointError(f"unknown config fields: {sorted(unknown)}")
         return cls(**obj)
+
+
+def _is_column(values: list, types: set, least: int) -> bool:
+    """Whether ``values`` is a non-empty list of ``types`` (a bool is neither an int
+    nor a float), each >= ``least`` >= 0 and finite; values >= 0 are when their sum is."""
+    if not (values and set(map(type, values)) <= types and min(values) >= least):
+        return False
+    try:
+        if sum(values) <= sys.float_info.max:  # NaN makes the sum NaN
+            return True
+    except OverflowError:  # a float and an integer past the float range
+        pass
+    # Finite values whose sum passes the float range; NaN is unequal to itself.
+    return all(map(eq, values, values)) and max(values) <= sys.float_info.max
 
 
 @dataclass(slots=True)
@@ -312,17 +316,12 @@ class FitnessLedger:
             list(map(itemgetter(name), rows))
             for name in ("worst_error", "evaluations", "first_seen_generation")
         )
-        # The values record keeps, a column at a time: a bool is no number, and
-        # NaN is the one value unequal to itself.
-        if not (
-            set(map(type, worst)) <= {int, float} and all(map(eq, worst, worst))
-            and (lowest := min(worst, default=0)) >= 0
-            and max(worst, default=0) <= sys.float_info.max
-        ):
+        # The values record keeps, a column at a time; a ledger of no rows has none.
+        if rows and not _is_column(worst, {int, float}, 0):
             raise ValueError("a ledger worst_error is not a finite number >= 0")
         for name, column, least in (("evaluations", evaluations, 1),
                                     ("first_seen_generation", first_seen, 0)):
-            if not (set(map(type, column)) <= {int} and min(column, default=least) >= least):
+            if rows and not _is_column(column, {int}, least):
                 raise ValueError(f"a ledger {name} is not an integer >= {least}")
         ledger = cls()
         adopted = map(LedgerEntry, worst, evaluations, first_seen, chromosomes)
@@ -330,7 +329,7 @@ class FitnessLedger:
         if len(entries) != len(rows) or list(entries) != [g["key"] for g in genotypes]:
             raise ValueError("ledger and genotype rows do not name the same keys in order")
         # The key best_key would scan for: the first of the least error.
-        ledger._best = rows[worst.index(lowest)]["key"] if rows else None
+        ledger._best = rows[worst.index(min(worst))]["key"] if rows else None
         return ledger
 
 
@@ -369,19 +368,25 @@ class GenerationStats:
         errors = row.errors
         if not isinstance(errors, list) or not errors:
             raise ValueError("errors must be a non-empty list")
-        if not set(map(type, errors)) <= {int, float}:
-            raise ValueError("errors must be numbers")
-        try:
-            finite = math.isfinite(math.fsum(errors))
-        except (OverflowError, ValueError):  # a sum past the float range, or inf - inf
-            finite = all(error <= sys.float_info.max for error in errors)  # NaN fails
-        if not finite or min(errors) < 0:
+        if not _is_column(errors, {int, float}, 0):
+            if not set(map(type, errors)) <= {int, float}:
+                raise ValueError("errors must be numbers")
             raise ValueError("errors must be finite and >= 0")
         for name in ("best_error", "best_ever_error"):
             value = getattr(row, name)
             # a JSON number, not a bool, within the float range
             if type(value) not in (int, float) or not abs(value) <= sys.float_info.max:
                 raise ValueError(f"{name} {value!r} is not a finite number")
+        value = row.mean_cue_count
+        if type(value) not in (int, float) or not 0 <= value <= sys.float_info.max:
+            raise ValueError(f"mean_cue_count {value!r} is not a finite number >= 0")
+        counts = row.chromosome_mean_cue_counts
+        if not isinstance(counts, list) or not _is_column(counts, {int, float}, 0):
+            raise ValueError("chromosome_mean_cue_counts must be a non-empty list of finite "
+                             "numbers >= 0")
+        value = row.parent_pool_size
+        if value is not None and (type(value) is not int or value < 1):
+            raise ValueError(f"parent_pool_size {value!r} is not null or an integer >= 1")
         if type(row.perfect) is not bool:
             raise ValueError(f"perfect {row.perfect!r} is not a bool")
         if type(row.generation) is not int or row.generation < 0:
@@ -727,8 +732,7 @@ class EvolutionRun:
                     raise ValueError(refusal.format(copy=copy, derived=value))
             run.generation = derived[0]
             if run.log_rows:
-                pool = parent_pool_size(config.population_size, config.parent_fraction)
-                row = run._collect_stats(pool if run.generation else None).to_json_obj()
+                row = run._collect_stats().to_json_obj()
                 if _encode(row) != _encode(checkpoint["log"][-1]):
                     raise ValueError("the last log row is not the one the members, ledger "
                                      "and config give")
@@ -807,7 +811,8 @@ class EvolutionRun:
         for member in self.population:
             member.recorded_error = self.ledger.worst(canonical_key(member.genotype))
 
-    def _collect_stats(self, pool_size: int | None) -> GenerationStats:
+    def _collect_stats(self) -> GenerationStats:
+        pool = parent_pool_size(self.config.population_size, self.config.parent_fraction)
         errors = [m.recorded_error for m in self.population]
         counts = [m.genotype.cue_count() for m in self.population]
         per_chromosome = [
@@ -822,16 +827,14 @@ class EvolutionRun:
             best_ever_error=self.ledger.entries[self.ledger.best_key()].worst_error,
             mean_cue_count=sum(counts) / len(counts),
             chromosome_mean_cue_counts=per_chromosome,
-            parent_pool_size=pool_size,
+            parent_pool_size=pool if self.generation else None,  # none bred the first
             perfect=best == 0,
         )
 
-    def _step_evaluate(
-        self, on_generation: OnGeneration | None, executor: Executor | None, stop: int | None,
-        pool_size: int | None,  # the parent pool's size; None for the first population
-    ) -> None:
+    def _step_evaluate(self, on_generation: OnGeneration | None, executor: Executor | None,
+                       stop: int | None) -> None:
         self._evaluate_population(executor)
-        stats = self._collect_stats(pool_size)
+        stats = self._collect_stats()
         self.log_rows.append(stats)
         self._append_log_row()
         # A pause and the end write the snapshot whole; generations between journal.
@@ -883,15 +886,15 @@ class EvolutionRun:
         try:
             with ThreadPoolExecutor(concurrency) if concurrency > 1 else nullcontext() as executor:
                 if not self.log_rows:
-                    self._step_evaluate(on_generation, executor, stop_after_generation, None)
+                    self._step_evaluate(on_generation, executor, stop_after_generation)
                 while not self.finished:
                     if self._pausing(stop_after_generation):
                         return self.result(completed=False)
-                    self.population, pool_size = next_generation(
+                    self.population, _ = next_generation(
                         self.population, self.schema, self.config, self.rng
                     )
                     self.generation += 1
-                    self._step_evaluate(on_generation, executor, stop_after_generation, pool_size)
+                    self._step_evaluate(on_generation, executor, stop_after_generation)
             return self.result(completed=True)
         except BackendHardFailure as exc:
             path = self.config.checkpoint_path

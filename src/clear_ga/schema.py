@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -38,6 +39,26 @@ class DataItem(str, Enum):
 
 class SchemaError(ValueError):
     """Raised for malformed schema documents or invalid cue structures."""
+
+
+# Each kind of JSON scalar a document may hold, keyed by the annotation it fills:
+# the types json.loads gives it (a bool is neither an integer nor a number), its name.
+_JSON_VALUE_TYPES = {
+    "int": ((int,), "a JSON integer"),
+    "float": ((int, float), "a JSON number"),
+    "finite float": ((int, float), "a finite JSON number"),
+    "str": ((str,), "a JSON string"),
+    "str | None": ((str, type(None)), "a JSON string or null"),
+}
+
+
+def checked(value, name: str, kind: str):
+    """``value`` if it is a JSON value of ``kind``, else ValueError: every reader of a
+    JSON scalar refuses by this rule. A finite float is within the float range."""
+    types, noun = _JSON_VALUE_TYPES[kind]
+    if type(value) not in types or kind == "finite float" and not abs(value) <= sys.float_info.max:
+        raise ValueError(f"{name} {value!r} is not {noun}")
+    return value
 
 
 def _clean_label(label: object, where: str) -> str:

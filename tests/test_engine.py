@@ -834,6 +834,18 @@ class TestCheckpointResume:
             ("best_ever_error", "1.0", "best_ever_error '1.0' is not a finite number"),
             ("perfect", "no", "perfect 'no' is not a bool"),
             ("perfect", 0, "perfect 0 is not a bool"),
+            ("mean_cue_count", "x", "mean_cue_count 'x' is not a finite number >= 0"),
+            ("mean_cue_count", -0.5, "mean_cue_count -0.5 is not a finite number >= 0"),
+            ("mean_cue_count", float("nan"), "mean_cue_count nan is not a finite number >= 0"),
+            ("chromosome_mean_cue_counts", "abc",
+             "chromosome_mean_cue_counts must be a non-empty list of finite numbers >= 0"),
+            ("chromosome_mean_cue_counts", [],
+             "chromosome_mean_cue_counts must be a non-empty list of finite numbers >= 0"),
+            ("chromosome_mean_cue_counts", [1.0, float("inf")],
+             "chromosome_mean_cue_counts must be a non-empty list of finite numbers >= 0"),
+            ("parent_pool_size", True, "parent_pool_size True is not null or an integer >= 1"),
+            ("parent_pool_size", 0, "parent_pool_size 0 is not null or an integer >= 1"),
+            ("parent_pool_size", "3", "parent_pool_size '3' is not null or an integer >= 1"),
         ],
     )
     def test_log_rows_report_cannot_read_refused(self, tmp_path, field, value, problem):
