@@ -53,8 +53,8 @@ _JSON_VALUE_TYPES = {
 
 
 def checked(value, name: str, kind: str):
-    """``value`` if it is a JSON value of ``kind``, else ValueError: every reader of a
-    JSON scalar refuses by this rule. A finite float is within the float range."""
+    """``value`` if it is a JSON value of ``kind``, else ValueError: the rule every
+    reader of a setting refuses by. A finite float is within the float range."""
     types, noun = _JSON_VALUE_TYPES[kind]
     if type(value) not in types or kind == "finite float" and not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name} {value!r} is not {noun}")
