@@ -896,6 +896,54 @@ class TestCheckpointBytePins:
         log = self.FIXED_LOG if mode == "fixed" else self.VARIABLE_LOG
         assert sha256_of(Path("out/run.log.jsonl")) == log
 
+    # A categorical item's bytes: windows in fixed mode, read out as the oracle's
+    # quantized class. The base error is lowered to the total benefit, so the
+    # planted optimum's scores straddle the first band and its errors vary.
+    WINDOWS_LOG = "e19ee639369b4347048e438aa230e98f11d21516632fd96e314fe236e1bf23e1"
+    WINDOWS_PINS = {
+        False: [
+            "c281072867c997e76c59f81dba388390098061b9477d1e8492b340a376af73ad",
+            "f369de9645faaac64e572e8a0cdda1e24301b3f460fd34eba8c5e7ad66d86965",
+            "5b2ead000173ebba68422e1a61b1fd9d2d6ab8c00863a4a382d6472d3f28c107",
+            "b4c4d3ee267c7e35b2198cc5c797bdc8476d3f7ef929661517e88fdb369a042f",
+            "e7b010fc83b037b7096f310fc2391e1ecd02be06b0d674c900388c0ed600c880",
+            "a590642bda660ec201cf453a561faa81a4625371426d1e1edd4a8d87796afb24",
+        ],
+        True: [
+            "c281072867c997e76c59f81dba388390098061b9477d1e8492b340a376af73ad",
+            "f369de9645faaac64e572e8a0cdda1e24301b3f460fd34eba8c5e7ad66d86965",
+            "15cd3492cd4045f7c601d05cb85554c4164c4668a06e90ac0fdd86c61ba051e1",
+            "e31a44e3057c632f4a2142085174bfb7f0104f04c0535a64e10a9e15bc6a654c",
+            "f0b371141cb81d22460106b14d2ba37ba246b8cefd27f30468d03018a88cee5f",
+            "a590642bda660ec201cf453a561faa81a4625371426d1e1edd4a8d87796afb24",
+        ],
+    }
+
+    @pytest.mark.parametrize("paused", [False, True], ids=["uninterrupted", "paused"])
+    def test_windows_bytes_are_pinned(self, tmp_path, monkeypatch, paused):
+        monkeypatch.chdir(tmp_path)
+        ws = make_workspace(Path("."), item="windows")
+        Path(ws["landscape"]).write_text(json.dumps({**LANDSCAPE, "base_error": 6.0}),
+                                         encoding="utf-8")
+        commits = []
+        write_checkpoint = EvolutionRun.write_checkpoint
+
+        def hashed_write(run, journal=False):
+            write_checkpoint(run, journal)
+            commits.append(sha256_of(Path(run.config.checkpoint_path)))
+
+        monkeypatch.setattr(EvolutionRun, "write_checkpoint", hashed_write)
+        config = RunConfig(
+            data_item="windows", mode="fixed", seed=8, population_size=8, generations=5,
+            schema_path=ws["schema"], dataset_path=ws["dataset"], landscape_path=ws["landscape"],
+        )
+        cli._run_one(config, load_schema_file(ws["schema"]), Path("out"), 2 if paused else None)
+        if paused:
+            assert main(["resume", "--checkpoint", "out/checkpoint.json", "--stop-after", "3"]) == 0
+            assert main(["resume", "--checkpoint", "out/checkpoint.json"]) == 0
+        assert commits == self.WINDOWS_PINS[paused]
+        assert sha256_of(Path("out/run.log.jsonl")) == self.WINDOWS_LOG
+
 
 class TestAnalysisCommands:
     def test_ablate_writes_csv(self, tmp_path, capsys):

@@ -24,6 +24,8 @@ from clear_ga.backends import (
     landscape_to_json_obj,
 )
 from clear_ga.engine import EvolutionRun, RunConfig
+from clear_ga.fitness import HeatingClass, WindowClass
+from clear_ga.items import item_spec
 from clear_ga.schema import DataItem, Genotype
 
 from conftest import build_record, build_schema
@@ -73,6 +75,32 @@ def test_noise_is_the_first_gauss_draw_of_the_hashed_seed():
         digest = hashlib.sha256(material.encode("utf-8")).digest()
         expected = Random(int.from_bytes(digest[:8], "big")).gauss(0.0, scale)
         assert flat_landscape(scale, seed).noise(key, building, counter) == expected
+
+
+READOUT_SCORES = (0.0, 0.999, 1.0, 1.999, 2.0, 50.0)
+# (item, truth): the class read out at each of READOUT_SCORES.
+H, W = HeatingClass, WindowClass
+READOUT_PINS = {
+    ("heating", H.UNDERFLOOR): [H.UNDERFLOOR] * 2 + [H.WARM_AIR] * 2 + [H.WATER_RADIATORS] * 2,
+    ("heating", H.WARM_AIR): [H.WARM_AIR] * 2 + [H.UNDERFLOOR] * 2 + [H.WATER_RADIATORS] * 2,
+    ("heating", H.WATER_RADIATORS): [H.WATER_RADIATORS] * 4 + [H.UNDERFLOOR] * 2,
+    ("heating", H.ELECTRIC_PANEL):
+        [H.ELECTRIC_PANEL] * 2 + [H.ELECTRIC_STORAGE] * 2 + [H.UNDERFLOOR] * 2,
+    ("heating", H.ELECTRIC_STORAGE):
+        [H.ELECTRIC_STORAGE] * 2 + [H.ELECTRIC_PANEL] * 2 + [H.UNDERFLOOR] * 2,
+    ("windows", W.SINGLE): [W.SINGLE] * 2 + [W.DOUBLE] * 2 + [W.HIGH_EFFICIENCY] * 2,
+    ("windows", W.DOUBLE): [W.DOUBLE] * 2 + [W.SINGLE] * 4,
+    ("windows", W.HIGH_EFFICIENCY): [W.HIGH_EFFICIENCY] * 2 + [W.DOUBLE] * 2 + [W.SINGLE] * 2,
+}
+
+
+def test_categorical_readouts_are_pinned():
+    assert {(item, truth) for item, truth in READOUT_PINS} == (
+        {("heating", h) for h in HeatingClass} | {("windows", w) for w in WindowClass}
+    )
+    for (item, truth), expected in READOUT_PINS.items():
+        readout = item_spec(item).oracle_readout
+        assert [readout(truth, score) for score in READOUT_SCORES] == expected, (item, truth)
 
 
 def test_zero_noise_scale_draws_nothing():
