@@ -13,13 +13,15 @@ expose the same noise stream through two encodings.
 
 The latent score is a function of the genotype's canonical key, building id
 and eval counter alone. Its noise-free part is computed once per key and kept
-on the landscape; each noise draw reseeds a per-thread generator instead of
-building one. Scoring is written once, for a genotype on a list of buildings
-(:meth:`OracleEvaluator.evaluate_split`, :meth:`PlantedLandscape.latent_scores`,
-:meth:`PlantedLandscape.noises`): the key, the noise-free score, the item spec
-and the eval counter's part of the noise material are found once per call,
-and each building costs only its hash, reseed, draw and read-out. The
-one-building calls, ``evaluate`` and ``noise``, are that code on a list of one.
+on the landscape, as is the head of each building's noise material, the UTF-8
+bytes of ``"{seed}|{building_id}"``; each noise draw reseeds a per-thread
+generator instead of building one. Scoring is written once, for a genotype on
+a list of buildings (:meth:`OracleEvaluator.evaluate_split`,
+:meth:`PlantedLandscape.latent_scores`, :meth:`PlantedLandscape.noises`): the
+key, the noise-free score, the item spec and the eval counter's part of the
+noise material are found once per call, and each building costs only its
+hash, reseed, draw and read-out. The one-building calls, ``evaluate`` and
+``noise``, are that code on a list of one.
 """
 
 from __future__ import annotations
@@ -91,9 +93,11 @@ class PlantedLandscape:
                 f"base_error {self.base_error} must cover the total benefit "
                 f"{self.total_benefit} so the optimum stays unique under clamping"
             )
-        # Noise-free score per canonical key; not a field, so equality,
-        # hashing and repr ignore it.
+        # Noise-free score per canonical key, and the UTF-8 head of the noise
+        # material per building id; not fields, so equality, hashing and repr
+        # ignore them.
         object.__setattr__(self, "_noise_free", {})
+        object.__setattr__(self, "_noise_heads", {})
 
     @cached_property
     def benefits(self) -> dict[tuple[int, str], float]:
@@ -111,14 +115,17 @@ class PlantedLandscape:
         of ``"{seed}|{building_id}|{eval_counter}|{genotype_key}"``."""
         if self.noise_scale == 0:
             return [0.0] * len(building_ids)
-        head, tail = f"{self.seed}|", f"|{eval_counter}|{genotype_key}"
+        heads, tail = self._noise_heads, f"|{eval_counter}|{genotype_key}".encode("utf-8")
         stream = getattr(_streams, "random", None)
         if stream is None:
             stream = _streams.random = _random.Random()
         seed, random, scale = stream.seed, stream.random, self.noise_scale
         draws = []
         for building_id in building_ids:
-            digest = hashlib.sha256(f"{head}{building_id}{tail}".encode("utf-8")).digest()
+            head = heads.get(building_id)
+            if head is None:  # threads that race here store equal bytes
+                head = heads[building_id] = f"{self.seed}|{building_id}".encode("utf-8")
+            digest = hashlib.sha256(head + tail).digest()
             seed(int.from_bytes(digest[:8], "big"))
             # random.gauss's first Box-Muller draw, operation for operation.
             draws.append(0.0 + cos(random() * tau) * sqrt(-2.0 * log(1.0 - random())) * scale)

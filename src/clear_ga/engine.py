@@ -60,7 +60,7 @@ import sys
 from collections import Counter
 from concurrent.futures import FIRST_EXCEPTION, Executor, ThreadPoolExecutor, wait
 from contextlib import nullcontext
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from itertools import chain, islice
@@ -192,7 +192,7 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
     def to_json_obj(self) -> dict:
-        obj = asdict(self)
+        obj = {field.name: getattr(self, field.name) for field in fields(self)}
         obj["data_item"] = self.data_item.value
         obj["mode"] = self.mode.value
         return obj
@@ -776,8 +776,8 @@ class EvolutionRun:
         """Append the newest of ``log_rows`` to the run log."""
         if not self.config.log_path:
             return
-        with Path(self.config.log_path).open("a", encoding="utf-8") as fh:
-            fh.write(_encode(self.log_rows[-1].to_json_obj()) + "\n")
+        with Path(self.config.log_path).open("ab") as fh:
+            fh.write((_encode(self.log_rows[-1].to_json_obj()) + "\n").encode("utf-8"))
 
     # -- the loop ----------------------------------------------------------
 

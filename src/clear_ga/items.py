@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from operator import attrgetter
 from typing import Any, Callable
 
@@ -120,16 +119,25 @@ def _lighting_readout(pct: float, score: float) -> float:
     return estimate if estimate >= 0 else (100.0 if pct < 50 else 0.0)
 
 
-def _quantized_class(error_fn, classes, truth, score: float) -> DataEstimate:
-    # Step thresholds at 1 and 2 mirror the categorical error scales; when no
-    # class sits at the desired distance (some matrix rows skip a level) we
-    # fall back toward the truth.
-    desired = 0 if score < 1 else (1 if score < 2 else 2)
-    for target in range(desired, -1, -1):
-        for candidate in classes:
-            if error_fn(candidate, truth) == target:
-                return candidate
-    return truth
+def _quantized_class(error_fn, classes) -> Callable[[Any, float], DataEstimate]:
+    """The read-out of a categorical item: a table from each truth and score band
+    (0 below 1, 1 below 2, 2 from 2 up) to the first class in ``classes`` whose
+    error is the band, else the band below, down to the truth itself."""
+    # The bands mirror the categorical error scales; the fall-back covers matrix
+    # rows that skip a level. The table is filled once, so a read-out scores nothing.
+    table = {
+        truth: tuple(
+            next(c for target in range(band, -1, -1) for c in classes
+                 if error_fn(c, truth) == target)
+            for band in range(3)
+        )
+        for truth in classes
+    }
+
+    def readout(truth, score: float) -> DataEstimate:
+        return table[truth][0 if score < 1 else (1 if score < 2 else 2)]
+
+    return readout
 
 
 # --- the registry -------------------------------------------------------------
@@ -208,7 +216,7 @@ ITEMS: dict[DataItem, ItemSpec] = {
             + ". List 50 visible features that are significant for determining the type of "
             "heating used in the apartment. Don't explain the label."
         ),
-        oracle_readout=partial(_quantized_class, heating_error, HeatingClass),
+        oracle_readout=_quantized_class(heating_error, HeatingClass),
         # Categorical answers are coded by their error-matrix distance from the truth.
         coded_value=heating_error,
     ),
@@ -223,7 +231,7 @@ ITEMS: dict[DataItem, ItemSpec] = {
         image_subset="windows",
         prompt=select_prompt("What type of windows does this apartment have?", _WINDOWS_OPTIONS),
         extraction_prompt=_WINDOWS_EXTRACTION,
-        oracle_readout=partial(_quantized_class, windows_error, WindowClass),
+        oracle_readout=_quantized_class(windows_error, WindowClass),
         coded_value=windows_error,
     ),
     DataItem.WINDOWS_UVALUE: ItemSpec(

@@ -11,12 +11,14 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import threading
 from pathlib import Path
 from random import Random
 
 import pytest
 
 from clear_ga.backends import (
+    EvaluationRequest,
     OracleEvaluator,
     PlantedCue,
     PlantedLandscape,
@@ -155,3 +157,46 @@ def test_scoring_leaves_the_landscape_unchanged():
     assert repr(land) == repr(fresh)
     assert land.describe() == fresh.describe()
     assert landscape_to_json_obj(land) == landscape_to_json_obj(fresh)
+
+
+# The energy estimates of one genotype on buildings b0..b7 (truth 100 kWh/m2)
+# at eval counter 3 on noisy_landscape(): its noise-free 5.75 plus each draw.
+THREADED_ESTIMATES = [
+    107.77511709025895, 106.2820717780841, 106.30155827077671, 105.81894712239259,
+    105.27704607888721, 104.65139817046635, 105.82788200707654, 104.94536739780987,
+]
+
+
+def test_one_landscape_scored_from_eight_threads_at_once():
+    # The landscape fills its per-building noise heads on first use, so the
+    # threads race to fill them; every thread must still read the pinned stream.
+    evaluator = OracleEvaluator(noisy_landscape())
+    genotype = Genotype((("c0_1",), ("c1_2", "c1_0"), ("c2_0",)))
+    requests = [
+        EvaluationRequest(genotype, build_record(f"b{i}", energy_kwh_m2=100.0), DataItem.ENERGY, 3)
+        for i in range(8)
+    ]
+    start = threading.Barrier(8)
+    results = {}
+
+    def score(shift: int) -> None:
+        order = list(range(shift, 8)) + list(range(shift))  # each thread starts elsewhere
+        start.wait(timeout=10)
+        estimates = [None] * 8
+        for _ in range(20):
+            for i in order:
+                estimates[i] = evaluator.evaluate(requests[i])
+        results[shift] = estimates
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=score, args=(shift,)) for shift in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == {shift: THREADED_ESTIMATES for shift in range(8)}
