@@ -25,7 +25,7 @@ from .fitness import (
     DataEstimate, HeatingClass, ValueRange, WindowClass, YearRange, aggregate_fitness,
 )
 from .items import ITEMS, building_error
-from .schema import CueSchema, DataItem, Genotype, validate_genotype
+from .schema import CueSchema, DataItem, Genotype, checked, validate_genotype
 
 log = logging.getLogger(__name__)
 
@@ -292,6 +292,14 @@ def load_run_log(path: str | Path) -> tuple[dict | None, list[GenerationStats]]:
             raise ReportError(f"{path}:{number}: invalid JSON: {exc.msg}") from None
         kind = obj.get("type") if isinstance(obj, dict) else None
         if kind == "config":
+            # The fields a report's run label and file names are made of, where present.
+            try:
+                fields = checked(obj.get("config", {}), "config", "dict")
+                for name, field_kind in (("data_item", "str"), ("mode", "str"), ("seed", "int")):
+                    if name in fields:
+                        checked(fields[name], name, field_kind)
+            except ValueError as exc:
+                raise ReportError(f"{path}:{number}: bad config record: {exc}") from None
             config = obj
         elif kind == "generation":
             try:

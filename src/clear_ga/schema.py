@@ -41,7 +41,7 @@ class SchemaError(ValueError):
     """Raised for malformed schema documents or invalid cue structures."""
 
 
-# Each kind of JSON scalar a document may hold, keyed by the annotation it fills:
+# Each kind of JSON value a document may hold, keyed by the annotation it fills:
 # the types json.loads gives it (a bool is neither an integer nor a number), its name.
 _JSON_VALUE_TYPES = {
     "int": ((int,), "a JSON integer"),
@@ -49,6 +49,7 @@ _JSON_VALUE_TYPES = {
     "finite float": ((int, float), "a finite JSON number"),
     "str": ((str,), "a JSON string"),
     "str | None": ((str, type(None)), "a JSON string or null"),
+    "dict": ((dict,), "a JSON object"),
 }
 
 

@@ -1346,6 +1346,35 @@ class TestAnalysisCommands:
         assert err.startswith(f"error: {log_path}:{len(lines)}: bad generation record")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ('header["config"] = 5', "config 5 is not a JSON object"),
+            ('header["config"] = []', "config [] is not a JSON object"),
+            ('header["config"]["data_item"] = ["x"]', "data_item ['x'] is not a JSON string"),
+            ('header["config"]["mode"] = None', "mode None is not a JSON string"),
+            ('header["config"]["seed"] = "3"', "seed '3' is not a JSON integer"),
+            ('header["config"]["seed"] = True', "seed True is not a JSON integer"),
+        ],
+        ids=["config-5", "config-list", "data-item-list", "mode-null", "seed-text", "seed-bool"],
+    )
+    def test_report_refuses_a_bad_config_record(self, tmp_path, capsys, edit, message):
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir)) == 0
+        log_path = out_dir / "run.log.jsonl"
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        exec(edit)
+        lines[0] = json.dumps(header)
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        report_dir = tmp_path / "reports"
+        assert main(["report", "--log", str(log_path), "--out-dir", str(report_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {log_path}:1: bad config record: {message}\n"
+        assert not report_dir.exists()
+
 
 class TestGenSchemaCommand:
     def test_missing_credentials(self, tmp_path, monkeypatch, capsys):
