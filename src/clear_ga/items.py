@@ -124,7 +124,7 @@ def _quantized_class(error_fn, classes) -> Callable[[Any, float], DataEstimate]:
     (0 below 1, 1 below 2, 2 from 2 up) to the first class in ``classes`` whose
     error is the band, else the band below, down to the truth itself."""
     # The bands mirror the categorical error scales; the fall-back covers matrix
-    # rows that skip a level. The table is filled once, so a read-out scores nothing.
+    # rows that skip a level. Filled once, so a read-out calls no error function.
     table = {
         truth: tuple(
             next(c for target in range(band, -1, -1) for c in classes
