@@ -1,6 +1,6 @@
 """Pinned oracle behaviour: the exact noise stream, its agreement with
-``random.gauss`` on this interpreter, determinism at any concurrency, and a
-landscape that scoring leaves unchanged.
+``random.gauss`` on this interpreter, the categorical read-outs, determinism at
+any concurrency, and a landscape that scoring leaves unchanged.
 
 The noise values are literals on purpose, so a change to the stream (the
 hashed material, the seeding, or the draw) shows up here instead of being
