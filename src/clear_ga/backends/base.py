@@ -40,12 +40,13 @@ class Evaluator(Protocol):
     Implementations must tolerate concurrent calls; deterministic backends
     must be a pure function of (genotype key, building id, eval counter, seed).
 
-    An evaluator may also offer ``evaluate_split(genotype, buildings, item,
-    eval_counter) -> list[DataEstimate]``: the estimates ``evaluate`` gives for
-    each building, in order. :func:`clear_ga.engine.evaluate_genotype`, which
-    scores every run, ablation and probe, then makes one such call per
-    genotype on its caller's thread, with no thread pool, so it must be cheap
-    enough not to need overlap. It cannot fail one building alone, so an
+    An evaluator may also offer ``evaluate_batch(jobs, buildings, item) ->
+    list[list[DataEstimate]]``, where ``jobs`` lists (genotype, eval counter)
+    pairs: one row per job, in job order, of the estimates ``evaluate`` gives
+    for each building, in building order. :func:`clear_ga.engine.evaluate_genotype`,
+    which scores every run, ablation and probe, then makes one such call for
+    all its jobs on its caller's thread, with no thread pool, so it must be
+    cheap enough not to need overlap. It cannot fail one pair alone, so an
     evaluator that raises :class:`EvaluationFailure` should not offer it.
     """
 

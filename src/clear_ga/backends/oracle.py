@@ -15,13 +15,14 @@ The latent score is a function of the genotype's canonical key, building id
 and eval counter alone. Its noise-free part is computed once per key and kept
 on the landscape, as is the head of each building's noise material, the UTF-8
 bytes of ``"{seed}|{building_id}"``; each noise draw reseeds a per-thread
-generator instead of building one. Scoring is written once, for a genotype on
-a list of buildings (:meth:`OracleEvaluator.evaluate_split`,
-:meth:`PlantedLandscape.latent_scores`, :meth:`PlantedLandscape.noises`): the
-key, the noise-free score, the item spec and the eval counter's part of the
-noise material are found once per call, and each building costs only its
-hash, reseed, draw and read-out. The one-building calls, ``evaluate`` and
-``noise``, are that code on a list of one.
+generator instead of building one. Scoring is written once, for a batch of
+(genotype, eval counter) jobs on a list of buildings
+(:meth:`OracleEvaluator.evaluate_batch`, :meth:`PlantedLandscape.latent_rows`,
+:meth:`PlantedLandscape._draw_rows`): the item spec, the truths, the building
+ids and their noise heads are found once per call, each job's key, noise-free
+score and eval counter's part of the noise material once per job, and each
+building costs only its hash, reseed, draws, clamp and read-out. ``evaluate``,
+``latent_scores`` and ``noise`` are that code on one job or one building.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from __future__ import annotations
 import _random
 import hashlib
 import json
+import struct
 import threading
 from dataclasses import dataclass
 from functools import cached_property
-from math import cos, log, sqrt, tau
+from math import cos, inf, log, sqrt, tau
 from pathlib import Path
 from typing import Sequence
 
@@ -45,6 +47,8 @@ from .base import EvaluationRequest
 # One generator per thread, reseeded for every draw: its state carries nothing
 # from one draw to the next, and no two threads ever share it.
 _streams = threading.local()
+# A digest's first 8 bytes as a big-endian unsigned integer, in a 1-tuple.
+_first_word = struct.Struct(">Q").unpack_from
 
 
 @dataclass(frozen=True)
@@ -107,33 +111,46 @@ class PlantedLandscape:
     def total_benefit(self) -> float:
         return sum(p.benefit for p in self.planted)
 
-    def noises(
-        self, genotype_key: str, building_ids: Sequence[str], eval_counter: int
-    ) -> list[float]:
-        """For each building id, the first ``random.gauss(0, noise_scale)`` draw
-        of a generator seeded with the first 8 bytes (big-endian) of the sha256
-        of ``"{seed}|{building_id}|{eval_counter}|{genotype_key}"``."""
+    def _draw_rows(
+        self, jobs: Sequence[tuple[float, str, int]], building_ids: Sequence[str], floor: float
+    ) -> list[list[float]]:
+        """For each (offset, genotype key, eval counter) job, ``offset`` plus each
+        building's noise draw, raised to ``floor``: the noise stream, written once.
+
+        A draw is the first ``random.gauss(0, noise_scale)`` draw of a generator
+        seeded with the first 8 bytes (big-endian) of the sha256 of
+        ``"{seed}|{building_id}|{eval_counter}|{genotype_key}"``. The building
+        heads are found once per call and each job's tail once per job, so a
+        building costs its hash, reseed, draws and clamp alone.
+        """
         if self.noise_scale == 0:
-            return [0.0] * len(building_ids)
-        heads, tail = self._noise_heads, f"|{eval_counter}|{genotype_key}".encode("utf-8")
+            return [[max(offset, floor)] * len(building_ids) for offset, _, _ in jobs]
+        noise_heads, heads = self._noise_heads, []
+        for building_id in building_ids:
+            head = noise_heads.get(building_id)
+            if head is None:  # threads that race here store equal bytes
+                head = noise_heads[building_id] = f"{self.seed}|{building_id}".encode("utf-8")
+            heads.append(head)
         stream = getattr(_streams, "random", None)
         if stream is None:
             stream = _streams.random = _random.Random()
-        seed, random, scale = stream.seed, stream.random, self.noise_scale
-        draws = []
-        for building_id in building_ids:
-            head = heads.get(building_id)
-            if head is None:  # threads that race here store equal bytes
-                head = heads[building_id] = f"{self.seed}|{building_id}".encode("utf-8")
-            digest = hashlib.sha256(head + tail).digest()
-            seed(int.from_bytes(digest[:8], "big"))
-            # random.gauss's first Box-Muller draw, operation for operation.
-            draws.append(0.0 + cos(random() * tau) * sqrt(-2.0 * log(1.0 - random())) * scale)
-        return draws
+        seed, random, scale, sha256 = stream.seed, stream.random, self.noise_scale, hashlib.sha256
+        rows = []
+        for offset, genotype_key, eval_counter in jobs:
+            tail = f"|{eval_counter}|{genotype_key}".encode("utf-8")
+            row: list[float] = []
+            append = row.append
+            for head in heads:
+                seed(_first_word(sha256(head + tail).digest())[0])
+                # random.gauss's first Box-Muller draw, operation for operation.
+                score = offset + cos(random() * tau) * sqrt(-2.0 * log(1.0 - random())) * scale
+                append(score if score >= floor else floor)  # max(score, floor), inlined
+            rows.append(row)
+        return rows
 
     def noise(self, genotype_key: str, building_id: str, eval_counter: int) -> float:
-        """The draw of :meth:`noises` for one building."""
-        return self.noises(genotype_key, (building_id,), eval_counter)[0]
+        """The noise draw of one building: :meth:`_draw_rows` at offset 0.0, unclamped."""
+        return self._draw_rows([(0.0, genotype_key, eval_counter)], (building_id,), -inf)[0][0]
 
     def noise_free_score(self, genotype: Genotype) -> float:
         """Base error, less the planted benefits, plus the distractor penalties.
@@ -153,16 +170,26 @@ class PlantedLandscape:
                     gain += benefit
         return self.base_error - gain + self.distractor_penalty * distractors
 
+    def latent_rows(
+        self, jobs: Sequence[tuple[Genotype, int]], building_ids: Sequence[str]
+    ) -> list[list[float]]:
+        """For each (genotype, eval counter) job, the clamped-at-zero error the
+        genotype earns on each building; the key and noise-free score are found
+        once per job."""
+        noise_free, keyed = self._noise_free, []
+        for genotype, eval_counter in jobs:
+            key = canonical_key(genotype)
+            score = noise_free.get(key)
+            if score is None:
+                score = noise_free[key] = self.noise_free_score(genotype)
+            keyed.append((score, key, eval_counter))
+        return self._draw_rows(keyed, building_ids, 0.0)
+
     def latent_scores(
         self, genotype: Genotype, building_ids: Sequence[str], eval_counter: int
     ) -> list[float]:
-        """Clamped-at-zero error the genotype earns on each building."""
-        key = canonical_key(genotype)
-        noise_free = self._noise_free.get(key)
-        if noise_free is None:
-            noise_free = self._noise_free[key] = self.noise_free_score(genotype)
-        noises = self.noises(key, building_ids, eval_counter)
-        return [max(noise_free + noise, 0.0) for noise in noises]
+        """The :meth:`latent_rows` row of one job."""
+        return self.latent_rows([(genotype, eval_counter)], building_ids)[0]
 
     def describe(self) -> dict:
         return {
@@ -181,15 +208,16 @@ class OracleEvaluator:
     def __init__(self, landscape: PlantedLandscape):
         self.landscape = landscape
 
-    def evaluate_split(
+    def evaluate_batch(
         self,
-        genotype: Genotype,
+        jobs: Sequence[tuple[Genotype, int]],
         buildings: Sequence[BuildingRecord],
         item: DataItem,
-        eval_counter: int,
-    ) -> list[DataEstimate]:
-        """The genotype's estimate of the item on each building, in order: each
-        building's latent score read out (``ItemSpec.oracle_readout``)."""
+    ) -> list[list[DataEstimate]]:
+        """Each (genotype, eval counter) job's estimate of the item on each
+        building, in job and then building order: each building's latent score
+        read out (``ItemSpec.oracle_readout``). The item spec, the truths and the
+        building ids are found once per call."""
         spec = item_spec(item)
         truths = []
         for building in buildings:
@@ -199,13 +227,14 @@ class OracleEvaluator:
                     f"building {building.id!r} has no ground truth for {DataItem(item).value}"
                 )
             truths.append(actual)
-        scores = self.landscape.latent_scores(genotype, [b.id for b in buildings], eval_counter)
-        return list(map(spec.oracle_readout, truths, scores))
+        readout = spec.oracle_readout
+        rows = self.landscape.latent_rows(jobs, [b.id for b in buildings])
+        return [list(map(readout, truths, scores)) for scores in rows]
 
     def evaluate(self, request: EvaluationRequest) -> DataEstimate:
-        return self.evaluate_split(
-            request.genotype, (request.building,), request.data_item, request.eval_counter
-        )[0]
+        """The :meth:`evaluate_batch` estimate of one job on one building."""
+        job = (request.genotype, request.eval_counter)
+        return self.evaluate_batch([job], (request.building,), request.data_item)[0][0]
 
     def describe(self) -> dict:
         return self.landscape.describe()

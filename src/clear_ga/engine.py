@@ -5,15 +5,17 @@ Every member is re-evaluated every generation, elites included; the ledger
 keeps the worst error ever recorded per genotype key, which penalizes
 solutions that only look good under a lucky draw of estimator noise.
 :func:`evaluate_genotype` scores runs, ablations and probes alike. An
-evaluator that offers ``evaluate_split`` (the oracle) gets one call per
-genotype on the caller's thread; any other, one call per (genotype, building)
-pair, over the run's thread pool above concurrency 1, where a hard failure
-cancels the pairs not yet started. The loop is deterministic given the seed
-and a deterministic evaluator: the random stream is consumed only by
-initialization and reproduction, never by evaluation, eval counters are
-assigned per member before dispatch, and each member's errors are summed in
-building order, so results are identical at any evaluation concurrency and
-on either path.
+evaluator that offers ``evaluate_batch`` (the oracle) gets one call for a
+whole generation on the caller's thread; any other, one call per (genotype,
+building) pair, over the run's thread pool above concurrency 1, where a hard
+failure cancels the pairs not yet started. Either way each pair's error is
+one :func:`~clear_ga.items.building_error` call, and selection ranks the
+population once a generation, for its elites and its parents alike. The loop
+is deterministic given the seed and a deterministic evaluator: the random
+stream is consumed only by initialization and reproduction, never by
+evaluation, eval counters are assigned per member before dispatch, and each
+member's errors are summed in building order, so results are identical at
+any evaluation concurrency and on either path.
 
 A checkpoint is one file, ``checkpoint.json``, in the snapshot-and-log design
 of Mohan et al. ("ARIES", TODS 1992). Its first line, the snapshot, is the
@@ -64,7 +66,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from itertools import chain, islice
-from operator import eq, itemgetter
+from operator import attrgetter, eq, itemgetter
 from pathlib import Path
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -418,11 +420,11 @@ def evaluate_genotype(
 ) -> list[list[DataEstimate | EvaluationFailure]]:
     """Each (genotype, eval counter) job's estimates on ``buildings``, in order,
     with a permanently failed pair's :class:`EvaluationFailure` in its place:
-    from one ``evaluate_split`` call per job where the evaluator offers it,
+    from one ``evaluate_batch`` call for all jobs where the evaluator offers it,
     else pair by pair, over ``executor`` if given (see :func:`_map_until_failure`)."""
-    evaluate_split = getattr(evaluator, "evaluate_split", None)
-    if evaluate_split is not None:
-        return [evaluate_split(genotype, buildings, item, counter) for genotype, counter in jobs]
+    evaluate_batch = getattr(evaluator, "evaluate_batch", None)
+    if evaluate_batch is not None:
+        return evaluate_batch(jobs, buildings, item)
     requests = [EvaluationRequest(g, b, item, counter) for g, counter in jobs for b in buildings]
     estimates = _map_until_failure(partial(_estimate, evaluator), requests, executor)
     n = len(buildings)
@@ -443,19 +445,34 @@ def _map_until_failure(fn: Callable, items: list, executor: Executor | None) -> 
     return [future.result() for future in futures]
 
 
+def _penalty(item: DataItem, building: BuildingRecord) -> float:
+    """The failure penalty charged for a building whose estimate failed, logged."""
+    log.warning("building %s: estimate unavailable, charging failure penalty", building.id)
+    return failure_penalty(item)
+
+
 def parent_pool_size(population_size: int, parent_fraction: float) -> int:
     return math.ceil(parent_fraction * population_size)
 
 
-def select_parents(population: Sequence[Member], parent_fraction: float) -> list[Member]:
-    """Best ceil(fraction * N) members, ranked by recorded error, ties stable."""
+def _ranked(population: Sequence[Member]) -> list[Member]:
+    """The members by recorded error, ties stable; refuses an unevaluated member."""
     if any(m.recorded_error is None for m in population):
         raise ValueError("population must be evaluated before selection")
-    ranked = sorted(population, key=lambda m: m.recorded_error)
-    pool = ranked[: parent_pool_size(len(population), parent_fraction)]
+    return sorted(population, key=attrgetter("recorded_error"))
+
+
+def _parent_pool(ranked: list[Member], parent_fraction: float) -> list[Member]:
+    """The first ceil(fraction * N) of a ranking; refuses to pick none."""
+    pool = ranked[: parent_pool_size(len(ranked), parent_fraction)]
     if not pool:
         raise ValueError("parent pool is empty")
     return pool
+
+
+def select_parents(population: Sequence[Member], parent_fraction: float) -> list[Member]:
+    """Best ceil(fraction * N) members, ranked by recorded error, ties stable."""
+    return _parent_pool(_ranked(population), parent_fraction)
 
 
 def next_generation(
@@ -464,10 +481,11 @@ def next_generation(
     config: RunConfig,
     rng: Random,
 ) -> tuple[list[Member], int]:
-    """Elites copied verbatim plus crossover+mutation offspring; returns (members, pool size)."""
-    ranked = sorted(population, key=lambda m: m.recorded_error)
+    """Elites copied verbatim plus crossover+mutation offspring; returns (members,
+    pool size). Elites and parents are taken from one ranking of the population."""
+    ranked = _ranked(population)
     elites = [Member(m.genotype) for m in ranked[: config.elites]]
-    pool = select_parents(population, config.parent_fraction)
+    pool = _parent_pool(ranked, config.parent_fraction)
     if config.mode is Mode.FIXED:
         crossover, mutate = crossover_fixed, mutate_fixed
     else:
@@ -793,15 +811,11 @@ class EvolutionRun:
             pending[key] += 1
         results = evaluate_genotype(jobs, buildings, item, self.evaluator, executor)
         for member, key, estimates in zip(self.population, keys, results):
-            errors = []
-            for estimate, building in zip(estimates, buildings):
-                if isinstance(estimate, EvaluationFailure):
-                    log.warning(
-                        "building %s: estimate unavailable, charging failure penalty", building.id
-                    )
-                    errors.append(failure_penalty(item))
-                else:
-                    errors.append(building_error(item, estimate, building.truth))
+            errors = [
+                _penalty(item, building) if isinstance(estimate, EvaluationFailure)
+                else building_error(item, estimate, building.truth)
+                for estimate, building in zip(estimates, buildings)
+            ]
             # Summed in building order, so floats do not depend on completion order.
             self.ledger.record(key, aggregate_fitness(errors), self.generation, member.genotype)
         self._take_errors()
@@ -882,7 +896,7 @@ class EvolutionRun:
         self._start_log()
         concurrency = self.config.evaluation_concurrency
         # One pool serves every generation's pairs. It starts no thread until a
-        # pair is submitted, and an evaluator that scores whole splits submits none.
+        # pair is submitted, and an evaluator that scores whole batches submits none.
         try:
             with ThreadPoolExecutor(concurrency) if concurrency > 1 else nullcontext() as executor:
                 if not self.log_rows:

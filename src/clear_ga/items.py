@@ -317,12 +317,19 @@ def failure_penalty(item: DataItem) -> float:
 
 
 def building_error(item: DataItem, estimate: DataEstimate, truth: GroundTruth) -> float:
-    """The item's error function; raises if the estimate variant or the truth field is wrong."""
-    spec = item_spec(item)
+    """The item's error function; raises if the estimate variant or the truth field is wrong.
+
+    Called once per scored (genotype, building) pair, so a member is looked up
+    directly and the truth field read without a method call.
+    """
+    try:
+        spec = ITEMS[item]
+    except (KeyError, TypeError):
+        spec = item_spec(item)
     if isinstance(estimate, bool) or not isinstance(estimate, spec.estimate_types):
         expected = " or ".join(t.__name__ for t in spec.estimate_types)
         raise ValueError(f"{DataItem(item).value} estimate must be {expected}, got {estimate!r}")
-    actual = spec.truth_of(truth)
+    actual = getattr(truth, spec.truth_field)
     if actual is None:
         raise ValueError(f"ground truth is missing the field for {DataItem(item).value}")
     return spec.error(estimate, actual)

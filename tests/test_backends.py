@@ -291,12 +291,18 @@ SPLIT = [
 ]
 
 
+def bits(estimate):
+    """An estimate's type and value, a float's to the bit."""
+    return type(estimate), estimate.hex() if isinstance(estimate, float) else estimate
+
+
 class TestSplitScoring:
-    """``OracleEvaluator.evaluate_split`` gives what ``evaluate`` gives for each building."""
+    """``OracleEvaluator.evaluate_batch`` gives, to the bit, what ``evaluate``
+    gives for each job on each building."""
 
     @pytest.mark.parametrize("item", list(DataItem))
     @pytest.mark.parametrize("noise", [0.0, 0.4])
-    @pytest.mark.parametrize("counter", [0, 3])
+    @pytest.mark.parametrize("counter", [0, 1, 2, 3])
     @pytest.mark.parametrize("base", [6.0, 60.0])
     def test_split_equals_pairs(self, item, noise, counter, base):
         land = PlantedLandscape(
@@ -314,19 +320,24 @@ class TestSplitScoring:
             ))
             for _ in range(12)
         ]
-        for genotype in genotypes:
-            split = OracleEvaluator(land).evaluate_split(genotype, SPLIT, item, counter)
+        # One genotype twice at the counter, as a batch holds members of one key,
+        # and once more at the next counter.
+        jobs = [(g, counter) for g in genotypes] + [(genotypes[2], counter),
+                                                    (genotypes[2], counter + 1)]
+        batch = OracleEvaluator(land).evaluate_batch(jobs, SPLIT, item)
+        assert len(batch) == len(jobs)
+        for (genotype, job_counter), row in zip(jobs, batch):
             pairs = [
-                OracleEvaluator(land).evaluate(EvaluationRequest(genotype, b, item, counter))
+                OracleEvaluator(land).evaluate(EvaluationRequest(genotype, b, item, job_counter))
                 for b in SPLIT
             ]
-            assert split == pairs
-            assert [type(e) for e in split] == [type(e) for e in pairs]
+            assert list(map(bits, row)) == list(map(bits, pairs))
+        assert batch[-2] == batch[2]
 
     def test_missing_truth_in_a_split_rejected(self):
         split = [build_record("b1"), build_record("b2", lighting_pct=None)]
         with pytest.raises(ValueError, match="'b2' has no ground truth"):
-            OracleEvaluator(landscape()).evaluate_split(OPTIMUM, split, DataItem.LIGHTING, 0)
+            OracleEvaluator(landscape()).evaluate_batch([(OPTIMUM, 0)], split, DataItem.LIGHTING)
 
 
 class TestLlmEvaluator:

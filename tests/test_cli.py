@@ -1088,18 +1088,18 @@ class TestAnalysisCommands:
 
     def test_every_command_evaluates_the_schemas_item(self, tmp_path, monkeypatch):
         items = []
-        evaluate, evaluate_split = OracleEvaluator.evaluate, OracleEvaluator.evaluate_split
+        evaluate, evaluate_batch = OracleEvaluator.evaluate, OracleEvaluator.evaluate_batch
 
         def recording(self, request):
             items.append(request.data_item.value)
             return evaluate(self, request)
 
-        def recording_split(self, genotype, buildings, item, eval_counter):
+        def recording_batch(self, jobs, buildings, item):
             items.append(DataItem(item).value)
-            return evaluate_split(self, genotype, buildings, item, eval_counter)
+            return evaluate_batch(self, jobs, buildings, item)
 
         monkeypatch.setattr(OracleEvaluator, "evaluate", recording)
-        monkeypatch.setattr(OracleEvaluator, "evaluate_split", recording_split)
+        monkeypatch.setattr(OracleEvaluator, "evaluate_batch", recording_batch)
         ws = make_workspace(tmp_path, item="heating")
         out_dir = tmp_path / "out"
         inputs = ["--schema", ws["schema"], "--dataset", ws["dataset"],

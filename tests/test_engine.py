@@ -43,6 +43,7 @@ from clear_ga.engine import (
     next_generation,
     select_parents,
 )
+from clear_ga.fitness import YearRange
 from clear_ga.items import failure_penalty
 from clear_ga.schema import DataItem, Genotype, canonical_key
 
@@ -1396,7 +1397,7 @@ class TestOverflowingErrors:
 
 class TestPairDispatch:
     """Evaluation runs one (member, building) pair per pool task, in one pool per run;
-    an evaluator that scores whole splits is called on the run's thread instead."""
+    an evaluator that scores whole batches is called on the run's thread instead."""
 
     def test_pairs_of_one_member_run_in_parallel(self):
         # Two members and four buildings make eight pairs per generation; the
@@ -1421,15 +1422,33 @@ class TestPairDispatch:
         failed_at = evaluator.started.index("b0")
         assert len(evaluator.started) - failed_at - 1 <= config.evaluation_concurrency
 
+    @pytest.mark.parametrize(
+        "estimate", [True, "120", YearRange(1990, 1990)], ids=["bool", "text", "year-range"]
+    )
+    def test_pair_estimate_of_the_wrong_variant_stops_the_run(self, estimate):
+        # building_error's check stays on the pair path: an energy estimate
+        # that is not a ValueRange or a number is the run's ValueError.
+        class WrongVariant:
+            def evaluate(self, request):
+                return estimate
+
+        with pytest.raises(ValueError) as exc_info:
+            evolve(make_config(generations=1), build_schema(), WrongVariant(),
+                   [build_record("b1")])
+        assert str(exc_info.value) == (
+            f"energy estimate must be ValueRange or int or float, got {estimate!r}"
+        )
+
     def test_split_evaluator_is_scored_on_the_run_thread(self):
-        # An evaluator offering evaluate_split gets one call per member, on the
-        # thread that runs the loop, and no pool is made for it.
+        # An evaluator offering evaluate_batch gets one call per generation, for
+        # every member, on the thread that runs the loop, and no pool is made for it.
         calls: list[int] = []
 
         class SplitOnly(OracleEvaluator):
-            def evaluate_split(self, *args):
+            def evaluate_batch(self, jobs, *args):
                 calls.append(threading.get_ident())
-                return super().evaluate_split(*args)
+                assert len(jobs) == config.population_size
+                return super().evaluate_batch(jobs, *args)
 
             def evaluate(self, request):
                 raise AssertionError("scored pair by pair")
@@ -1442,7 +1461,7 @@ class TestPairDispatch:
                         lambda stats, population: during.append(threading.active_count()))
         assert result.completed
         assert set(calls) == {threading.get_ident()}
-        assert len(calls) == config.population_size * len(result.per_generation_log)
+        assert len(calls) == len(result.per_generation_log)
         assert during == [before] * len(result.per_generation_log)
 
     @staticmethod
