@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .backends.base import EvaluationFailure, Evaluator
 from .dataset import BuildingRecord
-from .engine import GenerationStats, evaluate_genotype
+from .engine import GenerationStats, Mode, evaluate_genotype
 from .fitness import (
     DataEstimate, HeatingClass, ValueRange, WindowClass, YearRange, aggregate_fitness,
 )
@@ -292,12 +292,18 @@ def load_run_log(path: str | Path) -> tuple[dict | None, list[GenerationStats]]:
             raise ReportError(f"{path}:{number}: invalid JSON: {exc.msg}") from None
         kind = obj.get("type") if isinstance(obj, dict) else None
         if kind == "config":
-            # The fields a report's run label and file names are made of, where present.
+            # The fields a report's run label and file names are made of, where
+            # present: the names only as the values a run writes, so no file
+            # name can leave the output directory.
             try:
                 fields = checked(obj.get("config", {}), "config", "dict")
                 for name, field_kind in (("data_item", "str"), ("mode", "str"), ("seed", "int")):
                     if name in fields:
                         checked(fields[name], name, field_kind)
+                for name, values in (("data_item", DataItem), ("mode", Mode)):
+                    if name in fields and fields[name] not in {m.value for m in values}:
+                        raise ValueError(f"{name} {fields[name]!r} is not one of "
+                                         f"{', '.join(m.value for m in values)}")
             except ValueError as exc:
                 raise ReportError(f"{path}:{number}: bad config record: {exc}") from None
             config = obj

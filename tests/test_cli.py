@@ -1375,6 +1375,35 @@ class TestAnalysisCommands:
         assert err == f"error: {log_path}:1: bad config record: {message}\n"
         assert not report_dir.exists()
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("data_item", "../escaped"), ("data_item", "Energy"), ("mode", "../../m"),
+         ("mode", "")],
+        ids=["data-item-traversal", "data-item-unknown", "mode-traversal", "mode-empty"],
+    )
+    def test_report_refuses_a_data_item_or_mode_no_run_writes(
+        self, tmp_path, capsys, field, value
+    ):
+        # The CSV names are made of the config line's data_item and mode; a
+        # path separator there once wrote a CSV beside --out-dir, not in it.
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir)) == 0
+        log_path = out_dir / "run.log.jsonl"
+        lines = log_path.read_text(encoding="utf-8").splitlines()
+        header = json.loads(lines[0])
+        header["config"][field] = value
+        lines[0] = json.dumps(header)
+        log_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        report_dir = tmp_path / "trav" / "reports"
+        assert main(["report", "--log", str(log_path), "--out-dir", str(report_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {log_path}:1: bad config record: {field} {value!r} "
+                              "is not one of ")
+        assert not (tmp_path / "trav").exists()
+        assert not list(tmp_path.rglob("*.csv"))
+
 
 class TestGenSchemaCommand:
     def test_missing_credentials(self, tmp_path, monkeypatch, capsys):
