@@ -287,6 +287,17 @@ class FitnessLedger:
             self._best = min(self.entries.items(), key=lambda item: item[1].worst_error)[0]
         return self._best
 
+    def best_genotype(self) -> Genotype:
+        """The best key's genotype. A loaded genotype row is not checked against
+        its key, so this one is: CheckpointError unless its chromosomes give it."""
+        key = self.best_key()
+        genotype = Genotype(self.entries[key].chromosomes)
+        found = canonical_key(genotype)
+        if found != key:
+            raise CheckpointError(f"corrupt checkpoint document: the genotype row of the "
+                                  f"best key {key} holds the genotype of {found}")
+        return genotype
+
     @staticmethod
     def _entry_obj(key: str, e: LedgerEntry) -> dict:
         return {
@@ -709,10 +720,12 @@ class EvolutionRun:
         1, ... in order, for a stored copy of a restated field that does not
         encode to the derived one, for a last log row other than the one the
         members, ledger and config give, for a member key the ledger lacks,
-        and for a population whose size or genotypes the config and schema
-        rule out. A schema for another data item is the constructor's
-        ValueError. The run adopts the document's genotype rows as they are,
-        so the caller must not mutate the document afterwards.
+        for a population whose size or genotypes the config and schema rule
+        out, and for a best key whose genotype row gives another key (the
+        other rows wait for a format that checks each). A schema for another
+        data item is the constructor's ValueError. The run adopts the
+        document's genotype rows as they are, so the caller must not mutate
+        the document afterwards.
         """
         config = checkpoint_config(checkpoint)
         given = {"schema": schema_sha256, "dataset": dataset_sha256, "landscape": landscape_sha256}
@@ -756,6 +769,8 @@ class EvolutionRun:
                                      "and config give")
         except (KeyError, TypeError, ValueError) as exc:
             raise CheckpointError(f"corrupt checkpoint document: {exc}") from None
+        if run.ledger.entries:
+            run.ledger.best_genotype()  # refuses a best key's row of another genotype
         run._committed = (
             (checkpoint.path, checkpoint.length, len(run.ledger.entries), len(run.log_rows))
             if isinstance(checkpoint, CheckpointDocument) else None
@@ -872,10 +887,9 @@ class EvolutionRun:
 
     def result(self, completed: bool = True) -> RunResult:
         """The run's best genotype and log so far."""
-        best_key = self.ledger.best_key()
         return RunResult(
-            best_genotype=Genotype(self.ledger.entries[best_key].chromosomes),
-            best_recorded_error=self.ledger.worst(best_key),
+            best_genotype=self.ledger.best_genotype(),
+            best_recorded_error=self.ledger.worst(self.ledger.best_key()),
             per_generation_log=list(self.log_rows),
             completed=completed,
         )

@@ -449,6 +449,27 @@ class TestResumeCommand:
         assert path.read_bytes() == written
         assert sorted(p.name for p in out_dir.iterdir()) == ["checkpoint.json"]
 
+    def test_best_key_row_holding_another_genotype_is_config_error(self, tmp_path, capsys):
+        # The best key's genotype row given the next row's chromosomes once
+        # resumed and named that other genotype in best.json.
+        ws = make_workspace(tmp_path)
+        out_dir = tmp_path / "out"
+        assert main(run_args(ws, out_dir, "--generations", "10", "--stop-after", "3")) == 0
+        path = out_dir / "checkpoint.json"
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        worst = [row["worst_error"] for row in doc["ledger"]]
+        best = worst.index(min(worst))
+        other = doc["genotypes"][best + 1 if best + 1 < len(worst) else best - 1]
+        doc["genotypes"][best]["chromosomes"] = other["chromosomes"]
+        path.write_text(json.dumps(doc) + "\n", encoding="utf-8")
+        (out_dir / "best.json").unlink(missing_ok=True)
+        capsys.readouterr()
+        assert main(["resume", "--checkpoint", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == (f"error: corrupt checkpoint document: the genotype row of the best key "
+                       f"{doc['ledger'][best]['key']} holds the genotype of {other['key']}\n")
+        assert not (out_dir / "best.json").exists()
+
     def test_negative_stop_after_is_config_error_and_writes_nothing(self, tmp_path, capsys):
         ws = make_workspace(tmp_path)
         out_dir = tmp_path / "out"

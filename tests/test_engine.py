@@ -247,6 +247,25 @@ class TestIncrementalBestKey:
         assert min(e.worst_error for e in entries) == run.result().best_recorded_error
 
 
+class TestBestGenotype:
+    def test_result_refuses_a_best_row_holding_another_genotype(self):
+        run = EvolutionRun(make_config(generations=2), build_schema(),
+                           OracleEvaluator(make_landscape(noise=0.5)), [build_record("b1")])
+        run.run()
+        best = run.ledger.best_key()
+        other_key, other = next(
+            (key, entry) for key, entry in run.ledger.entries.items() if key != best
+        )
+        assert canonical_key(run.result().best_genotype) == best
+        run.ledger.entries[best].chromosomes = other.chromosomes
+        with pytest.raises(CheckpointError) as exc_info:
+            run.result()
+        assert str(exc_info.value) == (
+            f"corrupt checkpoint document: the genotype row of the best key {best} "
+            f"holds the genotype of {other_key}"
+        )
+
+
 class TestSelection:
     def members(self, errors):
         return [Member(Genotype((((f"g{i}",),))), recorded_error=e) for i, e in enumerate(errors)]
