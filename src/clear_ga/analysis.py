@@ -34,6 +34,12 @@ class ReportError(ValueError):
     """Raised for malformed run-log input."""
 
 
+# The values a run writes for the config fields a report names its files
+# after; any other could name a file outside the output directory.
+_NAMING_VALUES = {"data_item": tuple(m.value for m in DataItem),
+                  "mode": tuple(m.value for m in Mode)}
+
+
 # The radicand is scaled to at least 2**(2 * mant_dig + 2), so its integer
 # root has the mant_dig + 2 bits that rounding to odd needs.
 _SQRT_BITS = 2 * sys.float_info.mant_dig + 3
@@ -292,18 +298,16 @@ def load_run_log(path: str | Path) -> tuple[dict | None, list[GenerationStats]]:
             raise ReportError(f"{path}:{number}: invalid JSON: {exc.msg}") from None
         kind = obj.get("type") if isinstance(obj, dict) else None
         if kind == "config":
-            # The fields a report's run label and file names are made of, where
-            # present: the names only as the values a run writes, so no file
-            # name can leave the output directory.
+            # The fields a report's run label and file names are made of, where present.
             try:
                 fields = checked(obj.get("config", {}), "config", "dict")
                 for name, field_kind in (("data_item", "str"), ("mode", "str"), ("seed", "int")):
                     if name in fields:
                         checked(fields[name], name, field_kind)
-                for name, values in (("data_item", DataItem), ("mode", Mode)):
-                    if name in fields and fields[name] not in {m.value for m in values}:
+                for name, values in _NAMING_VALUES.items():
+                    if name in fields and fields[name] not in values:
                         raise ValueError(f"{name} {fields[name]!r} is not one of "
-                                         f"{', '.join(m.value for m in values)}")
+                                         f"{', '.join(values)}")
             except ValueError as exc:
                 raise ReportError(f"{path}:{number}: bad config record: {exc}") from None
             config = obj

@@ -229,7 +229,10 @@ class OracleEvaluator:
             truths.append(actual)
         readout = spec.oracle_readout
         rows = self.landscape.latent_rows(jobs, [b.id for b in buildings])
-        return [list(map(readout, truths, scores)) for scores in rows]
+        # Read out in place, so a generation's scores are not all held beside its estimates.
+        for index, scores in enumerate(rows):
+            rows[index] = list(map(readout, truths, scores))
+        return rows
 
     def evaluate(self, request: EvaluationRequest) -> DataEstimate:
         """The :meth:`evaluate_batch` estimate of one job on one building."""
