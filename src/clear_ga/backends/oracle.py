@@ -142,7 +142,8 @@ class PlantedLandscape:
             append = row.append
             for head in heads:
                 seed(_first_word(sha256(head + tail).digest())[0])
-                # random.gauss's first Box-Muller draw, operation for operation.
+                # random.gauss(offset, scale)'s first Box-Muller draw, operation for
+                # operation: offset + gauss(0, scale) to the bit for any offset but -0.0.
                 score = offset + cos(random() * tau) * sqrt(-2.0 * log(1.0 - random())) * scale
                 append(score if score >= floor else floor)  # max(score, floor), inlined
             rows.append(row)

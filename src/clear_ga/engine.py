@@ -466,24 +466,22 @@ def parent_pool_size(population_size: int, parent_fraction: float) -> int:
     return math.ceil(parent_fraction * population_size)
 
 
-def _ranked(population: Sequence[Member]) -> list[Member]:
-    """The members by recorded error, ties stable; refuses an unevaluated member."""
+def _ranked(population: Sequence[Member], parent_fraction: float) -> tuple[list, list]:
+    """The members ranked by recorded error, ties stable, and the best
+    ceil(fraction * N) of them, the parent pool; refuses an unevaluated member
+    and an empty pool."""
     if any(m.recorded_error is None for m in population):
         raise ValueError("population must be evaluated before selection")
-    return sorted(population, key=attrgetter("recorded_error"))
-
-
-def _parent_pool(ranked: list[Member], parent_fraction: float) -> list[Member]:
-    """The first ceil(fraction * N) of a ranking; refuses to pick none."""
-    pool = ranked[: parent_pool_size(len(ranked), parent_fraction)]
+    ranked = sorted(population, key=attrgetter("recorded_error"))
+    pool = ranked[: parent_pool_size(len(population), parent_fraction)]
     if not pool:
         raise ValueError("parent pool is empty")
-    return pool
+    return ranked, pool
 
 
 def select_parents(population: Sequence[Member], parent_fraction: float) -> list[Member]:
     """Best ceil(fraction * N) members, ranked by recorded error, ties stable."""
-    return _parent_pool(_ranked(population), parent_fraction)
+    return _ranked(population, parent_fraction)[1]
 
 
 def next_generation(
@@ -494,9 +492,8 @@ def next_generation(
 ) -> tuple[list[Member], int]:
     """Elites copied verbatim plus crossover+mutation offspring; returns (members,
     pool size). Elites and parents are taken from one ranking of the population."""
-    ranked = _ranked(population)
+    ranked, pool = _ranked(population, config.parent_fraction)
     elites = [Member(m.genotype) for m in ranked[: config.elites]]
-    pool = _parent_pool(ranked, config.parent_fraction)
     if config.mode is Mode.FIXED:
         crossover, mutate = crossover_fixed, mutate_fixed
     else:

@@ -325,6 +325,19 @@ class TestNextGeneration:
         assert pool_size == 1
         assert all(m.genotype == population[0].genotype for m in new)
 
+    @pytest.mark.parametrize(
+        "errors, message",
+        [([1.0, None, 2.0], "population must be evaluated before selection"),
+         ([], "parent pool is empty")],
+        ids=["unevaluated", "empty"],
+    )
+    def test_refuses_what_selection_refuses(self, errors, message):
+        # Elites and parents come from one ranking, which keeps both refusals.
+        population = [Member(Genotype((("c0_0",), ("c1_0",))), recorded_error=e) for e in errors]
+        with pytest.raises(ValueError) as exc_info:
+            next_generation(population, build_schema(), make_config(), Random(0))
+        assert str(exc_info.value) == message
+
     def test_fixed_mode_closure(self):
         schema = build_schema(category_sizes=(4, 4, 4))
         rng = Random(2)
