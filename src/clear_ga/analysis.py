@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .backends.base import EvaluationFailure, Evaluator
-from .dataset import BuildingRecord
+from .dataset import BuildingRecord, require_truth
 from .engine import GenerationStats, Mode, evaluate_genotype
 from .fitness import (
     DataEstimate, HeatingClass, ValueRange, WindowClass, YearRange, aggregate_fitness,
@@ -241,11 +241,13 @@ def consistency_probe(
 
     Disagreement rate is the fraction of answers differing from the modal
     answer; cv is reported as absent when its mean is zero. Failed samples
-    are skipped; if every sample fails the probe raises.
+    are skipped; if every sample fails the probe raises. A building without
+    the item's truth is refused with a DatasetError before any evaluation.
     """
     if n < 2:
         raise ValueError("n must be >= 2")
     item = DataItem(item)
+    require_truth([building], item)
     spec = ITEMS[item]
     genotype = _single_cue_genotype(schema, category_index, cue)
     values: list[float] = []

@@ -157,13 +157,14 @@ class PlantedLandscape:
         """Base error, less the planted benefits, plus the distractor penalties.
 
         Benefits are summed in canonical-key order (chromosome by chromosome,
-        cues sorted), so genotypes with one key score alike to the last bit.
+        cues sorted; a chromosome of fewer than two cues is its own order), so
+        genotypes with one key score alike to the last bit.
         """
         gain = 0.0
         distractors = 0
         benefits = self.benefits
         for index, chromosome in enumerate(genotype.chromosomes):
-            for cue in sorted(chromosome):
+            for cue in chromosome if len(chromosome) < 2 else sorted(chromosome):
                 benefit = benefits.get((index, cue))
                 if benefit is None:
                     distractors += 1

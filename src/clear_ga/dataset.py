@@ -111,7 +111,7 @@ def _parse_image_sets(raw: object, where: str, base_dir: Path) -> dict[str, tupl
     for subset, paths in raw.items():
         if subset not in IMAGE_SUBSETS:
             raise DatasetError(f"{where}: unknown image subset {subset!r}")
-        if not isinstance(paths, list):
+        if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
             raise DatasetError(f"{where}.{subset}: must be an array of file paths")
         resolved = []
         for p in paths:

@@ -49,6 +49,10 @@ the bytes ``json.dumps`` writes with its defaults: one encoder writes them all,
 and it skips only the cycle check, as each line encodes a tree built for it.
 The ledger is the run's one table of genotype keys, with each key's first-seen
 genotype; it keeps its best key as it records, so no best-ever error scans it.
+It keeps that genotype's own chromosome tuples (a loaded entry, the lists
+``json.loads`` gave), so no generation copies a genotype, and
+:meth:`EvolutionRun.checkpoint_obj` holds the run's tuples where the file holds
+arrays: one encoder writes both alike.
 """
 
 from __future__ import annotations
@@ -224,12 +228,13 @@ def _is_column(values: list, types: set, least: int) -> bool:
 
 @dataclass(slots=True)
 class LedgerEntry:
-    """A key's worst-of record, and its first-seen genotype as chromosome lists."""
+    """A key's worst-of record, and its first-seen genotype's chromosomes: the
+    genotype's own tuples for a recorded key, the document's lists for a loaded one."""
 
     worst_error: float
     evaluations: int
     first_seen_generation: int
-    chromosomes: list[list[str]]  # never mutated in place
+    chromosomes: Sequence[Sequence[str]]  # never mutated in place
 
 
 class FitnessLedger:
@@ -244,7 +249,9 @@ class FitnessLedger:
     error, so only a new key with a strictly lower error can take over, and
     only raising the best key itself calls for a scan of the ledger, made at
     the next :meth:`best_key`. ``entries`` must change through ``record``
-    alone.
+    alone. A new key's entry keeps the recorded genotype's own chromosome
+    tuples, which nothing mutates, and a loaded entry the lists of the
+    document it was read from; JSON writes either as arrays.
     """
 
     def __init__(self) -> None:
@@ -259,8 +266,7 @@ class FitnessLedger:
         entry = entries.get(key)
         if entry is None:
             best = self._best
-            chromosomes = [list(ch) for ch in genotype.chromosomes]
-            entry = entries[key] = LedgerEntry(error, 1, generation, chromosomes)
+            entry = entries[key] = LedgerEntry(error, 1, generation, genotype.chromosomes)
             if len(entries) == 1 or best is not None and error < entries[best].worst_error:
                 self._best = key
         else:
@@ -318,11 +324,12 @@ class FitnessLedger:
         """The ledger ``to_json_obj`` wrote, its two lists joined by position and
         checked in bulk: ValueError unless they name the same keys in order and
         hold only values ``record`` keeps, TypeError unless each genotype is
-        ``categories`` lists, which it adopts."""
-        chromosomes = [g["chromosomes"] for g in genotypes]
+        ``categories`` lists, which it adopts. A list may be a tuple, as in
+        :meth:`EvolutionRun.checkpoint_obj`; a JSON document holds only lists."""
+        chromosomes, containers = [g["chromosomes"] for g in genotypes], {list, tuple}
         if not (
-            set(map(type, chromosomes)) <= {list} and set(map(len, chromosomes)) <= {categories}
-            and set(map(type, chain.from_iterable(chromosomes))) <= {list}
+            set(map(type, chromosomes)) <= containers and set(map(len, chromosomes)) <= {categories}
+            and set(map(type, chain.from_iterable(chromosomes))) <= containers
         ):
             raise TypeError(f"a genotype's chromosomes are not {categories} lists")
         worst, evaluations, first_seen = (
@@ -620,18 +627,17 @@ class EvolutionRun:
         genotypes and log rows from those indices on."""
         ledger, genotypes = self.ledger.to_json_obj(ledger_keys, genotypes_from)
         generation, evaluated, errors = self._restated()
-        version, internal, gauss_next = self.rng.getstate()
         return {
             "config": self.config.to_json_obj(),
             "generation": generation,
             "evaluated": evaluated,
             "population": [
-                {"chromosomes": list(map(list, m.genotype.chromosomes)), "recorded_error": error}
+                {"chromosomes": m.genotype.chromosomes, "recorded_error": error}
                 for m, error in zip(self.population, errors)
             ],
             "ledger": ledger,
             "genotypes": genotypes,
-            "rng_state": [version, list(internal), gauss_next],
+            "rng_state": list(self.rng.getstate()),
             "log": [row.to_json_obj() for row in self.log_rows[log_from:]],
         }
 
@@ -642,7 +648,10 @@ class EvolutionRun:
         return rows[-1].generation if rows else 0, bool(rows), errors
 
     def checkpoint_obj(self) -> dict:
-        """Snapshot between generations; resuming from it reproduces the run exactly."""
+        """Snapshot between generations; resuming from it reproduces the run exactly.
+
+        Its chromosomes and random state are the run's own tuples where the
+        file holds arrays, so it equals the loaded file once both are encoded."""
         return {
             "format": CHECKPOINT_FORMAT,
             "digest": self.config.digest(),

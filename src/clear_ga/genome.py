@@ -42,16 +42,18 @@ def mutate_fixed(g: Genotype, schema: CueSchema, rng: Random) -> Genotype:
     """Switch one uniformly chosen chromosome's cue for a different cue of its category.
 
     If the chosen category holds a single cue there is nothing to switch to
-    and the genotype is returned unchanged.
+    and the genotype is returned unchanged. The replacement is the one
+    ``rng.choice`` would draw from the other cues in schema order: one
+    ``randrange`` of their count, stepped past the current cue's index.
     """
     index = rng.randrange(len(g.chromosomes))
-    category = schema.categories[index]
-    if len(category.cues) == 1:
+    cues = schema.categories[index].cues
+    if len(cues) == 1:
         return g
-    current = g.chromosomes[index][0]
-    replacement = rng.choice([c for c in category.cues if c != current])
+    current = cues.index(g.chromosomes[index][0])
+    pick = rng.randrange(len(cues) - 1)
     chromosomes = list(g.chromosomes)
-    chromosomes[index] = (replacement,)
+    chromosomes[index] = (cues[pick + (pick >= current)],)
     return Genotype(tuple(chromosomes))
 
 

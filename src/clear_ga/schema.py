@@ -175,7 +175,8 @@ def random_genotype(schema: CueSchema, rng: Random) -> Genotype:
 
 
 # ``json.dumps`` with these settings, less its per-call encoder construction
-# and cycle check: a key encodes a list of lists built for it.
+# and cycle check: a key encodes a list built for it, of chromosome tuples and
+# sorted copies of them.
 _encode_key = json.JSONEncoder(
     ensure_ascii=False, separators=(",", ":"), check_circular=False
 ).encode
@@ -187,13 +188,14 @@ def canonical_key(genotype: Genotype) -> str:
     Equal for two genotypes iff every chromosome holds the same set of cue
     labels; within-chromosome order is ignored, chromosome position is not.
     The key is a JSON rendering, so it is stable across processes and safe
-    to use in checkpoint files. It is computed once per genotype instance and
-    kept on it; the memo is not a dataclass field, so equality, hashing and
-    ``repr`` ignore it.
+    to use in checkpoint files. A chromosome of fewer than two cues is its own
+    key order, so only longer ones are sorted. It is computed once per
+    genotype instance and kept on it; the memo is not a dataclass field, so
+    equality, hashing and ``repr`` ignore it.
     """
     key = genotype.__dict__.get("_canonical_key")
     if key is None:
-        key = _encode_key([sorted(chromosome) for chromosome in genotype.chromosomes])
+        key = _encode_key([ch if len(ch) < 2 else sorted(ch) for ch in genotype.chromosomes])
         object.__setattr__(genotype, "_canonical_key", key)
     return key
 

@@ -24,10 +24,13 @@ from clear_ga.analysis import (
 )
 from clear_ga.backends import (
     EvaluationFailure,
+    FunctionTransport,
+    LlmEvaluator,
     OracleEvaluator,
     PlantedCue,
     PlantedLandscape,
 )
+from clear_ga.dataset import DatasetError
 from clear_ga.engine import Mode, RunConfig, evolve
 from clear_ga.fitness import WindowClass
 from clear_ga.schema import DataItem, Genotype
@@ -215,6 +218,23 @@ class TestConsistencyProbe:
     def test_needs_two_samples(self):
         with pytest.raises(ValueError):
             self.probe([WindowClass.DOUBLE], n=1)
+
+    @pytest.mark.parametrize("item, field", [(DataItem.HEATING, "heating"),
+                                             (DataItem.ENERGY, "energy_kwh_m2")])
+    def test_building_without_the_items_truth_refused_before_any_send(self, item, field):
+        sends = []
+
+        def answer(prompt, images):
+            sends.append(prompt)
+            return "### 120 ###"
+
+        schema = build_schema(item=item, category_sizes=(3, 3))
+        building = build_record("b0", **{field: None})
+        evaluator = LlmEvaluator(FunctionTransport(answer))
+        message = f"^building 'b0' has no truth.{field} for item {item.value}$"
+        with pytest.raises(DatasetError, match=message):
+            consistency_probe(schema, 0, "c0_0", building, evaluator, item, 3)
+        assert sends == []
 
     def test_cue_must_belong_to_category(self):
         schema = build_schema(category_sizes=(3, 3))

@@ -321,6 +321,16 @@ class TestRunCommand:
         args[args.index("--schema") + 1] = str(tmp_path / "missing.json")
         assert main(args) == 2
 
+    def test_image_path_that_is_not_a_string_is_config_error(self, tmp_path, capsys):
+        ws = make_workspace(tmp_path)
+        entries = json.loads(Path(ws["dataset"]).read_text(encoding="utf-8"))
+        entries[0]["image_sets"] = {"building": [5]}
+        write_manifest(Path(ws["dataset"]), entries)
+        assert main(run_args(ws, tmp_path / "x")) == 2
+        err = capsys.readouterr().err
+        assert err == "error: buildings[0].building: must be an array of file paths\n"
+        assert not (tmp_path / "x").exists()
+
     def test_llm_backend_without_credentials_is_config_error(self, tmp_path, monkeypatch):
         monkeypatch.delenv("CLEAR_LLM_API_KEY", raising=False)
         ws = make_workspace(tmp_path)
@@ -1106,6 +1116,32 @@ class TestAnalysisCommands:
         assert len([line for line in err.splitlines() if line.startswith("error: ")]) == 1
         assert "Traceback" not in err
         assert sent
+
+    @pytest.mark.parametrize("backend", ["oracle", "llm"])
+    @pytest.mark.parametrize("item, field", [("heating", "heating"), ("energy", "energy_kwh_m2")])
+    def test_probe_of_a_building_without_the_items_truth_sends_nothing(
+        self, tmp_path, monkeypatch, capsys, backend, item, field
+    ):
+        monkeypatch.setenv("CLEAR_LLM_API_KEY", "test-key")
+        sent = []
+
+        def answer(self, prompt, images):
+            sent.append(prompt)
+            return "### 120 ###"
+
+        monkeypatch.setattr(HttpTransport, "send", answer)
+        ws = make_workspace(tmp_path, item=item)
+        entries = json.loads(Path(ws["dataset"]).read_text(encoding="utf-8"))
+        del entries[0]["truth"][field]
+        write_manifest(Path(ws["dataset"]), entries)
+        out = tmp_path / "probe.json"
+        landscape = ["--landscape", ws["landscape"]] if backend == "oracle" else []
+        assert main(["probe", "--schema", ws["schema"], "--dataset", ws["dataset"],
+                     "--backend", backend, *landscape, "--cue", "c0_1", "--building", "b0",
+                     "--n", "3", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: building 'b0' has no truth.{field} for item {item}\n"
+        assert sent == [] and not out.exists()
 
     def test_every_command_evaluates_the_schemas_item(self, tmp_path, monkeypatch):
         items = []

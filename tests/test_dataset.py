@@ -83,6 +83,16 @@ class TestLoadManifest:
         with pytest.raises(DatasetError, match="image file not found"):
             load_manifest(manifest, current_year=2025)
 
+    @pytest.mark.parametrize("path", [5, None, True, ["front.jpg"], {"p": "front.jpg"}])
+    def test_image_path_that_is_not_a_string_rejected(self, tmp_path, path):
+        (tmp_path / "front.jpg").write_bytes(b"\xff\xd8fake")
+        manifest = write_manifest(
+            tmp_path / "data.json", [entry("b1", image_sets={"building": ["front.jpg", path]})]
+        )
+        with pytest.raises(DatasetError, match=r"^buildings\[0\]\.building: must be an array "
+                                               r"of file paths$"):
+            load_manifest(manifest, current_year=2025)
+
     def test_unknown_image_subset(self, tmp_path):
         manifest = write_manifest(
             tmp_path / "data.json", [entry("b1", image_sets={"garden": []})]

@@ -60,6 +60,12 @@ def make_landscape(noise: float = 0.0, seed: int = 0, base: float = 6.0) -> Plan
     )
 
 
+def as_loaded(obj):
+    """``obj`` as it reads back from its JSON text: an in-memory checkpoint holds
+    the run's tuples where the document read from its file holds lists."""
+    return json.loads(json.dumps(obj))
+
+
 def make_config(**overrides) -> RunConfig:
     values = dict(
         data_item=DataItem.ENERGY,
@@ -121,6 +127,14 @@ class TestFitnessLedger:
     def test_negative_error_rejected(self):
         with pytest.raises(ValueError):
             FitnessLedger().record("k", -1.0, 0, ONE)
+
+    def test_new_key_keeps_the_genotypes_own_chromosomes(self):
+        ledger = FitnessLedger()
+        first = Genotype((("c0_1", "c0_0"), ()))
+        assert ledger.record("k", 1.0, 0, first).chromosomes is first.chromosomes
+        # A later genotype of the same key leaves the first-seen one in place.
+        again = Genotype((("c0_0", "c0_1"), ()))
+        assert ledger.record("k", 2.0, 1, again).chromosomes is first.chromosomes
 
     def test_order_independence(self):
         rng = Random(7)
@@ -647,7 +661,7 @@ class TestCheckpointResume:
             row["chromosomes"] = 5
         with pytest.raises(CheckpointError, match="corrupt checkpoint document"):
             EvolutionRun.resume(doc, schema, evaluator, records)
-        for rows in ([["c0_0"]], [["c0_0"], "c1_1"], [("c0_0",), []]):
+        for rows in ([["c0_0"]], [["c0_0"], "c1_1"], [{"c0_0": 0}, []]):
             doc = load_checkpoint_file(config.checkpoint_path)
             doc["genotypes"][-1]["chromosomes"] = rows
             with pytest.raises(CheckpointError, match="corrupt checkpoint document"):
@@ -952,7 +966,9 @@ class TestCheckpointWrites:
         ``files``, if given, maps each generation to the file's bytes then."""
 
         def check(stats, population):
-            assert load_checkpoint_file(run.config.checkpoint_path) == run.checkpoint_obj()
+            assert load_checkpoint_file(run.config.checkpoint_path) == as_loaded(
+                run.checkpoint_obj()
+            )
             written.append(stats.generation)
             if files is not None:
                 files[stats.generation] = Path(run.config.checkpoint_path).read_bytes()
@@ -998,6 +1014,23 @@ class TestCheckpointWrites:
         assert written == list(range(10))
         # Generation 4 went on as one record after the pause snapshot.
         assert files[4].startswith(paused) and files[4].count(b"\n") == 2
+
+    @pytest.mark.parametrize("mode", [Mode.FIXED, Mode.VARIABLE])
+    def test_resume_from_the_in_memory_checkpoint_equals_the_uninterrupted_run(
+        self, tmp_path, mode
+    ):
+        full, _, _ = self.make_run(tmp_path, "full", mode=mode)
+        full.run()
+        run, schema, records = self.make_run(tmp_path, "part", mode=mode)
+        assert not run.run(stop_after_generation=3).completed
+        doc = run.checkpoint_obj()  # the run's tuples, never encoded
+        assert isinstance(doc["genotypes"][0]["chromosomes"], tuple)
+        assert EvolutionRun.resume(doc, schema, run.evaluator, records).run().completed
+        for name in ("checkpoint.json", "log.jsonl"):
+            part = (tmp_path / f"part.{name}").read_text(encoding="utf-8")
+            assert part.replace("part", "full") == (tmp_path / f"full.{name}").read_text(
+                encoding="utf-8"
+            )
 
     def test_reevaluated_elite_shows_new_worst_error(self, tmp_path):
         run, _, _ = self.make_run(tmp_path, "worse", evaluator=WorseningEvaluator(), generations=4)
@@ -1067,7 +1100,7 @@ class TestCheckpointWrites:
         doc = load_checkpoint_file(run.config.checkpoint_path)
         expected = copy.deepcopy(doc)
         resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
-        assert resumed.checkpoint_obj() == expected
+        assert as_loaded(resumed.checkpoint_obj()) == expected
 
 
 class Interrupt(Exception):
@@ -1103,7 +1136,7 @@ class TestJournal:
         path.write_bytes(intact + last[: len(last) // 2])
 
         doc = load_checkpoint_file(path)
-        assert doc == run.checkpoint_obj()
+        assert doc == as_loaded(run.checkpoint_obj())
         resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
         with pytest.raises(Interrupt):
             resumed.run(on_generation=interrupt_at(5))
@@ -1111,7 +1144,7 @@ class TestJournal:
         appended = path.read_bytes()
         assert appended.startswith(intact) and appended.count(b"\n") == 6
         assert all(json.loads(line) for line in appended.splitlines())
-        assert load_checkpoint_file(path) == resumed.checkpoint_obj()
+        assert load_checkpoint_file(path) == as_loaded(resumed.checkpoint_obj())
 
         EvolutionRun.resume(load_checkpoint_file(path), schema, run.evaluator, records).run()
         uninterrupted = Path(full.config.checkpoint_path).read_text(encoding="utf-8")
@@ -1133,12 +1166,12 @@ class TestJournal:
             run.run(on_generation=interrupt_at(1))
         assert path.read_bytes().count(b"\n") == 2  # the snapshot and generation 1
         doc = load_checkpoint_file(path)
-        assert doc == run.checkpoint_obj()
+        assert doc == as_loaded(run.checkpoint_obj())
 
         resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
         with pytest.raises(Interrupt):
             resumed.run(on_generation=interrupt_at(4))
-        assert load_checkpoint_file(path) == resumed.checkpoint_obj()
+        assert load_checkpoint_file(path) == as_loaded(resumed.checkpoint_obj())
 
     def test_resumed_run_appends_only_to_the_file_it_loaded(self, tmp_path):
         run, schema, records = self.make_run(tmp_path, "run")
@@ -1153,7 +1186,7 @@ class TestJournal:
         resumed = EvolutionRun.resume(doc, schema, run.evaluator, records)
         with pytest.raises(Interrupt):
             resumed.run(on_generation=interrupt_at(4))
-        assert load_checkpoint_file(path) == resumed.checkpoint_obj()
+        assert load_checkpoint_file(path) == as_loaded(resumed.checkpoint_obj())
 
         # Loaded from a copy, while the run's own path holds another run's longer file.
         other, _, _ = self.make_run(tmp_path, "run", seed=5)
@@ -1162,7 +1195,7 @@ class TestJournal:
         resumed = EvolutionRun.resume(load_checkpoint_file(copied), schema, run.evaluator, records)
         with pytest.raises(Interrupt):
             resumed.run(on_generation=interrupt_at(4))
-        assert load_checkpoint_file(path) == resumed.checkpoint_obj()
+        assert load_checkpoint_file(path) == as_loaded(resumed.checkpoint_obj())
 
     def test_journal_closed_when_run_returns_pauses_or_raises(self, tmp_path, monkeypatch):
         opened = []

@@ -67,7 +67,33 @@ class TestCrossoverFixed:
             assert abs(count - n / 2) <= 3 * sigma
 
 
+def choice_mutate_fixed(g: Genotype, schema, rng: Random) -> Genotype:
+    """The reference ``mutate_fixed``: ``rng.choice`` over a list of the other
+    cues of the chosen category, in schema order."""
+    index = rng.randrange(len(g.chromosomes))
+    category = schema.categories[index]
+    if len(category.cues) == 1:
+        return g
+    current = g.chromosomes[index][0]
+    replacement = rng.choice([c for c in category.cues if c != current])
+    chromosomes = list(g.chromosomes)
+    chromosomes[index] = (replacement,)
+    return Genotype(tuple(chromosomes))
+
+
 class TestMutateFixed:
+    def test_equals_a_choice_over_the_other_cues(self):
+        # Sizes around powers of two, where the draw's bit count changes.
+        schema = build_schema(category_sizes=(1, 2, 3, 4, 5, 8, 9, 12, 17, 64, 65))
+        for seed in range(300):
+            stepped, reference = Random(seed), Random(seed)
+            g = random_genotype(schema, Random(-seed))
+            for _ in range(20):
+                child = mutate_fixed(g, schema, stepped)
+                assert child == choice_mutate_fixed(g, schema, reference)
+                assert stepped.getstate() == reference.getstate()
+                g = child
+
     def test_switches_to_a_different_cue_of_same_category(self):
         schema = build_schema(category_sizes=(3,))
         g = Genotype((("c0_0",),))

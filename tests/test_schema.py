@@ -174,6 +174,23 @@ class TestCanonicalKey:
                 rng.shuffle(ch)
             assert canonical_key(Genotype(tuple(tuple(ch) for ch in shuffled))) == canonical_key(g)
 
+    def test_equals_the_json_of_each_chromosome_sorted(self):
+        # Empty, one-cue and multi-cue chromosomes; only the last need sorting.
+        cases = [
+            ((),), (("b",),), ((), ("b",), ("é", "a", "c")), (("wood", "brick"), ("x",), ()),
+        ]
+        schema = build_schema(category_sizes=(1, 2, 5, 5))
+        rng = Random(8)
+        for _ in range(200):
+            cases.append(tuple(
+                tuple(rng.sample(category.cues, rng.randint(0, len(category.cues))))
+                for category in schema.categories
+            ))
+        for chromosomes in cases:
+            expected = json.dumps([sorted(ch) for ch in chromosomes], ensure_ascii=False,
+                                  separators=(",", ":"))
+            assert canonical_key(Genotype(chromosomes)) == expected
+
     def test_moving_cue_across_chromosomes_changes_key(self):
         g = Genotype((("a", "b"), ("c",)))
         moved = Genotype((("a",), ("c", "b")))
