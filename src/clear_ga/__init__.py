@@ -35,7 +35,7 @@ from .fitness import (
     YearRange,
     aggregate_fitness,
 )
-from .items import building_error
+from .items import building_error, row_scorer
 from .schema import (
     CueCategory,
     CueSchema,
@@ -90,6 +90,7 @@ __all__ = [
     "load_schema_file",
     "random_genotype",
     "render_cue_list",
+    "row_scorer",
     "save_schema",
     "split_records",
     "__version__",

@@ -16,7 +16,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .backends.base import EvaluationFailure, Evaluator
 from .dataset import BuildingRecord, require_truth
@@ -24,7 +24,7 @@ from .engine import GenerationStats, Mode, evaluate_genotype
 from .fitness import (
     DataEstimate, HeatingClass, ValueRange, WindowClass, YearRange, aggregate_fitness,
 )
-from .items import ITEMS, building_error
+from .items import ITEMS, building_error, row_scorer
 from .schema import CueSchema, DataItem, Genotype, checked, validate_genotype
 
 log = logging.getLogger(__name__)
@@ -141,14 +141,17 @@ def _split_error(
     estimates: list[DataEstimate | EvaluationFailure],
     records: Sequence[BuildingRecord],
     item: DataItem,
+    score: Callable[[list[DataEstimate | EvaluationFailure]], list[float] | None],
 ) -> float | EvaluationFailure:
-    """The summed building error of one job's estimates, or its first failure."""
-    for estimate in estimates:
-        if isinstance(estimate, EvaluationFailure):
-            return estimate
-    return aggregate_fitness(
-        [building_error(item, estimate, r.truth) for estimate, r in zip(estimates, records)]
-    )
+    """The summed building error of one job's estimates, or its first failure;
+    ``score`` is :func:`~clear_ga.items.row_scorer` of the item and records."""
+    errors = score(estimates)
+    if errors is None:
+        for estimate in estimates:
+            if isinstance(estimate, EvaluationFailure):
+                return estimate
+        errors = [building_error(item, e, r.truth) for e, r in zip(estimates, records)]
+    return aggregate_fitness(errors)
 
 
 def ablate(
@@ -170,8 +173,9 @@ def ablate(
         raise ValueError("cannot ablate an empty genotype")
     if not records:
         raise ValueError("evaluation split is empty")
+    score = row_scorer(item, [r.truth for r in records])
     [base] = evaluate_genotype([(genotype, 0)], records, item, evaluator)
-    base_error = _split_error(base, records, item)
+    base_error = _split_error(base, records, item, score)
     if isinstance(base_error, EvaluationFailure):
         raise base_error
     cues = [
@@ -182,7 +186,7 @@ def ablate(
     results = evaluate_genotype([(variant, 0) for *_, variant in cues], records, item, evaluator)
     rows: list[AblationRow] = []
     for (cue, category, _), estimates in zip(cues, results):
-        new_error = _split_error(estimates, records, item)
+        new_error = _split_error(estimates, records, item, score)
         if isinstance(new_error, EvaluationFailure):
             log.warning("ablation row for cue %r failed: %s", cue, new_error)
             rows.append(AblationRow(cue=cue, category=category, new_error=None,

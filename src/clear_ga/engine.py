@@ -8,9 +8,14 @@ solutions that only look good under a lucky draw of estimator noise.
 evaluator that offers ``evaluate_batch`` (the oracle) gets one call for a
 whole generation on the caller's thread; any other, one call per (genotype,
 building) pair, over the run's thread pool above concurrency 1, where a hard
-failure cancels the pairs not yet started. Either way each pair's error is
-one :func:`~clear_ga.items.building_error` call, and selection ranks the
-population once a generation, for its elites and its parents alike. The loop
+failure cancels the pairs not yet started. Either way
+:func:`~clear_ga.items.row_scorer` reads the buildings' truth values once a
+generation, and each member's row of estimates is scored in one call of the
+function it returns; a row holding a failed pair, or an estimate whose exact
+type is not one of its item's, is scored pair by pair, a failed pair by its
+penalty and any other by one :func:`~clear_ga.items.building_error` call.
+Selection ranks the population once a generation, for its elites and its
+parents alike. The loop
 is deterministic given the seed and a deterministic evaluator: the random
 stream is consumed only by initialization and reproduction, never by
 evaluation, eval counters are assigned per member before dispatch, and each
@@ -79,7 +84,7 @@ from .backends.base import BackendHardFailure, EvaluationFailure, EvaluationRequ
 from .dataset import BuildingRecord, require_truth
 from .fitness import DataEstimate, aggregate_fitness
 from .genome import crossover_fixed, crossover_variable, mutate_fixed, mutate_variable
-from .items import building_error, failure_penalty
+from .items import building_error, failure_penalty, row_scorer
 from .schema import (CueSchema, DataItem, Genotype, canonical_key, checked, random_genotype,
                      validate_genotype)
 
@@ -315,9 +320,12 @@ class FitnessLedger:
 
     def to_json_obj(self, keys: Iterable[str] | None = None, genotypes_from: int = 0) -> tuple:
         """Format 1's ledger rows of ``keys``, or of all, and its genotype rows from an index."""
-        entries, genotypes = self.entries, islice(self.entries.items(), genotypes_from, None)
+        entries = self.entries
+        # The rows from the index on are the ledger's last ones: read from its
+        # end, a journal record costs its new keys, not the whole ledger.
+        new = islice(reversed(entries.items()), max(len(entries) - genotypes_from, 0))
         rows = [self._entry_obj(key, entries[key]) for key in (entries if keys is None else keys)]
-        return rows, [{"key": key, "chromosomes": e.chromosomes} for key, e in genotypes]
+        return rows, [{"key": key, "chromosomes": e.chromosomes} for key, e in reversed(list(new))]
 
     @classmethod
     def from_json_obj(cls, rows: list, genotypes: list, categories: int) -> "FitnessLedger":
@@ -831,12 +839,15 @@ class EvolutionRun:
             jobs.append((member.genotype, self.ledger.evaluations(key) + pending[key]))
             pending[key] += 1
         results = evaluate_genotype(jobs, buildings, item, self.evaluator, executor)
+        score = row_scorer(item, [building.truth for building in buildings])
         for member, key, estimates in zip(self.population, keys, results):
-            errors = [
-                _penalty(item, building) if isinstance(estimate, EvaluationFailure)
-                else building_error(item, estimate, building.truth)
-                for estimate, building in zip(estimates, buildings)
-            ]
+            errors = score(estimates)
+            if errors is None:
+                errors = [
+                    _penalty(item, building) if isinstance(estimate, EvaluationFailure)
+                    else building_error(item, estimate, building.truth)
+                    for estimate, building in zip(estimates, buildings)
+                ]
             # Summed in building order, so floats do not depend on completion order.
             self.ledger.record(key, aggregate_fitness(errors), self.generation, member.genotype)
         self._take_errors()

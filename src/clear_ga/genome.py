@@ -35,7 +35,7 @@ def crossover_fixed(p1: Genotype, p2: Genotype, rng: Random) -> Genotype:
         if len(a) != 1 or len(b) != 1:
             raise ValueError("fixed-length crossover requires exactly one cue per chromosome")
         child.append(a if rng.random() < 0.5 else b)
-    return Genotype(tuple(child))
+    return Genotype(child)
 
 
 def mutate_fixed(g: Genotype, schema: CueSchema, rng: Random) -> Genotype:
@@ -54,7 +54,7 @@ def mutate_fixed(g: Genotype, schema: CueSchema, rng: Random) -> Genotype:
     pick = rng.randrange(len(cues) - 1)
     chromosomes = list(g.chromosomes)
     chromosomes[index] = (cues[pick + (pick >= current)],)
-    return Genotype(tuple(chromosomes))
+    return Genotype(chromosomes)
 
 
 def crossover_variable(p1: Genotype, p2: Genotype, rng: Random) -> Genotype:
@@ -76,7 +76,7 @@ def crossover_variable(p1: Genotype, p2: Genotype, rng: Random) -> Genotype:
             if rng.random() < 0.5:
                 mixed.append(extra)
         child.append(dedup(mixed))
-    return Genotype(tuple(child))
+    return Genotype(child)
 
 
 def mutate_variable(g: Genotype, schema: CueSchema, rng: Random) -> Genotype:
@@ -104,4 +104,4 @@ def mutate_variable(g: Genotype, schema: CueSchema, rng: Random) -> Genotype:
         chromosome.append(rng.choice(category.cues))
     chromosomes = list(g.chromosomes)
     chromosomes[index] = dedup(chromosome)
-    return Genotype(tuple(chromosomes))
+    return Genotype(chromosomes)

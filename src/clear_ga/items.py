@@ -7,6 +7,13 @@ the train/test split and grouped for schema generation, which images and
 prompts go to the estimator, how the oracle reads its latent score out as
 an estimate, and how a consistency probe codes an answer as a number.
 Adding an item takes one ``DataItem`` member and one ``ITEMS`` entry.
+
+A row of estimates, one per building, is scored by :func:`row_scorer`: the
+spec and the truth values are found once, the row's estimate types checked in
+one pass, and the item's error function mapped over the row. A row it does
+not take, one holding a failure or an estimate of another exact type, is
+left to its caller, which handles a failed pair itself and scores any other
+pair with :func:`building_error`, whose checks and refusals are the item's rules.
 """
 
 from __future__ import annotations
@@ -14,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 from .fitness import (
     HEATING_CONFUSION_GROUP,
@@ -319,8 +326,9 @@ def failure_penalty(item: DataItem) -> float:
 def building_error(item: DataItem, estimate: DataEstimate, truth: GroundTruth) -> float:
     """The item's error function; raises if the estimate variant or the truth field is wrong.
 
-    Called once per scored (genotype, building) pair, so a member is looked up
-    directly and the truth field read without a method call.
+    The pair-by-pair path, for rows :func:`row_scorer` does not take: an
+    estimate is checked with ``isinstance``, so a subclass of an estimate type
+    is scored as that type, except a bool, which is refused.
     """
     try:
         spec = ITEMS[item]
@@ -333,6 +341,33 @@ def building_error(item: DataItem, estimate: DataEstimate, truth: GroundTruth) -
     if actual is None:
         raise ValueError(f"ground truth is missing the field for {DataItem(item).value}")
     return spec.error(estimate, actual)
+
+
+def row_scorer(
+    item: DataItem | str, truths: Sequence[GroundTruth]
+) -> Callable[[Sequence[DataEstimate]], list[float] | None]:
+    """A function from one row of estimates, one per building of ``truths`` in
+    order, to their errors: the list ``building_error`` gives pair by pair.
+
+    The spec is looked up and each truth value read once, here. A row is
+    scored in one pass when the exact type of every estimate is one of the
+    item's ``estimate_types``. Otherwise, and for every row when a truth lacks
+    the item's field, the function returns None and the caller takes the row
+    pair by pair: it handles a failed pair itself (a run charges the item's
+    penalty) and scores any other with :func:`building_error`, which accepts or
+    refuses it by its own rules. A row holding an ``EvaluationFailure`` or a
+    bool is one it returns None for.
+    """
+    spec = item_spec(item)
+    actual = [getattr(truth, spec.truth_field) for truth in truths]
+    if any(value is None for value in actual):
+        return lambda row: None
+    exact, error = set(spec.estimate_types), spec.error
+
+    def score(row: Sequence[DataEstimate]) -> list[float] | None:
+        return list(map(error, row, actual)) if set(map(type, row)) <= exact else None
+
+    return score
 
 
 def parse_estimate(item: DataItem, payload: str, current_year: int) -> DataEstimate:

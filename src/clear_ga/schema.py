@@ -129,6 +129,8 @@ class Genotype:
     Within-chromosome order is preserved for storage and rendering but is
     deliberately ignored by :func:`canonical_key`, so two genotypes holding
     the same cue sets per position are one solution for caching purposes.
+    The constructor takes any sequence of cue sequences, such as a list of
+    tuples, and keeps one new tuple of them, each chromosome a tuple.
     """
 
     chromosomes: tuple[tuple[Cue, ...], ...]

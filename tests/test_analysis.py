@@ -32,7 +32,7 @@ from clear_ga.backends import (
 )
 from clear_ga.dataset import DatasetError
 from clear_ga.engine import Mode, RunConfig, evolve
-from clear_ga.fitness import WindowClass
+from clear_ga.fitness import WindowClass, YearRange
 from clear_ga.schema import DataItem, Genotype
 
 from conftest import build_record, build_schema
@@ -339,6 +339,46 @@ class TestAblate:
         variant = (("c0_1",), ("c1_1",))
         assert [b for chromosomes, b in asked if chromosomes == variant] == ["b0", "b1", "b2"]
         assert len(asked) == 4 * len(records)
+
+    @pytest.mark.parametrize(
+        "answer, words",
+        [
+            (True, "energy estimate must be ValueRange or int or float, got True"),
+            ("120", "energy estimate must be ValueRange or int or float, got '120'"),
+            (YearRange(1990, 1990), "energy estimate must be ValueRange or int or float, "
+                                    "got YearRange(start=1990, end=1990)"),
+            (None, "ground truth is missing the field for energy"),
+        ],
+        ids=["bool", "text", "wrong-variant", "missing-truth"],
+    )
+    def test_refused_pair_stops_the_ablation_in_building_errors_words(self, answer, words):
+        # b1's answer is refused, or b1 has no energy truth; b0 and b2 are fine.
+        class AnswersOnB1:
+            def evaluate(self, request):
+                return 100.0 if request.building.id != "b1" or answer is None else answer
+
+        records = [build_record("b0"), build_record("b1", energy_kwh_m2=None if answer is None
+                                                     else 120.0), build_record("b2")]
+        with pytest.raises(ValueError) as exc_info:
+            ablate(Genotype((("c0_0",), ())), build_schema(), AnswersOnB1(), records,
+                   DataItem.ENERGY)
+        assert str(exc_info.value) == words
+
+    def test_failure_in_a_variant_row_wins_over_a_refused_answer_after_it(self):
+        # The row is failed as a whole: its bool on b1 is never scored.
+        class FailsThenBool:
+            def evaluate(self, request):
+                if request.genotype.cue_count() == 2:
+                    return 100.0
+                if request.building.id == "b0":
+                    raise EvaluationFailure("boom")
+                return True
+
+        records = [build_record(f"b{i}") for i in range(2)]
+        report = ablate(Genotype((("c0_0",), ("c1_1",))), build_schema(), FailsThenBool(),
+                        records, DataItem.ENERGY)
+        assert report.base_error == 40.0
+        assert [row.failed for row in report.rows] == [True, True]
 
     def test_empty_genotype_rejected(self):
         schema = build_schema(category_sizes=(3, 3))

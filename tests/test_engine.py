@@ -15,7 +15,7 @@ from random import Random
 
 import pytest
 
-from clear_ga import engine
+from clear_ga import engine, items
 from clear_ga.analysis import load_run_log
 from clear_ga.backends import (
     BackendHardFailure,
@@ -177,6 +177,23 @@ class TestFitnessLedger:
         assert ledger.best_key() == "a"
         ledger.record("a", 5.0, 1, ONE)
         assert ledger.best_key() == "b"
+
+    def test_genotype_rows_from_every_index(self):
+        # A journal record's genotype rows are the ledger's from an index on,
+        # in ledger order; a re-hit key adds none.
+        ledger, genotypes = FitnessLedger(), [Genotype(((f"c0_{i}",),)) for i in range(5)]
+        for i, genotype in enumerate(genotypes):
+            ledger.record(f"k{i}", float(i), 0, genotype)
+        ledger.record("k1", 9.0, 1, genotypes[1])
+        for index in range(len(genotypes) + 2):
+            rows, new = ledger.to_json_obj(["k3", "k1"], index)
+            assert [row["key"] for row in rows] == ["k3", "k1"]
+            assert new == [{"key": f"k{i}", "chromosomes": genotypes[i].chromosomes}
+                           for i in range(index, len(genotypes))]
+            assert all(row["chromosomes"] is genotypes[int(row["key"][1:])].chromosomes
+                       for row in new)
+        assert ledger.to_json_obj()[1] == ledger.to_json_obj(None, 0)[1]
+        assert len(ledger.to_json_obj()[0]) == len(genotypes)
 
     def test_json_round_trip(self):
         ledger = FitnessLedger()
@@ -393,6 +410,47 @@ class TestEvaluateGenotype:
             "building b1: estimate unavailable, charging failure penalty"
         ] * config.population_size
         assert {r.thread for r in caplog.records} == {threading.get_ident()}
+
+    def test_failed_pairs_warn_once_each_in_building_order(self, caplog):
+        # A row with two failed pairs is scored pair by pair: both penalties,
+        # and a warning for each failed pair, b1's before b3's.
+        class FailsOnTwo(PerfectEvaluator):
+            def evaluate(self, request):
+                if request.building.id in ("b1", "b3"):
+                    raise EvaluationFailure("no estimate")
+                return super().evaluate(request)
+
+        config = make_config(generations=0)
+        records = [build_record(f"b{i}") for i in range(5)]
+        with caplog.at_level("WARNING", logger="clear_ga.engine"):
+            result = evolve(config, build_schema(), FailsOnTwo(), records)
+        penalty = failure_penalty(DataItem.ENERGY)
+        assert result.per_generation_log[0].errors == [2 * penalty] * config.population_size
+        assert [r.getMessage() for r in caplog.records] == [
+            "building b1: estimate unavailable, charging failure penalty",
+            "building b3: estimate unavailable, charging failure penalty",
+        ] * config.population_size
+
+    def test_failure_free_oracle_generations_call_no_building_error(self, monkeypatch):
+        # Each member's row is scored at once; building_error is the pair path's.
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args):
+                calls[name] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(engine, "building_error", counted("engine", engine.building_error))
+        monkeypatch.setattr(items, "building_error", counted("items", items.building_error))
+        records = [build_record(f"b{i}") for i in range(4)]
+        result = evolve(make_config(generations=3), build_schema(),
+                        OracleEvaluator(make_landscape(noise=0.5)), records)
+        assert len(result.per_generation_log) == 4
+        assert calls == Counter()
+        # The counters see the pair path: a row with a failed pair takes it.
+        evolve(make_config(generations=0), build_schema(), FailsOnBuilding("b1"), records)
+        assert calls == Counter(engine=3 * make_config().population_size)
 
     def test_raise_mode_propagates(self):
         # evaluate_genotype hands a failed pair's exception back in the
