@@ -321,11 +321,14 @@ class FitnessLedger:
     def to_json_obj(self, keys: Iterable[str] | None = None, genotypes_from: int = 0) -> tuple:
         """Format 1's ledger rows of ``keys``, or of all, and its genotype rows from an index."""
         entries = self.entries
-        # The rows from the index on are the ledger's last ones: read from its
-        # end, a journal record costs its new keys, not the whole ledger.
-        new = islice(reversed(entries.items()), max(len(entries) - genotypes_from, 0))
+        genotypes = entries.items()
+        if genotypes_from:
+            # The rows from the index on are the ledger's last ones: read from
+            # its end, a journal record costs its new keys, not the whole ledger.
+            new = max(len(entries) - genotypes_from, 0)
+            genotypes = reversed(list(islice(reversed(genotypes), new)))
         rows = [self._entry_obj(key, entries[key]) for key in (entries if keys is None else keys)]
-        return rows, [{"key": key, "chromosomes": e.chromosomes} for key, e in reversed(list(new))]
+        return rows, [{"key": key, "chromosomes": e.chromosomes} for key, e in genotypes]
 
     @classmethod
     def from_json_obj(cls, rows: list, genotypes: list, categories: int) -> "FitnessLedger":
