@@ -192,8 +192,7 @@ class TestFitnessLedger:
                            for i in range(index, len(genotypes))]
             assert all(row["chromosomes"] is genotypes[int(row["key"][1:])].chromosomes
                        for row in new)
-        assert ledger.to_json_obj()[1] == ledger.to_json_obj(None, 0)[1]
-        assert len(ledger.to_json_obj()[0]) == len(genotypes)
+        assert [row["key"] for row in ledger.to_json_obj()[0]] == [f"k{i}" for i in range(5)]
 
     def test_json_round_trip(self):
         ledger = FitnessLedger()
