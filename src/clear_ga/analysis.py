@@ -165,7 +165,9 @@ def ablate(
 
     The full genotype is scored first, and its failure raised before any
     variant is sent. The summary mean and (population) standard deviation
-    cover successful rows only; failed rows are marked and counted.
+    cover successful rows only; failed rows are marked and counted. A record
+    without the item's truth is refused with a DatasetError before any
+    evaluation.
     """
     item = DataItem(item)
     validate_genotype(genotype, schema)
@@ -173,6 +175,7 @@ def ablate(
         raise ValueError("cannot ablate an empty genotype")
     if not records:
         raise ValueError("evaluation split is empty")
+    require_truth(records, item)
     score = row_scorer(item, [r.truth for r in records])
     [base] = evaluate_genotype([(genotype, 0)], records, item, evaluator)
     base_error = _split_error(base, records, item, score)

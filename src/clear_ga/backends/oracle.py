@@ -12,16 +12,15 @@ item, the categorical windows read-out and the continuous U-value read-out
 expose the same noise stream through two encodings.
 
 The latent score is a function of the genotype's canonical key, building id
-and eval counter alone. Its noise-free part is computed once per key and kept
-on the landscape, as is the head of each building's noise material, the UTF-8
-bytes of ``"{seed}|{building_id}"``; each noise draw reseeds a per-thread
-generator instead of building one. Scoring is written once, for a batch of
-(genotype, eval counter) jobs on a list of buildings
-(:meth:`OracleEvaluator.evaluate_batch`, :meth:`PlantedLandscape.latent_rows`,
-:meth:`PlantedLandscape._draw_rows`): the item spec, the truths, the building
-ids and their noise heads are found once per call, each job's key, noise-free
-score and eval counter's part of the noise material once per job, and each
-building costs only its hash, reseed, draws, clamp and read-out. ``evaluate``,
+and eval counter alone, and scoring keeps nothing between calls: the
+landscape is a plain frozen value, so any number of threads or runs may score
+one landscape. Scoring is written once, for a batch of (genotype, eval
+counter) jobs on a list of buildings (:meth:`OracleEvaluator.evaluate_batch`,
+:meth:`PlantedLandscape.latent_rows`, :meth:`PlantedLandscape._draw_rows`):
+the item spec, the truths, the building ids, their noise heads and one
+generator are found once per call, each job's key, noise-free score and eval
+counter's part of the noise material once per job, and each building costs
+only its hash, reseed, draws, clamp and read-out. ``evaluate``,
 ``latent_scores`` and ``noise`` are that code on one job or one building.
 """
 
@@ -31,7 +30,6 @@ import _random
 import hashlib
 import json
 import struct
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from math import cos, inf, log, sqrt, tau
@@ -44,9 +42,6 @@ from ..items import item_spec
 from ..schema import DataItem, Genotype, canonical_key, checked
 from .base import EvaluationRequest
 
-# One generator per thread, reseeded for every draw: its state carries nothing
-# from one draw to the next, and no two threads ever share it.
-_streams = threading.local()
 # A digest's first 8 bytes as a big-endian unsigned integer, in a 1-tuple.
 _first_word = struct.Struct(">Q").unpack_from
 
@@ -97,11 +92,6 @@ class PlantedLandscape:
                 f"base_error {self.base_error} must cover the total benefit "
                 f"{self.total_benefit} so the optimum stays unique under clamping"
             )
-        # Noise-free score per canonical key, and the UTF-8 head of the noise
-        # material per building id; not fields, so equality, hashing and repr
-        # ignore them.
-        object.__setattr__(self, "_noise_free", {})
-        object.__setattr__(self, "_noise_heads", {})
 
     @cached_property
     def benefits(self) -> dict[tuple[int, str], float]:
@@ -125,15 +115,9 @@ class PlantedLandscape:
         """
         if self.noise_scale == 0:
             return [[max(offset, floor)] * len(building_ids) for offset, _, _ in jobs]
-        noise_heads, heads = self._noise_heads, []
-        for building_id in building_ids:
-            head = noise_heads.get(building_id)
-            if head is None:  # threads that race here store equal bytes
-                head = noise_heads[building_id] = f"{self.seed}|{building_id}".encode("utf-8")
-            heads.append(head)
-        stream = getattr(_streams, "random", None)
-        if stream is None:
-            stream = _streams.random = _random.Random()
+        heads = [f"{self.seed}|{building_id}".encode("utf-8") for building_id in building_ids]
+        # Every draw reseeds the generator, so its first state never matters.
+        stream = _random.Random.__new__(_random.Random)
         seed, random, scale, sha256 = stream.seed, stream.random, self.noise_scale, hashlib.sha256
         rows = []
         for offset, genotype_key, eval_counter in jobs:
@@ -178,13 +162,10 @@ class PlantedLandscape:
         """For each (genotype, eval counter) job, the clamped-at-zero error the
         genotype earns on each building; the key and noise-free score are found
         once per job."""
-        noise_free, keyed = self._noise_free, []
-        for genotype, eval_counter in jobs:
-            key = canonical_key(genotype)
-            score = noise_free.get(key)
-            if score is None:
-                score = noise_free[key] = self.noise_free_score(genotype)
-            keyed.append((score, key, eval_counter))
+        keyed = [
+            (self.noise_free_score(genotype), canonical_key(genotype), eval_counter)
+            for genotype, eval_counter in jobs
+        ]
         return self._draw_rows(keyed, building_ids, 0.0)
 
     def latent_scores(

@@ -330,10 +330,7 @@ def building_error(item: DataItem, estimate: DataEstimate, truth: GroundTruth) -
     estimate is checked with ``isinstance``, so a subclass of an estimate type
     is scored as that type, except a bool, which is refused.
     """
-    try:
-        spec = ITEMS[item]
-    except (KeyError, TypeError):
-        spec = item_spec(item)
+    spec = item_spec(item)
     if isinstance(estimate, bool) or not isinstance(estimate, spec.estimate_types):
         expected = " or ".join(t.__name__ for t in spec.estimate_types)
         raise ValueError(f"{DataItem(item).value} estimate must be {expected}, got {estimate!r}")

@@ -35,7 +35,7 @@ from clear_ga.engine import Mode, RunConfig, evolve
 from clear_ga.fitness import WindowClass, YearRange
 from clear_ga.schema import DataItem, Genotype
 
-from conftest import build_record, build_schema
+from conftest import RecordingTransport, build_record, build_schema
 
 
 def float_from_bits(bits: int) -> float:
@@ -347,22 +347,31 @@ class TestAblate:
             ("120", "energy estimate must be ValueRange or int or float, got '120'"),
             (YearRange(1990, 1990), "energy estimate must be ValueRange or int or float, "
                                     "got YearRange(start=1990, end=1990)"),
-            (None, "ground truth is missing the field for energy"),
         ],
-        ids=["bool", "text", "wrong-variant", "missing-truth"],
+        ids=["bool", "text", "wrong-variant"],
     )
     def test_refused_pair_stops_the_ablation_in_building_errors_words(self, answer, words):
-        # b1's answer is refused, or b1 has no energy truth; b0 and b2 are fine.
+        # b1's answer is refused; b0 and b2 are fine.
         class AnswersOnB1:
             def evaluate(self, request):
-                return 100.0 if request.building.id != "b1" or answer is None else answer
+                return 100.0 if request.building.id != "b1" else answer
 
-        records = [build_record("b0"), build_record("b1", energy_kwh_m2=None if answer is None
-                                                     else 120.0), build_record("b2")]
+        records = [build_record(f"b{i}") for i in range(3)]
         with pytest.raises(ValueError) as exc_info:
             ablate(Genotype((("c0_0",), ())), build_schema(), AnswersOnB1(), records,
                    DataItem.ENERGY)
         assert str(exc_info.value) == words
+
+    @pytest.mark.parametrize("item, field", [(DataItem.HEATING, "heating"),
+                                             (DataItem.ENERGY, "energy_kwh_m2")])
+    def test_record_without_the_items_truth_refused_before_any_send(self, item, field):
+        transport = RecordingTransport(lambda prompt, images: "### 120 ###")
+        records = [build_record("b0"), build_record("b1", **{field: None}), build_record("b2")]
+        message = f"^building 'b1' has no truth.{field} for item {item.value}$"
+        with pytest.raises(DatasetError, match=message):
+            ablate(Genotype((("c0_0",), ("c1_1",))), build_schema(item=item, category_sizes=(3, 3)),
+                   LlmEvaluator(transport), records, item)
+        assert transport.calls == []
 
     def test_failure_in_a_variant_row_wins_over_a_refused_answer_after_it(self):
         # The row is failed as a whole: its bool on b1 is never scored.

@@ -157,6 +157,9 @@ def test_scoring_leaves_the_landscape_unchanged():
     assert repr(land) == repr(fresh)
     assert land.describe() == fresh.describe()
     assert landscape_to_json_obj(land) == landscape_to_json_obj(fresh)
+    # Scoring keeps nothing on the landscape: only its fields and the benefits memo.
+    fields = {"planted", "distractor_penalty", "base_error", "noise_scale", "seed"}
+    assert set(vars(land)) == fields | {"benefits"}
 
 
 # The energy estimates of one genotype on buildings b0..b7 (truth 100 kWh/m2)
@@ -168,8 +171,9 @@ THREADED_ESTIMATES = [
 
 
 def test_one_landscape_scored_from_eight_threads_at_once():
-    # The landscape fills its per-building noise heads on first use, so the
-    # threads race to fill them; every thread must still read the pinned stream.
+    # Eight threads score one landscape at once, each from another building,
+    # with the interpreter switching threads as often as it can; every thread
+    # must still read the pinned stream.
     evaluator = OracleEvaluator(noisy_landscape())
     genotype = Genotype((("c0_1",), ("c1_2", "c1_0"), ("c2_0",)))
     requests = [
